@@ -8,6 +8,7 @@ from .f2core import (
     GenusMismatchError,
     H1Matrix,
     H1Vector,
+    InternalCheckError,
     SingularMatrixError,
     compose,
     intersection,

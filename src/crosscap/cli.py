@@ -2,8 +2,10 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
 verified, 1 falsified verification (witness on stdout), 2 usage error,
-3 search budget exhausted.  JSON output is canonical (sorted keys) and is
-byte-identical for identical inputs regardless of worker count.
+3 search budget exhausted, 4 internal check failed (a defect in crosscap,
+reported on one stderr line).  JSON output is canonical (sorted keys) and
+is byte-identical for identical inputs.  All computation is serial;
+`--workers` accepts only 1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import sys
 from itertools import combinations
 
-from .f2core import BudgetExceededError, Genus, H1Vector
+from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from .gmform import q_eval, z4_str
 from .groupops import (
     DEFAULT_NODE_CAP,
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # stable claim names for the lemma identifiers accepted by verify-lemma
 LEMMA_CLAIMS = {
@@ -132,7 +135,7 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     genus = _genus(args)
-    table = enumerate_orthogonal(genus, workers=args.workers)
+    table = enumerate_orthogonal(genus)
     payload = table.to_json(include_elements=args.elements)
     _emit(payload, [f"order {table.order} (genus {genus.g})"], args.format)
     return EXIT_OK
@@ -234,8 +237,8 @@ def _verify_46(genus: Genus) -> tuple[bool, dict, list[str]]:
     return ok, detail, lines
 
 
-def _verify_48(genus: Genus, cap: int, workers: int) -> tuple[bool, dict, list[str]]:
-    report = verify_generation(genus, cap=cap, workers=workers)
+def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
+    report = verify_generation(genus, cap=cap)
     if not report.closure_complete:
         raise BudgetExceededError("closure hit the node cap; raise --cap")
     lines = [
@@ -272,7 +275,7 @@ def _verify_410(genus: Genus) -> tuple[bool, dict, list[str]]:
     return ok, detail, lines
 
 
-def _verify_thm41(genus: Genus, cap: int, workers: int) -> tuple[bool, dict, list[str]]:
+def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
     g = genus.g
     words = []
     words += [f"Y_{{{i},{j}}}" for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
@@ -281,7 +284,7 @@ def _verify_thm41(genus: Genus, cap: int, workers: int) -> tuple[bool, dict, lis
     words += [f"t_{{d_{i}}}" for i in range(1, g - 1)]
     words += [f"t_{{a_{i}}} t_{{a_{i+2}}} t_{{c_{i}}}" for i in range(1, g - 2)]
     failing = [w for w in words if not decide_extendable(parse_word(w, genus)).extendable]
-    generation = verify_generation(genus, cap=cap, workers=workers)
+    generation = verify_generation(genus, cap=cap)
     if not generation.closure_complete:
         raise BudgetExceededError("closure hit the node cap; raise --cap")
     ok = not failing and generation.equal
@@ -314,11 +317,11 @@ def _cmd_verify_lemma(args) -> int:
     elif lemma == "4.6":
         ok, detail, lines = _verify_46(genus)
     elif lemma == "4.8":
-        ok, detail, lines = _verify_48(genus, args.cap, args.workers)
+        ok, detail, lines = _verify_48(genus, args.cap)
     elif lemma == "4.10":
         ok, detail, lines = _verify_410(genus)
     else:
-        ok, detail, lines = _verify_thm41(genus, args.cap, args.workers)
+        ok, detail, lines = _verify_thm41(genus, args.cap)
     payload = {
         "lemma": lemma,
         "claim": LEMMA_CLAIMS[lemma],
@@ -337,6 +340,13 @@ def _cmd_verify_lemma(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(sub, genus_required: bool = True):
@@ -377,20 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("word")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_factorize)
 
     p = subs.add_parser("enumerate", help="enumerate the isometry group")
     _add_common(p)
     p.add_argument("--elements", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("verify-lemma", help="run one verification workflow")
     p.add_argument("lemma", help="4.4 | 4.6 | 4.8 | 4.10 | thm4.1 (or claim name)")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--workers", type=int, choices=(1,), default=1)
     p.set_defaults(func=_cmd_verify_lemma)
 
     p = subs.add_parser("reduce-rseq", help="reduce a sequence to normal form")
@@ -425,6 +435,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FalsificationError as exc:
         sys.stdout.write(json.dumps({"falsified": str(exc)}, sort_keys=True) + "\n")
         print(f"falsified: {exc}", file=sys.stderr)

@@ -29,6 +29,14 @@ class BudgetExceededError(RuntimeError):
     """An operation was asked to exceed its documented search budget."""
 
 
+class InternalCheckError(AssertionError):
+    """An internal invariant or certificate replay failed.
+
+    This signals a defect in the package, never a verdict about the input.
+    Raised explicitly, so the check also runs under `python -O`.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class Genus:
     """Crosscap count of the surface; fixes the rank of mod-2 homology."""

@@ -12,14 +12,19 @@ Four kinds of work live here:
   driven to x1+x3, and any isotropic pair to [x1+x2, x3+x4] or to an
   explicitly flagged full-support configuration.
 
+Closure and both factorization waves run one serial breadth-first routine.
+Searches key elements by their column tuples and store a parent index and a
+signed letter per element; matrices and certificate words are built only
+when an element leaves this module.
+
 Certificates and reduction words always replay: the product of the recorded
 generators is re-applied and compared before a result is returned.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from .f2core import (
     BudgetExceededError,
@@ -27,6 +32,7 @@ from .f2core import (
     GenusMismatchError,
     H1Matrix,
     H1Vector,
+    InternalCheckError,
     compose,
     transvection,
 )
@@ -35,6 +41,121 @@ from .words import induced_matrix, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
+
+
+def _check(ok: bool, what: str) -> None:
+    """An internal invariant; unlike `assert`, it survives `python -O`."""
+    if not ok:
+        raise InternalCheckError(what)
+
+
+# ---------------------------------------------------------------------------
+# words, and the breadth-first search shared by closure and factorization
+# ---------------------------------------------------------------------------
+
+
+def _spell(labels, word: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(labels[abs(s) - 1] + ("" if s > 0 else "^{-1}") for s in word)
+
+
+def _replay(genus: Genus, generators, word: tuple[int, ...]) -> H1Matrix:
+    """The product a signed word names, rightmost letter acting first."""
+    acc = H1Matrix.identity(genus)
+    for signed in word:
+        m = generators[abs(signed) - 1]
+        acc = compose(acc, m if signed > 0 else m.inverse())
+    return acc
+
+
+def _alphabet(gens: list[H1Matrix]) -> list[tuple[int, H1Matrix]]:
+    """Generators and their inverses as signed letters; inverses equal to the
+    generator itself (involutions) are not duplicated."""
+    letters = [(k, m) for k, m in enumerate(gens, start=1)]
+    for k, m in enumerate(gens, start=1):
+        inv = m.inverse()
+        if inv.cols != m.cols:
+            letters.append((-k, inv))
+    return letters
+
+
+class _SearchTree:
+    """The nodes of one breadth-first search, keyed by column tuple.
+
+    Node i is the i-th element discovered; it stores the index of its parent
+    and the signed letter that reached it.  The root is node 0, so a node's
+    word is read off by walking up, first letter first.
+    """
+
+    def __init__(self, root: tuple[int, ...]):
+        self.index = {root: 0}
+        self.parent = [0]
+        self.letter = [0]
+        self.frontier = [root]
+
+    def word(self, node: int) -> tuple[int, ...]:
+        out = []
+        while node:
+            out.append(self.letter[node])
+            node = self.parent[node]
+        return tuple(out)
+
+
+def _left_move(m: H1Matrix):
+    """X -> m X on column tuples, by a lookup table of m's action."""
+    g = m.genus.g
+    tab = [0] * (1 << g)
+    for v in range(1, 1 << g):
+        low = v & -v
+        tab[v] = tab[v ^ low] ^ m.cols[low.bit_length() - 1]
+    image = tab.__getitem__
+    return lambda cols: tuple(map(image, cols))
+
+
+def _right_move(m: H1Matrix):
+    """X -> X m on column tuples: column j of the product sums the columns
+    of X that column j of m selects.  The sums are inlined rather than left
+    to `apply_mask`, since this is the backward wave's inner loop."""
+    selections = [[j for j in range(m.genus.g) if (c >> j) & 1] for c in m.cols]
+
+    def move(cols):
+        out = []
+        for positions in selections:
+            acc = 0
+            for j in positions:
+                acc ^= cols[j]
+            out.append(acc)
+        return tuple(out)
+
+    return move
+
+
+def _grow(tree: _SearchTree, moves, room: int, other=None) -> list | None:
+    """Add the next breadth-first level to `tree`: children of the frontier
+    in discovery order, moves in listed order, unseen children only, at most
+    `room` of them.  Returns the inserted children that `other` also holds
+    (the meets of a bidirectional search), or None, leaving the level
+    partial, when one more insertion was needed.
+    """
+    index, parent, letter = tree.index, tree.parent, tree.letter
+    frontier, tree.frontier = tree.frontier, []
+    new = tree.frontier
+    meets = []
+    for cols in frontier:
+        node = index[cols]
+        for signed, move in moves:
+            child = move(cols)
+            if child in index:
+                continue
+            if room <= 0:
+                return None
+            room -= 1
+            index[child] = len(parent)
+            parent.append(node)
+            letter.append(signed)
+            new.append(child)
+            if other is not None and child in other:
+                meets.append(child)
+    return meets
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +178,20 @@ class GroupElementRecord:
 
 @dataclass
 class GroupTable:
-    """A set of matrices, closed under the generators when complete."""
+    """A set of matrices, closed under the generators when complete.
+
+    `elements` maps each column tuple to its discovery index.  A closure keeps
+    its search tree, which holds the words; enumerated tables have none.
+    """
 
     genus: Genus
     labels: tuple[str, ...]
     generators: tuple[H1Matrix, ...]
-    elements: dict[tuple[int, ...], GroupElementRecord]
+    elements: dict[tuple[int, ...], int]
     complete: bool
     diameter: int
     cap: int | None = None
+    tree: _SearchTree | None = None
 
     @property
     def order(self) -> int:
@@ -74,31 +200,28 @@ class GroupTable:
     def __contains__(self, m: H1Matrix) -> bool:
         return m.cols in self.elements
 
+    def _record(self, cols: tuple[int, ...], index: int) -> GroupElementRecord:
+        word = self.tree.word(index) if self.tree is not None else ()
+        return GroupElementRecord(H1Matrix(self.genus, cols), word)
+
     def record_for(self, m: H1Matrix) -> GroupElementRecord | None:
-        return self.elements.get(m.cols)
+        index = self.elements.get(m.cols)
+        return None if index is None else self._record(m.cols, index)
+
+    def records(self):
+        """Every element with its word, in discovery order."""
+        for cols, index in self.elements.items():
+            yield self._record(cols, index)
 
     def word_labels(self, word: tuple[int, ...]) -> list[str]:
-        out = []
-        for signed in word:
-            label = self.labels[abs(signed) - 1]
-            out.append(label if signed > 0 else label + "^{-1}")
-        return out
-
-    def replay(self, word: tuple[int, ...]) -> H1Matrix:
-        acc = H1Matrix.identity(self.genus)
-        for signed in word:
-            m = self.generators[abs(signed) - 1]
-            acc = compose(acc, m if signed > 0 else m.inverse())
-        return acc
+        return list(_spell(self.labels, word))
 
     def verify_certificates(self, limit: int | None = None) -> bool:
         """Replay every stored word (or the first `limit`) against its matrix."""
-        for k, record in enumerate(self.elements.values()):
-            if limit is not None and k >= limit:
-                break
-            if self.replay(record.word).cols != record.matrix.cols:
-                return False
-        return True
+        return all(
+            _replay(self.genus, self.generators, rec.word) == rec.matrix
+            for rec in islice(self.records(), limit)
+        )
 
     def to_json(self, include_elements: bool = False) -> dict:
         out = {
@@ -114,19 +237,9 @@ class GroupTable:
                     "matrix": rec.matrix.to_col_bitstrings(),
                     "word": self.word_labels(rec.word),
                 }
-                for rec in self.elements.values()
+                for rec in self.records()
             ]
         return out
-
-
-def _apply_table(m: H1Matrix) -> list[int]:
-    """Image of every bit mask under m, for fast repeated application."""
-    g = m.genus.g
-    tab = [0] * (1 << g)
-    for v in range(1, 1 << g):
-        low = v & -v
-        tab[v] = tab[v ^ low] ^ m.cols[low.bit_length() - 1]
-    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -134,49 +247,30 @@ def _apply_table(m: H1Matrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _candidates_by_value(g: int) -> dict[int, list[int]]:
-    qtab = q_table(Genus(g))
-    by_q: dict[int, list[int]] = {1: [], 3: []}
-    for v in range(1, 1 << g):
-        if qtab[v] in (1, 3):
-            by_q[qtab[v]].append(v)
-    return by_q
-
-
-def _complete_columns(g: int, by_q, prefix: list[int], out: list[tuple[int, ...]]):
-    j = len(prefix)
-    if j == g:
-        out.append(tuple(prefix))
+def _complete_columns(g: int, prefix: tuple, want, then, out: dict) -> None:
+    """Extend `prefix` by each column of `want`, the next by one of `then`,
+    and so on alternately; both lists hold only candidates orthogonal to
+    every column already chosen."""
+    if len(prefix) == g:
+        out[prefix] = len(out)
         return
-    want = 1 if j % 2 == 0 else 3  # column j is the image of x_{j+1}
-    for c in by_q[want]:
-        ok = True
-        for p in prefix:
-            if (c & p).bit_count() & 1:
-                ok = False
-                break
-        if ok:
-            prefix.append(c)
-            _complete_columns(g, by_q, prefix, out)
-            prefix.pop()
+    for c in want:
+        _complete_columns(
+            g,
+            prefix + (c,),
+            [v for v in then if not (v & c).bit_count() & 1],
+            [v for v in want if not (v & c).bit_count() & 1],
+            out,
+        )
 
 
-def _enumerate_subtree(args):
-    g, first = args
-    by_q = _candidates_by_value(g)
-    out: list[tuple[int, ...]] = []
-    _complete_columns(g, by_q, [first], out)
-    return out
-
-
-def enumerate_orthogonal(genus: Genus, workers: int = 1) -> GroupTable:
+def enumerate_orthogonal(genus: Genus) -> GroupTable:
     """All invertible matrices preserving the form, by column backtracking.
 
-    Column j must take the form value of x_{j+1} and be orthogonal to the
-    earlier columns; orthonormal columns over F2 are automatically
-    independent, so every completed assignment is invertible (the matrix
-    constructor re-checks).  Budgeted: genus above ENUMERATION_GENUS_CAP is
-    refused.
+    Column j must take the form value of x_{j+1} (1 for odd j+1, 3 for even)
+    and be orthogonal to the earlier columns; orthonormal columns over F2
+    are independent, so every completed assignment is invertible.
+    Budgeted: genus above ENUMERATION_GENUS_CAP is refused.
     """
     g = genus.g
     if g > ENUMERATION_GENUS_CAP:
@@ -184,19 +278,10 @@ def enumerate_orthogonal(genus: Genus, workers: int = 1) -> GroupTable:
             f"orthogonal enumeration is budgeted for genus <= "
             f"{ENUMERATION_GENUS_CAP}, got {g}"
         )
-    by_q = _candidates_by_value(g)
-    firsts = by_q[1]
-    results: list[tuple[int, ...]] = []
-    if workers <= 1 or len(firsts) < 2:
-        for first in firsts:
-            _complete_columns(g, by_q, [first], results)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_enumerate_subtree, [(g, c) for c in firsts]):
-                results.extend(part)
-    elements = {
-        cols: GroupElementRecord(H1Matrix(genus, cols), ()) for cols in results
-    }
+    qtab = q_table(genus)
+    ones, threes = ([v for v in range(1 << g) if qtab[v] == q] for q in (1, 3))
+    elements: dict[tuple[int, ...], int] = {}
+    _complete_columns(g, (), ones, threes, elements)
     return GroupTable(genus, (), (), elements, True, 0)
 
 
@@ -205,50 +290,18 @@ def enumerate_orthogonal(genus: Genus, workers: int = 1) -> GroupTable:
 # ---------------------------------------------------------------------------
 
 
-def _expand_chunk(args):
-    tables, chunk = args
-    out = []
-    for cols in chunk:
-        for tab in tables:
-            out.append(tuple(tab[c] for c in cols))
-    return out
-
-
-def _expand_frontier(frontier, tables, workers: int):
-    if workers <= 1 or len(frontier) < 4 * workers:
-        return _expand_chunk((tables, frontier))
-    size = (len(frontier) + workers - 1) // workers
-    chunks = [frontier[k : k + size] for k in range(0, len(frontier), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_expand_chunk, [(tables, ch) for ch in chunks]))
-    return [child for part in parts for child in part]
-
-
-def _alphabet(gens: list[H1Matrix]) -> list[tuple[int, H1Matrix]]:
-    """Generators and their inverses as signed letters; inverses equal to the
-    generator itself (involutions) are not duplicated."""
-    letters = [(k, m) for k, m in enumerate(gens, start=1)]
-    for k, m in enumerate(gens, start=1):
-        inv = m.inverse()
-        if inv.cols != m.cols:
-            letters.append((-k, inv))
-    return letters
-
-
 def subgroup_closure(
     generators,
     cap: int = DEFAULT_NODE_CAP,
     labels=None,
-    workers: int = 1,
     genus: Genus | None = None,
 ) -> GroupTable:
     """Breadth-first closure under left multiplication by the generators and
     their inverses, with shortest-word certificates.
 
     Expansion order is fixed (frontier in discovery order, letters in listed
-    order), so certificates are reproducible across runs and worker counts.
-    If the element count would exceed `cap` the partial table is returned
-    with complete=False.
+    order), so certificates are reproducible.  If the element count would
+    exceed `cap` the partial table is returned with complete=False.
     """
     gens = list(generators)
     if genus is None:
@@ -264,40 +317,19 @@ def subgroup_closure(
     if len(labels) != len(gens):
         raise ValueError("one label per generator required")
 
-    letters = _alphabet(gens)
-    tables = [_apply_table(m) for _, m in letters]
-    identity = H1Matrix.identity(genus)
-    elements = {identity.cols: GroupElementRecord(identity, ())}
-    frontier = [identity.cols]
+    moves = [(signed, _left_move(m)) for signed, m in _alphabet(gens)]
+    tree = _SearchTree(H1Matrix.identity(genus).cols)
     diameter = 0
     complete = True
-    while frontier and letters:
-        children = _expand_frontier(frontier, tables, workers)
-        new_frontier = []
-        pos = 0
-        overflow = False
-        for cols in frontier:
-            parent_word = elements[cols].word
-            for signed, _ in letters:
-                child = children[pos]
-                pos += 1
-                if child in elements:
-                    continue
-                if len(elements) >= cap:
-                    overflow = True
-                    continue
-                elements[child] = GroupElementRecord(
-                    H1Matrix(genus, child), (signed,) + parent_word
-                )
-                new_frontier.append(child)
-        if new_frontier:
+    while tree.frontier:
+        grown = _grow(tree, moves, cap - len(tree.index))
+        if tree.frontier:
             diameter += 1
-        if overflow:
+        if grown is None:
             complete = False
             break
-        frontier = new_frontier
     return GroupTable(
-        genus, labels, tuple(gens), elements, complete, diameter, cap=cap
+        genus, labels, tuple(gens), tree.index, complete, diameter, cap=cap, tree=tree
     )
 
 
@@ -356,9 +388,7 @@ class GenerationReport:
         }
 
 
-def verify_generation(
-    genus: Genus, cap: int = DEFAULT_NODE_CAP, workers: int = 1
-) -> GenerationReport:
+def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationReport:
     """Close the standard generating set and compare with full enumeration."""
     g = genus.g
     if not 2 <= g <= ENUMERATION_GENUS_CAP:
@@ -370,13 +400,11 @@ def verify_generation(
         [m for _, m in gens],
         cap=cap,
         labels=[label for label, _ in gens],
-        workers=workers,
         genus=genus,
     )
-    if not closure.verify_certificates(limit=4096):
-        raise AssertionError("closure produced a non-replaying certificate")
-    enum = enumerate_orthogonal(genus, workers=workers)
-    equal = closure.complete and set(closure.elements) == set(enum.elements)
+    _check(closure.verify_certificates(limit=4096), "closure certificate failed to replay")
+    enum = enumerate_orthogonal(genus)
+    equal = closure.complete and closure.elements.keys() == enum.elements.keys()
     return GenerationReport(
         genus=g,
         labels=closure.labels,
@@ -419,15 +447,6 @@ class FactorizationResult:
         return out
 
 
-def _bit_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def factorize(
     target: H1Matrix,
     generators,
@@ -441,8 +460,10 @@ def factorize(
     letter inverses; a common element splices the two half-words.  Levels
     alternate strictly and every meet found while completing a level is
     collected, so the reported word has minimal length and is deterministic.
-    Budget exhaustion is reported as its own status, never as non-membership;
-    non-membership is only claimed when a whole side closed.
+    The cap bounds the elements of both waves together, their two starting
+    elements included, at each insertion; an insertion past it ends the
+    search as "budget_exhausted", never as non-membership.  Non-membership
+    is only claimed when a whole side closed.
     """
     gens = list(generators)
     genus = target.genus
@@ -453,86 +474,31 @@ def factorize(
         labels = tuple(f"g{k}" for k in range(1, len(gens) + 1))
     labels = tuple(labels)
 
-    def render(word):
-        return tuple(
-            labels[abs(s) - 1] + ("" if s > 0 else "^{-1}") for s in word
-        )
-
-    def finish(word):
-        acc = H1Matrix.identity(genus)
-        for signed in word:
-            m = gens[abs(signed) - 1]
-            acc = compose(acc, m if signed > 0 else m.inverse())
-        if acc.cols != target.cols:
-            raise AssertionError("factorization word failed to replay")
-        return FactorizationResult("found", word, render(word), len(fwd) + len(bwd))
-
     letters = _alphabet(gens)
-    fwd_tables = [_apply_table(m) for _, m in letters]
-    bwd_bits = [
-        tuple(_bit_positions(c) for c in m.inverse().cols) for _, m in letters
-    ]
-
-    id_cols = H1Matrix.identity(genus).cols
-    fwd: dict[tuple[int, ...], tuple[int, ...]] = {id_cols: ()}
-    bwd: dict[tuple[int, ...], tuple[int, ...]] = {target.cols: ()}
-    if target.cols == id_cols:
-        return finish(())
-    fwd_frontier = [id_cols]
-    bwd_frontier = [target.cols]
-    expand_forward = True
-
-    while True:
-        if len(fwd) + len(bwd) > cap:
-            return FactorizationResult("budget_exhausted", None, None, len(fwd) + len(bwd))
-        meets: list[tuple[int, tuple[int, ...]]] = []
-        if expand_forward:
-            if not fwd_frontier:
-                return FactorizationResult("not_member", None, None, len(fwd) + len(bwd))
-            new = []
-            for cols in fwd_frontier:
-                parent = fwd[cols]
-                for (signed, _), tab in zip(letters, fwd_tables):
-                    child = tuple(tab[c] for c in cols)
-                    if child in fwd:
-                        continue
-                    word = (signed,) + parent
-                    fwd[child] = word
-                    new.append(child)
-                    if child in bwd:
-                        full = word + bwd[child]
-                        meets.append((len(full), full))
-            fwd_frontier = new
-        else:
-            if not bwd_frontier:
-                return FactorizationResult("not_member", None, None, len(fwd) + len(bwd))
-            new = []
-            for cols in bwd_frontier:
-                parent = bwd[cols]
-                for (signed, _), bits in zip(letters, bwd_bits):
-                    child = tuple(
-                        _xor_over(cols, positions) for positions in bits
-                    )
-                    if child in bwd:
-                        continue
-                    word = (signed,) + parent
-                    bwd[child] = word
-                    new.append(child)
-                    if child in fwd:
-                        full = fwd[child] + word
-                        meets.append((len(full), full))
-            bwd_frontier = new
-        if meets:
-            meets.sort(key=lambda t: t[0])
-            return finish(meets[0][1])
-        expand_forward = not expand_forward
-
-
-def _xor_over(cols, positions) -> int:
-    acc = 0
-    for b in positions:
-        acc ^= cols[b]
-    return acc
+    fwd_moves = [(signed, _left_move(m)) for signed, m in letters]
+    bwd_moves = [(signed, _right_move(m.inverse())) for signed, m in letters]
+    fwd = _SearchTree(H1Matrix.identity(genus).cols)
+    bwd = _SearchTree(target.cols)
+    meets = [target.cols] if target.cols in fwd.index else []
+    forward = True
+    while not meets:
+        explored = len(fwd.index) + len(bwd.index)
+        side, other, moves = (fwd, bwd, fwd_moves) if forward else (bwd, fwd, bwd_moves)
+        if not side.frontier:
+            return FactorizationResult("not_member", None, None, explored)
+        meets = _grow(side, moves, cap - explored, other.index)
+        if meets is None:
+            return FactorizationResult(
+                "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
+            )
+        forward = not forward
+    word = min(
+        (fwd.word(fwd.index[c]) + bwd.word(bwd.index[c]) for c in meets), key=len
+    )
+    _check(_replay(genus, gens, word) == target, "factorization word failed to replay")
+    return FactorizationResult(
+        "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +546,22 @@ def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
     rank, then up-movers in descending rank; this order keeps every
     intermediate slot free (asserted).
     """
-    assert len(current) == len(targets)
+    _check(len(current) == len(targets), "swap plan: position lists differ in length")
     cur = list(current)
     plan: list[int] = []
     for r in range(len(cur)):
         while cur[r] > targets[r]:
             j = cur[r] - 2
-            assert j not in cur
+            _check(j not in cur, "swap plan: downward slot occupied")
             plan.append(j)
             cur[r] = j
     for r in range(len(cur) - 1, -1, -1):
         while cur[r] < targets[r]:
             j = cur[r]
-            assert j + 2 not in cur
+            _check(j + 2 not in cur, "swap plan: upward slot occupied")
             plan.append(j)
             cur[r] = j + 2
-    assert cur == list(targets)
+    _check(cur == list(targets), "swap plan: targets not reached")
     return plan
 
 
@@ -623,10 +589,10 @@ def _normalize_q2(red: _Reducer, idx: int) -> None:
     for _ in range(6 * g + 6):
         v = red.tracked[idx]
         lo, le = v.l_odd, v.l_even
-        assert (lo - le) % 4 == 2
+        _check((lo - le) % 4 == 2, "q=2 normal form: support parity broken")
         if (lo, le) == (2, 0):
             _rearrange(red, idx, [1, 3], [])
-            assert red.tracked[idx] == x13
+            _check(red.tracked[idx] == x13, "q=2 normal form: x1+x3 not reached")
             return
         if le > lo:
             # park the odd support clear of slots 1 and 3, line the evens up
@@ -661,7 +627,7 @@ def _normalize_q2(red: _Reducer, idx: int) -> None:
             last = base + 8 * (t - 1)
             red.e(last + 3)
             red.e(last + 2)
-    raise AssertionError("normal-form loop failed to terminate")
+    raise InternalCheckError("normal-form loop failed to terminate")
 
 
 def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
@@ -670,10 +636,10 @@ def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
     g = red.genus.g
     for _ in range(6 * g + 6):
         v = red.tracked[idx]
-        assert all(i > offset for i in v.support)
+        _check(all(i > offset for i in v.support), "pair normal form: support below offset")
         lo = sum(1 for i in v.support if i % 2)
         le = v.weight - lo
-        assert (lo - le) % 4 == 0
+        _check((lo - le) % 4 == 0, "pair normal form: support parity broken")
         if lo == le:
             _rearrange(
                 red,
@@ -703,7 +669,7 @@ def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
             last = base + 8 * (t - 1)
             red.e(last + 3)
             red.e(last + 2)
-    raise AssertionError("pair normal-form loop failed to terminate")
+    raise InternalCheckError("pair normal-form loop failed to terminate")
 
 
 def _peel_pairs(red: _Reducer, idx: int, offset: int, n: int) -> int:
@@ -749,8 +715,7 @@ def reduce_q2_vector(a: H1Vector) -> VectorReduction:
     word_text = red.word_text()
     m = induced_matrix(parse_word(word_text, a.genus))
     ok = m.apply(a) == end == H1Vector.from_indices(a.genus, (1, 3))
-    if not ok:
-        raise AssertionError("q=2 reduction failed to replay")
+    _check(ok, "q=2 reduction failed to replay")
     return VectorReduction(a, end, tuple(red.moves), word_text, True)
 
 
@@ -834,6 +799,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
             f"pair needs form values (0, 0, 0) on a, b, a+b; got {values}"
         )
     g = a.genus.g
+    x12 = H1Vector.from_indices(a.genus, (1, 2))
     red = _Reducer(a.genus)
     red.track(a)
     red.track(b)
@@ -848,7 +814,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
         # complementary pair of the triple
         all_ones = red.tracked[0]
         m = _normalize_q0_to_pairs(red, 1, 0)
-        assert red.tracked[0] == all_ones
+        _check(red.tracked[0] == all_ones, "pair reduction: all-ones class moved")
         if m == g // 2:
             branch = "degenerate_pair"
             note = "both classes reduce to the all-ones vector"
@@ -866,16 +832,19 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 red.e(2 * i - 2)
                 red.d(2 * i - 2)
                 i -= 1
-            assert red.tracked[0] == H1Vector.from_indices(a.genus, (1, 2))
-            assert red.tracked[1] == H1Vector.from_indices(a.genus, range(3, g + 1))
+            _check(red.tracked[0] == x12, "pair reduction: first class is not x1+x2")
+            _check(
+                red.tracked[1] == H1Vector.from_indices(a.genus, range(3, g + 1)),
+                "pair reduction: second class is not x3+...+xg",
+            )
             branch = "full_support"
     else:
-        assert red.tracked[0] == H1Vector.from_indices(a.genus, (1, 2))
+        _check(red.tracked[0] == x12, "pair reduction: first class is not x1+x2")
         vb = red.tracked[1]
         if vb.bits & 0b11:
             # the pair classes pair to 0, so the second contains both of
             # x1, x2; swap in the third class of the triple instead
-            assert (vb.bits & 0b11) == 0b11
+            _check((vb.bits & 0b11) == 0b11, "pair reduction: second class meets x1, x2 once")
             red.tracked[1] = red.tracked[1] + red.tracked[0]
             tracked_pair = ("a", "a+b")
         if red.tracked[1].is_zero():
@@ -888,7 +857,8 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 branch = "full_support"
             else:
                 branch = "generic"
-                assert red.tracked[1] == H1Vector.from_indices(a.genus, (3, 4))
+                x34 = H1Vector.from_indices(a.genus, (3, 4))
+                _check(red.tracked[1] == x34, "pair reduction: second class is not x3+x4")
 
     end_pair = (red.tracked[0], red.tracked[1])
     word_text = red.word_text()
@@ -896,7 +866,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
     src0 = a if tracked_pair[0] == "a" else a + b
     src1 = b if tracked_pair[1] == "b" else a + b
     if m.apply(src0) != end_pair[0] or m.apply(src1) != end_pair[1]:
-        raise AssertionError("pair reduction failed to replay")
+        raise InternalCheckError("pair reduction failed to replay")
 
     identity_applicable = branch == "full_support" and g % 2 == 0 and g >= 6
     identity_holds = None

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import BudgetExceededError, Genus, H1Vector
+from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from .gmform import q_table
 from .words import alpha_class, curve_class, induced_matrix, parse_word
 
@@ -427,7 +427,7 @@ def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
     for letter in word.letters:
         cls = curve_class(letter, genus)
         if cls is not None and not set(cls.support) <= allowed:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"{inst.rule.rule_id} at {inst.anchor}: axis {cls.to_text()} "
                 f"leaves the window {sorted(allowed)}"
             )
@@ -451,10 +451,6 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
                 RuleFailure(inst.anchor, inst.rhs_class(genus).to_text(), got.to_text()),
             )
     return RuleVerdict(rule.rule_id, True, checked)
-
-
-def verify_all_rules(genus: Genus) -> list[RuleVerdict]:
-    return [verify_rule_consistency(rule, genus) for rule in _RULES]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +596,7 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     combined_text = " ".join(reversed(word_parts))
     m = induced_matrix(parse_word(combined_text, s.genus))
     if m.apply(rseq_decode(s)) != rseq_decode(end):
-        raise AssertionError("path certificate failed to replay")
+        raise InternalCheckError("path certificate failed to replay")
     return CertifiedPath(
         start=s,
         end=end,
@@ -776,7 +772,7 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
         if not applied:
             break
     else:
-        raise AssertionError("index-shift loop failed to terminate")
+        raise InternalCheckError("index-shift loop failed to terminate")
     if cur not in ALPHA_TERMINALS:
         raise FalsificationError(
             f"triple {start} stopped at {cur}, which is not a listed terminal"
@@ -784,7 +780,7 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     combined = " ".join(reversed(word_parts))
     m = induced_matrix(parse_word(combined, genus))
     if m.apply(alpha_class(genus, start)) != alpha_class(genus, cur):
-        raise AssertionError("index-shift certificate failed to replay")
+        raise InternalCheckError("index-shift certificate failed to replay")
     return AlphaReduction(
         start=start,
         terminal=cur,

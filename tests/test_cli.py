@@ -1,10 +1,13 @@
+import hashlib
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from crosscap import groupops
 from crosscap.cli import LEMMA_CLAIMS, main
+from crosscap.f2core import H1Matrix
 
 
 def run(capsys, *argv):
@@ -90,6 +93,22 @@ class TestFactorize:
         assert json.loads(out)["status"] == "budget_exhausted"
         assert "budget" in err
 
+    def test_cap_below_one_is_usage_error(self, capsys):
+        for cap in ("0", "-5"):
+            code, out, err = run(capsys, "factorize", "-g", "4", "t_{d_1}", "--cap", cap)
+            assert code == 2
+            assert out == ""
+            assert "--cap" in err
+
+    def test_failed_replay_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            groupops, "_replay", lambda genus, gens, word: H1Matrix.identity(genus)
+        )
+        code, out, err = run(capsys, "factorize", "-g", "4", "t_{d_1}")
+        assert code == 4
+        assert out == ""
+        assert err == "internal check failed: factorization word failed to replay\n"
+
 
 class TestEnumerate:
     def test_table(self, capsys):
@@ -103,11 +122,6 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "-g", "9")
         assert code == 3
         assert "budget" in err
-
-    def test_workers_byte_identical(self, capsys):
-        _, one, _ = run(capsys, "enumerate", "-g", "4", "--workers", "1", "--elements")
-        _, two, _ = run(capsys, "enumerate", "-g", "4", "--workers", "2", "--elements")
-        assert one == two
 
 
 class TestVerifyLemma:
@@ -132,11 +146,6 @@ class TestVerifyLemma:
         code, _, err = run(capsys, "verify-lemma", "9.9", "-g", "4")
         assert code == 2
         assert "unknown lemma" in err
-
-    def test_workers_byte_identical(self, capsys):
-        _, one, _ = run(capsys, "verify-lemma", "4.8", "-g", "4", "--workers", "1")
-        _, two, _ = run(capsys, "verify-lemma", "4.8", "-g", "4", "--workers", "2")
-        assert one == two
 
 
 class TestReductions:
@@ -174,6 +183,38 @@ class TestReductions:
 
 
 class TestCliContract:
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("enumerate", "-g", "6", "--elements"),
+                "700250c194c63978188e461491dbf27732293f62ab1d698013ab5e57d75fc984",
+            ),
+            (
+                ("verify-lemma", "4.8", "-g", "7"),
+                "00d37d305c01a0a471c5d64ef4c7776e1ca30d3a5019d9018e011bd2dc4ba3d3",
+            ),
+            (
+                ("verify-lemma", "thm4.1", "-g", "6"),
+                "a0e31995c04db542a399cae3154fbfd314c888d532a21e9a9b23602404f67c1a",
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_workers_accepts_only_one(self, capsys):
+        commands = (("enumerate", "-g", "4", "--elements"), ("verify-lemma", "4.8", "-g", "4"))
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--workers", "2")
+            assert (code, out) == (2, "")
+            assert "--workers" in err
+            _, plain, _ = run(capsys, *argv)
+            _, one, _ = run(capsys, *argv, "--workers", "1")
+            assert one == plain
+
     def test_usage_error_bad_vector(self, capsys):
         code, _, err = run(capsys, "eval-form", "-g", "3", "zzz")
         assert code == 2

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import crosscap
 
 from crosscap.f2core import (
     BudgetExceededError,
@@ -57,7 +63,7 @@ class TestEnumeration:
         from crosscap.f2core import preserves_intersection_form
 
         table = enumerate_orthogonal(Genus(g))
-        for record in table.elements.values():
+        for record in table.records():
             assert preserves_q(record.matrix).preserves
             assert preserves_intersection_form(record.matrix)
 
@@ -96,7 +102,7 @@ class TestClosure:
             genus = Genus(g)
             ones = H1Vector(genus, (1 << g) - 1)
             table = subgroup_closure([m for _, m in standard_generators(genus)], genus=genus)
-            for record in table.elements.values():
+            for record in table.records():
                 assert record.matrix.apply(ones) == ones
 
     def test_labels_rendered(self):
@@ -104,7 +110,7 @@ class TestClosure:
         table = subgroup_closure(
             [m for _, m in gens], labels=[l for l, _ in gens], genus=Genus(4)
         )
-        record = next(r for r in table.elements.values() if len(r.word) == 1)
+        record = next(r for r in table.records() if len(r.word) == 1)
         assert table.word_labels(record.word)[0] in {label for label, _ in gens}
 
     def test_json_shape(self):
@@ -114,9 +120,20 @@ class TestClosure:
         assert payload["complete"] is True
         assert payload["elements"][1]["word"] == ["t_{d_1}"]
 
+    def test_json_bytes_pinned(self):
+        # discovery order and every certificate word, frozen at genus 6
+        genus = Genus(6)
+        gens = standard_generators(genus)
+        table = subgroup_closure(
+            [m for _, m in gens], labels=[l for l, _ in gens], genus=genus
+        )
+        text = json.dumps(table.to_json(include_elements=True), indent=2, sort_keys=True)
+        digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert digest == "42823ba4f5e3d20489baa26be6716bf7687cb7c4b7f68a05417807714cc140ed"
+
 
 class TestGeneration:
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
     def test_closure_equals_enumeration(self, g):
         report = verify_generation(Genus(g))
         assert report.equal
@@ -128,20 +145,6 @@ class TestGeneration:
             verify_generation(Genus(1))
         with pytest.raises(BudgetExceededError):
             verify_generation(Genus(9))
-
-    def test_deterministic_across_workers(self):
-        genus = Genus(4)
-        gens = standard_generators(genus)
-        mats = [m for _, m in gens]
-        one = subgroup_closure(mats, genus=genus, workers=1)
-        two = subgroup_closure(mats, genus=genus, workers=2)
-        assert list(one.elements) == list(two.elements)
-        assert [r.word for r in one.elements.values()] == [
-            r.word for r in two.elements.values()
-        ]
-        e_one = enumerate_orthogonal(genus, workers=1)
-        e_two = enumerate_orthogonal(genus, workers=2)
-        assert list(e_one.elements) == list(e_two.elements)
 
 
 class TestFactorize:
@@ -164,7 +167,7 @@ class TestFactorize:
         genus = Genus(5)
         mats, labels = self._gens(5)
         table = subgroup_closure(mats, labels=labels, genus=genus)
-        for record in table.elements.values():
+        for record in table.records():
             result = factorize(record.matrix, mats, labels=labels)
             assert result.found
             assert len(result.word) == len(record.word)  # closure words are shortest
@@ -187,6 +190,21 @@ class TestFactorize:
         result = factorize(target, mats, labels=labels, cap=4)
         assert result.status == "budget_exhausted"
 
+    def test_cap_bounds_explored(self):
+        mats, labels = self._gens(8)
+        target = induced_matrix(parse_word(
+            "t_{d_1} t_{d_4} t_{d_6} t_{a_2} t_{a_4} t_{c_2} t_{d_3} t_{a_4} "
+            "t_{a_6} t_{c_4} t_{d_5} t_{d_2}",
+            Genus(8),
+        ))
+        for cap in (50, 200, 1000):
+            result = factorize(target, mats, labels=labels, cap=cap)
+            assert result.status == "budget_exhausted"
+            assert result.explored <= cap
+        result = factorize(target, mats, labels=labels)
+        assert result.found
+        assert (len(result.word), result.explored) == (8, 6494)
+
     def test_non_involutive_generators(self):
         # a 3-cycle of the basis is not an involution, so its formal inverse
         # enters the search alphabet; the splice order of the two half-words
@@ -197,7 +215,7 @@ class TestFactorize:
         gens = [cycle, t]
         table = subgroup_closure(gens, labels=["r", "s"], genus=genus)
         assert table.verify_certificates()
-        for record in table.elements.values():
+        for record in table.records():
             result = factorize(record.matrix, gens, labels=["r", "s"])
             assert result.found
             assert len(result.word) == len(record.word)
@@ -333,3 +351,23 @@ class TestPairReduction:
                     assert red.final_pair == (vec(g, "x1+x2"), vec(g, "x3+x4"))
                 elif red.branch == "degenerate_pair":
                     assert a == b
+
+
+class TestInternalChecks:
+    def test_swap_plan_check_survives_optimize(self):
+        # under -O a bare assert would vanish and the plan would be [3, 1]
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "from crosscap.groupops import _swap_plan\n"
+            "print(_swap_plan([1, 3], [3, 5, 7]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "InternalCheckError" in proc.stderr
