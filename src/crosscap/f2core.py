@@ -152,12 +152,13 @@ class H1Vector:
         return self.to_text()
 
 
+# bits 0, 2, 4, ... of a 64-bit word
+_ALTERNATE_BITS = 0x5555_5555_5555_5555
+
+
 def _odd_mask(g: int) -> int:
     # odd 1-based indices live on even bit positions
-    m = 0
-    for i in range(0, g, 2):
-        m |= 1 << i
-    return m
+    return _ALTERNATE_BITS & ((1 << g) - 1)
 
 
 def _even_mask(g: int) -> int:

@@ -9,6 +9,20 @@ A note on the transvection criterion: a transvection about a class a is an
 isometry of q exactly when q(a) = 2.  (If q(a) = 0 then any x pairing to 1
 with a has q(x + a) = q(x) + 2.)  This is verified exhaustively in the test
 suite for every even-weight axis up to genus 8.
+
+A note on the isometry test: for a matrix M put D(v) = q(Mv) - q(v) and
+B(u, w) = Mu . Mw + u . w.  The refinement rule applied on both sides gives
+
+    D(u + w) = D(u) + D(w) + 2 B(u, w)   (mod 4),
+
+so by induction on support size D vanishes on span(x_1..x_{k-1}) exactly
+when D(x_i) = 0 for every i < k and B(x_i, x_j) = 0 for every i < j < k.
+Let k be the first index where that fails.  Every mask below x_k lies in
+that span, so the smallest failing mask (the first one an increasing scan
+over all 2^g masks meets) is x_k itself when D(x_k) != 0.  Otherwise
+D(x_k + u) = 2 B(u, x_k) for u in the span, and B(., x_k) is linear, so the
+smallest failing mask is x_i + x_k with i the smallest index whose column
+pairs oddly with column k.  Both cases read off the columns in O(g^2).
 """
 
 from __future__ import annotations
@@ -16,17 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import (
-    Genus,
-    H1Matrix,
-    H1Vector,
-    intersection,
-    preserves_intersection_form,
-)
+from .f2core import Genus, H1Matrix, H1Vector, _odd_mask, intersection
 
-# Exhaustive checking walks all 2^g classes; above this we fall back to the
-# basis criterion, which the refinement rule propagates by induction on
-# support size.
+# Both modes are exact and O(g^2); this limit only picks the witness order
+# "auto" reports.  Up to it the witness is the smallest failing class (the
+# one an increasing scan over all 2^g classes would meet first), above it
+# the first failing basis class or basis pair in row order.
 EXHAUSTIVE_LIMIT = 20
 
 _SIGNED = {0: "0", 1: "+1", 2: "2", 3: "-1"}
@@ -67,11 +76,8 @@ def z4_str(value: int, signed: bool = False) -> str:
 def q_table(genus: Genus) -> tuple[int, ...]:
     """q over all 2^g bit masks, indexed by mask."""
     g = genus.g
-    odd = 0
-    for i in range(0, g, 2):
-        odd |= 1 << i
-    full = (1 << g) - 1
-    even = full ^ odd
+    odd = _odd_mask(g)
+    even = ((1 << g) - 1) ^ odd
     return tuple(
         ((v & odd).bit_count() - (v & even).bit_count()) % 4 for v in range(1 << g)
     )
@@ -87,38 +93,58 @@ class QPreservationVerdict:
         return self.preserves
 
 
+def _q_mask(v: int, odd: int) -> int:
+    """q on a raw mask: l_odd - l_even = 2 l_odd - weight (mod 4)."""
+    return (2 * (v & odd).bit_count() - v.bit_count()) % 4
+
+
+def _smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
+    """The smallest mask whose form value M changes, or None (see the
+    module docstring for the proof)."""
+    for k, ck in enumerate(cols):
+        if _q_mask(ck, odd) != basis_value(k + 1):
+            return 1 << k
+        for i in range(k):
+            if (cols[i] & ck).bit_count() & 1:
+                return (1 << i) | (1 << k)
+    return None
+
+
+def _first_failing_basis(cols: tuple[int, ...], odd: int) -> int | None:
+    """The first basis class whose value changes, else the first basis pair
+    (row order) whose pairing changes, or None."""
+    for k, ck in enumerate(cols):
+        if _q_mask(ck, odd) != basis_value(k + 1):
+            return 1 << k
+    for i, ci in enumerate(cols):
+        for j in range(i + 1, len(cols)):
+            if (ci & cols[j]).bit_count() & 1:
+                return (1 << i) | (1 << j)
+    return None
+
+
 def preserves_q(m: H1Matrix, mode: str = "auto") -> QPreservationVerdict:
     """Decide whether a matrix is an isometry of the form.
 
-    In exhaustive mode every class is checked and the first failing class is
-    returned as a witness.  In basis mode it suffices that the matrix
-    preserves the intersection pairing and the form on every basis class;
-    the refinement rule then propagates preservation by induction on support
-    size.  "auto" picks exhaustive up to genus EXHAUSTIVE_LIMIT.
+    M preserves q exactly when it preserves q on every basis class and the
+    intersection pairing on every pair of basis classes: the refinement rule
+    then propagates preservation by induction on support size (see the
+    module docstring).  Both modes decide this from the columns in O(g^2)
+    and differ only in the witness a failure reports.  In exhaustive mode it
+    is the smallest failing class, the first class an increasing scan over
+    all 2^g classes meets: x_k for the first column k that changes its form
+    value or pairs oddly with an earlier column, or x_i + x_k in the second
+    case with i the first such earlier column.  In basis mode it is the
+    first failing basis class, else the first oddly pairing basis pair in
+    row order.  "auto" picks exhaustive up to genus EXHAUSTIVE_LIMIT.
     """
     if mode not in ("auto", "exhaustive", "basis"):
         raise ValueError(f"unknown mode {mode!r}")
     g = m.genus.g
     if mode == "auto":
         mode = "exhaustive" if g <= EXHAUSTIVE_LIMIT else "basis"
-    if mode == "exhaustive":
-        qtab = q_table(m.genus)
-        img = [0] * (1 << g)
-        for v in range(1, 1 << g):
-            low = v & -v
-            img[v] = img[v ^ low] ^ m.cols[low.bit_length() - 1]
-            if qtab[img[v]] != qtab[v]:
-                return QPreservationVerdict(False, mode, H1Vector(m.genus, v))
+    find = _smallest_failing if mode == "exhaustive" else _first_failing_basis
+    witness = find(m.cols, _odd_mask(g))
+    if witness is None:
         return QPreservationVerdict(True, mode)
-    # basis criterion
-    for j in range(1, g + 1):
-        col = m.column(j)
-        if q_eval(col) != basis_value(j):
-            return QPreservationVerdict(False, mode, H1Vector.basis(m.genus, j))
-    if not preserves_intersection_form(m):
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                if intersection(m.column(i), m.column(j)) != 0:
-                    w = H1Vector.basis(m.genus, i) + H1Vector.basis(m.genus, j)
-                    return QPreservationVerdict(False, mode, w)
-    return QPreservationVerdict(True, mode)
+    return QPreservationVerdict(False, mode, H1Vector(m.genus, witness))

@@ -483,6 +483,11 @@ def _fine_masks(rule: RewriteRule, anchor: int, g: int):
     return wmask, _pattern_bits(rule.window, anchor), _pattern_bits(rule.replacement, anchor)
 
 
+# reduce_rseq builds and caches a graph on all 2^g sequences: about 4.4 s
+# and 435 MB at genus 18 on a 2-core host
+RSEQ_GENUS_CAP = 18
+
+
 @lru_cache(maxsize=None)
 def _sequence_graph(g: int):
     """Nodes are all 2^g sequences; edges are shuffle-rule instances, stored
@@ -569,10 +574,17 @@ class CertifiedPath:
 def reduce_rseq(s: RSequence) -> CertifiedPath:
     """Shortest rule path from s to a normal form, replay-verified.
 
-    Raises FalsificationError if the component of s contains no normal form
-    (which would refute the classification at symbol level; never expected).
+    The search runs over all 2^g sequences, so it is budgeted at genus
+    RSEQ_GENUS_CAP; longer sequences raise BudgetExceededError before
+    anything is built or cached.  Raises FalsificationError if the component
+    of s contains no normal form (which would refute the classification at
+    symbol level; never expected).
     """
     g = s.genus.g
+    if g > RSEQ_GENUS_CAP:
+        raise BudgetExceededError(
+            f"sequence reduction is budgeted for genus <= {RSEQ_GENUS_CAP}, got {g}"
+        )
     instances, dist, parent = _reduction_forest(g)
     if s.bits not in dist:
         raise FalsificationError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .f2core import Genus, H1Matrix, H1Vector, compose, transvection
+from .f2core import Genus, H1Matrix, H1Vector
 from .gmform import QPreservationVerdict, preserves_q, q_eval, z4_str
 
 
@@ -215,17 +215,21 @@ class MCGWord:
         return MCGWord(self.genus, self.letters + other.letters)
 
 
+# support of each twisting circle's class, shifted to start at x_i
+_AXIS_PATTERN = {"a": 0b11, "c": 0b1111, "d": 0b101}
+
+
+def _axis_bits(letter: Letter) -> int:
+    """Mask of the twisting circle's class for a validated letter; 0 for Y."""
+    pattern = _AXIS_PATTERN.get(letter.kind)
+    return pattern << (letter.args[0] - 1) if pattern else 0
+
+
 def curve_class(letter: Letter, genus: Genus) -> H1Vector | None:
     """Homology class of the twisting circle; None for Y letters."""
     _validate_letter(letter, genus)
-    i = letter.args[0] if letter.kind in ("a", "c", "d") else 0
-    if letter.kind == "a":
-        return H1Vector.from_indices(genus, (i, i + 1))
-    if letter.kind == "c":
-        return H1Vector.from_indices(genus, (i, i + 1, i + 2, i + 3))
-    if letter.kind == "d":
-        return H1Vector.from_indices(genus, (i, i + 2))
-    return None
+    bits = _axis_bits(letter)
+    return H1Vector(genus, bits) if bits else None
 
 
 def alpha_class(genus: Genus, indices) -> H1Vector:
@@ -246,22 +250,19 @@ def leg_class(letter: Letter, genus: Genus) -> H1Vector | None:
     return None
 
 
-def letter_matrix(letter: Letter, genus: Genus) -> H1Matrix:
-    """Induced homology action of one letter."""
-    cls = curve_class(letter, genus)
-    if cls is None:
-        return H1Matrix.identity(genus)
-    m = transvection(cls)
-    # transvections are involutions, so only exponent parity matters
-    return m if letter.power % 2 else H1Matrix.identity(genus)
-
-
 def induced_matrix(word: MCGWord) -> H1Matrix:
-    """Product of the letter actions, rightmost letter first."""
-    acc = H1Matrix.identity(word.genus)
-    for letter in word.letters:
-        acc = compose(acc, letter_matrix(letter, word.genus))
-    return acc
+    """Product of the letter actions, rightmost letter first.
+
+    Works on column masks: a twist about a acts on each column c as the
+    transvection c -> c + (c . a) a.  Transvections are involutions, so only
+    odd powers act, and Y letters act as the identity.
+    """
+    cols = [1 << j for j in range(word.genus.g)]
+    for letter in reversed(word.letters):
+        a = _axis_bits(letter)
+        if a and letter.power % 2:
+            cols = [c ^ a if (c & a).bit_count() & 1 else c for c in cols]
+    return H1Matrix(word.genus, tuple(cols))
 
 
 @dataclass(frozen=True)

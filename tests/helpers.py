@@ -32,6 +32,28 @@ def _apply_cols(cols: tuple[int, ...], v: int) -> int:
     return out
 
 
+def scan_first_failing(cols: tuple[int, ...], g: int) -> int | None:
+    """Slow oracle for the isometry test: walk all 2^g masks in increasing
+    order, each image built from a smaller one plus one column, and return
+    the first mask whose form value changes (None if there is none)."""
+    qtab = q_table(Genus(g))
+    img = [0] * (1 << g)
+    for v in range(1, 1 << g):
+        low = v & -v
+        img[v] = img[v ^ low] ^ cols[low.bit_length() - 1]
+        if qtab[img[v]] != qtab[v]:
+            return v
+    return None
+
+
+def random_invertible_cols(rng, g: int) -> tuple[int, ...]:
+    """Uniformly random invertible g-by-g matrix over F2, as column masks."""
+    while True:
+        cols = tuple(rng.randrange(1 << g) for _ in range(g))
+        if _rank_f2(cols) == g:
+            return cols
+
+
 def brute_orthogonal_cols(g: int) -> set[tuple[int, ...]]:
     """Independent oracle: filter all g-by-g matrices over F2 for
     invertibility and exhaustive form preservation.  Feasible for g <= 4."""

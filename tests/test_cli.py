@@ -156,6 +156,11 @@ class TestReductions:
         validate(payload, "path.schema.json")
         assert payload["end"] == "Pmp"
 
+    def test_reduce_rseq_budget(self, capsys):
+        code, out, err = run(capsys, "reduce-rseq", "pm" * 9 + "p")
+        assert (code, out) == (3, "")
+        assert "genus <= 18" in err
+
     def test_reduce_rseq_genus_mismatch(self, capsys):
         code, _, err = run(capsys, "reduce-rseq", "pmP", "-g", "5")
         assert code == 2
@@ -197,6 +202,25 @@ class TestCliContract:
             (
                 ("verify-lemma", "thm4.1", "-g", "6"),
                 "a0e31995c04db542a399cae3154fbfd314c888d532a21e9a9b23602404f67c1a",
+            ),
+            (
+                # smallest witness x14: the old 2^g scan passed 8191 classes
+                (
+                    "extendable",
+                    "-g",
+                    "20",
+                    "t_{c_14} t_{d_16}^{-1} Y_{3,17} t_{a_2}^{2} t_{d_1} t_{c_15} t_{a_17}",
+                ),
+                "62e1240db4bd7c3425ac7665c89050642670d67b49bdb5f3ae84467c056e3320",
+            ),
+            (
+                (
+                    "extendable",
+                    "-g",
+                    "24",
+                    "t_{a_3} t_{c_18} Y_{alpha_{5,7,8},alpha_{5,7,8,9}} t_{d_20}^{3} t_{c_5}^{-1}",
+                ),
+                "14f2c12ea3476b990ee3af203bf5f850c9d9a6dbab3cbcf70739d59e4faff8f7",
             ),
         ],
     )

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
-from crosscap.f2core import Genus, H1Matrix, H1Vector, SingularMatrixError, compose, transvection
+from crosscap import gmform
+from crosscap.f2core import Genus, H1Matrix, H1Vector, compose, transvection
 from crosscap.gmform import (
     basis_value,
     preserves_q,
@@ -11,10 +13,54 @@ from crosscap.gmform import (
     q_table,
     z4_str,
 )
+from crosscap.words import decide_extendable, parse_word
+
+from helpers import _rank_f2, random_invertible_cols, random_word_text, scan_first_failing
 
 
 def vec(g, text):
     return H1Vector.parse(Genus(g), text)
+
+
+def bits(*indices):
+    return sum(1 << (i - 1) for i in indices)
+
+
+def _transvect(cols, axis):
+    return [c ^ axis if (c & axis).bit_count() & 1 else c for c in cols]
+
+
+def mixed_invertible_cols(rng, g):
+    """Random invertible matrices of four kinds, so that every branch of the
+    isometry test is reached: uniform (fails early), isometries (no failure),
+    pairing-preserving non-isometries (a basis class fails, often late) and
+    perturbed isometries (often a two-class witness)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_invertible_cols(rng, g)
+    qtab = q_table(Genus(g))
+    even_axes = [a for a in (rng.randrange(1, 1 << g) for _ in range(40)) if a.bit_count() % 2 == 0]
+    axes = even_axes if kind == 2 else [a for a in even_axes if qtab[a] == 2]
+    cols = [1 << j for j in range(g)]
+    for a in axes[: rng.randint(1, 12)]:
+        cols = _transvect(cols, a)
+    if kind == 3:
+        while True:
+            trial = list(cols)
+            trial[rng.randrange(g)] ^= rng.randrange(1, 1 << g)
+            if _rank_f2(tuple(trial)) == g:
+                cols = trial
+                break
+    return tuple(cols)
+
+
+def assert_matches_scan(m):
+    expected = scan_first_failing(m.cols, m.genus.g)
+    for mode in ("auto", "exhaustive"):
+        verdict = preserves_q(m, mode=mode)
+        witness = None if verdict.witness is None else verdict.witness.bits
+        assert (verdict.preserves, witness) == (expected is None, expected)
+    return expected
 
 
 class TestEvaluation:
@@ -104,16 +150,9 @@ class TestPreservation:
         rng = random.Random(99)
         genus = Genus(6)
         for _ in range(200):
-            while True:
-                cols = tuple(rng.randrange(1 << 6) for _ in range(6))
-                try:
-                    m = H1Matrix(genus, cols)
-                    break
-                except SingularMatrixError:
-                    continue
-            full = preserves_q(m, mode="exhaustive")
+            m = H1Matrix(genus, mixed_invertible_cols(rng, 6))
             basis = preserves_q(m, mode="basis")
-            assert full.preserves == basis.preserves
+            assert basis.preserves == (scan_first_failing(m.cols, 6) is None)
             if not basis.preserves:
                 w = basis.witness
                 assert q_eval(m.apply(w)) != q_eval(w)
@@ -121,3 +160,73 @@ class TestPreservation:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             preserves_q(H1Matrix.identity(Genus(3)), mode="quick")
+
+
+class TestSmallestWitness:
+    """The O(g^2) witness against the increasing 2^g scan it replaced."""
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_invertible_matrix(self, g):
+        genus = Genus(g)
+        seen = set()
+        for cols in product(range(1 << g), repeat=g):
+            if _rank_f2(cols) == g:
+                w = assert_matches_scan(H1Matrix(genus, cols))
+                seen.add(0 if w is None else w.bit_count())
+        # below genus 3 no pair can fail, and genus 1 has only the identity
+        assert seen == {1: {0}, 2: {0, 1}}.get(g, {0, 1, 2})
+
+    @pytest.mark.parametrize("g", range(5, 13))
+    def test_random_invertible_matrices(self, g):
+        rng = random.Random(1000 + g)
+        genus = Genus(g)
+        seen = set()
+        for _ in range(200):
+            w = assert_matches_scan(H1Matrix(genus, mixed_invertible_cols(rng, g)))
+            seen.add(0 if w is None else w.bit_count())
+        assert seen == {0, 1, 2}
+
+    @pytest.mark.parametrize("g", range(13, 17))
+    def test_random_words(self, g):
+        rng = random.Random(2000 + g)
+        genus = Genus(g)
+        for n in range(8):
+            if n % 2:
+                # d-twists and slides only: extendable, so the scan runs in full
+                text = " ".join(
+                    f"t_{{d_{rng.randint(1, g - 2)}}}" if rng.random() < 0.7
+                    else f"Y_{{{rng.randint(1, g // 2)},{rng.randint(g // 2 + 1, g)}}}"
+                    for _ in range(rng.randint(1, 12))
+                )
+            else:
+                text = random_word_text(rng, g, 12)
+            assert_matches_scan(decide_extendable(parse_word(text, genus)).matrix)
+
+    @pytest.mark.parametrize("g", (24, 32, 64))
+    def test_auto_is_basis_above_limit(self, g):
+        rng = random.Random(3000 + g)
+        genus = Genus(g)
+        for _ in range(30):
+            m = decide_extendable(parse_word(random_word_text(rng, g, 12), genus)).matrix
+            assert preserves_q(m) == preserves_q(m, mode="basis")
+
+    def test_pinned_two_class_witnesses(self):
+        # computed with the 2^g scan before it left the library
+        for g, auto in ((20, "x2+x5"), (24, "x1+x7")):
+            cols = [1 << j for j in range(g)]
+            cols[4] = bits(2, 4, 5, 6, 8)
+            cols[6] = bits(1, 2, 7)
+            m = H1Matrix(Genus(g), tuple(cols))
+            assert preserves_q(m).witness.to_text() == auto
+            assert preserves_q(m, mode="exhaustive").witness.to_text() == "x2+x5"
+            assert preserves_q(m, mode="basis").witness.to_text() == "x1+x7"
+
+    def test_no_form_table_needed(self, monkeypatch):
+        def refuse(genus):
+            raise AssertionError("preserves_q must not build a form table")
+
+        monkeypatch.setattr(gmform, "q_table", refuse)
+        word = "t_{c_14} t_{d_16}^{-1} Y_{3,17} t_{a_2}^{2} t_{d_1} t_{c_15} t_{a_17}"
+        verdict = decide_extendable(parse_word(word, Genus(20)))
+        assert (verdict.extendable, verdict.witness.to_text()) == (False, "x14")
+        assert decide_extendable(parse_word("t_{d_3} t_{d_17}", Genus(20))).extendable

@@ -7,9 +7,12 @@ from crosscap.f2core import BudgetExceededError, Genus, H1Vector
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
     ALPHA_TERMINALS,
+    RSEQ_GENUS_CAP,
     AlphaTriple,
     RSequence,
     _alpha_shift,
+    _reduction_forest,
+    _sequence_graph,
     builtin_rule_tables,
     canonical_targets,
     circle_predicates,
@@ -184,6 +187,14 @@ class TestNormalForms:
     def test_components_budget(self):
         with pytest.raises(BudgetExceededError):
             classify_rseq_components(Genus(13))
+
+    def test_reduction_budget_builds_nothing(self):
+        assert RSEQ_GENUS_CAP == 18
+        before = (_sequence_graph.cache_info().currsize, _reduction_forest.cache_info().currsize)
+        with pytest.raises(BudgetExceededError):
+            reduce_rseq(RSequence(Genus(19), 0))
+        after = (_sequence_graph.cache_info().currsize, _reduction_forest.cache_info().currsize)
+        assert after == before
 
 
 class TestAlphaReduction:

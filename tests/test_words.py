@@ -23,6 +23,43 @@ def vec(g, text):
     return H1Vector.parse(Genus(g), text)
 
 
+_POWERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@st.composite
+def letters(draw, g):
+    """Any valid letter at genus g, with odd, even and negative powers."""
+    kinds = ["a", "y", "ya"] + (["d"] if g >= 3 else []) + (["c"] if g >= 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("a", "c", "d"):
+        top = {"a": g - 1, "c": g - 3, "d": g - 2}[kind]
+        return Letter(kind, (draw(st.integers(1, top)),), draw(_POWERS))
+    if kind == "y":
+        i, j = draw(st.lists(st.integers(1, g), min_size=2, max_size=2, unique=True))
+        return Letter("y", (i, j), draw(_POWERS))
+    if g >= 4 and draw(st.booleans()):
+        arm = tuple(sorted(draw(st.lists(st.integers(1, g), min_size=4, max_size=4, unique=True))))
+        return Letter("ya", (arm[:3], arm), draw(_POWERS))
+    arm = tuple(sorted(draw(st.lists(st.integers(1, g), min_size=2, max_size=2, unique=True))))
+    return Letter("ya", ((draw(st.sampled_from(arm)),), arm), draw(_POWERS))
+
+
+@st.composite
+def words(draw):
+    g = draw(st.integers(2, 64))
+    return MCGWord(Genus(g), tuple(draw(st.lists(letters(g), max_size=12))))
+
+
+def product_of_transvections(word):
+    """Oracle: compose one transvection matrix per odd-power twist."""
+    acc = H1Matrix.identity(word.genus)
+    for letter in word.letters:
+        axis = curve_class(letter, word.genus)
+        if axis is not None and letter.power % 2:
+            acc = compose(acc, transvection(axis))
+    return acc
+
+
 class TestGrammar:
     def test_round_trip(self):
         text = "t_{a_1} t_{c_2}^{-1} Y_{3,1} t_{d_4} Y_{alpha_{1,3,4},alpha_{1,3,4,5}}"
@@ -143,6 +180,15 @@ class TestInducedAction:
         u = parse_word(random_word_text(rng, g, 6), Genus(g))
         v = parse_word(random_word_text(rng, g, 6), Genus(g))
         assert induced_matrix(u * v) == compose(induced_matrix(u), induced_matrix(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(words())
+    def test_matches_transvection_product(self, word):
+        assert induced_matrix(word) == product_of_transvections(word)
+
+    def test_empty_word(self):
+        for g in (2, 20, 64):
+            assert induced_matrix(MCGWord(Genus(g), ())).is_identity
 
     def test_every_letter_preserves_pairing(self):
         g = Genus(6)
