@@ -68,6 +68,7 @@ from .words import (
     MCGWord,
     UnsupportedLetterError,
     WordParseError,
+    act,
     alpha_class,
     curve_class,
     decide_extendable,

@@ -36,7 +36,7 @@ from .rewrite import (
     rules_json,
     verify_rule_consistency,
 )
-from .words import decide_extendable, induced_matrix, parse_word, witness_detail
+from .words import act, decide_extendable, induced_matrix, parse_word, witness_detail
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -85,7 +85,7 @@ def _cmd_act(args) -> int:
     genus = _genus(args)
     word = parse_word(args.word, genus)
     v = H1Vector.parse(genus, args.vector)
-    image = induced_matrix(word).apply(v)
+    image = act(word, v)
     payload = {
         "genus": genus.g,
         "word": word.spell(),
@@ -190,12 +190,10 @@ def _cmd_reduce_q2(args) -> int:
 
 def _verify_44(genus: Genus) -> tuple[bool, dict, list[str]]:
     report = classify_rseq_components(genus)
-    reduced = 0
+    # each reduction replays its certificate or raises
     for bits in range(1 << genus.g):
-        path = reduce_rseq(RSequence(genus, bits))
-        if not path.verified:
-            return False, {"failed_sequence": RSequence(genus, bits).ascii()}, []
-        reduced += 1
+        reduce_rseq(RSequence(genus, bits))
+    reduced = 1 << genus.g
     detail = {"sequences": reduced, "components": report.to_json()["components"]}
     lines = [
         f"all {reduced} sequences reduce to a normal form "
@@ -257,12 +255,10 @@ def _verify_410(genus: Genus) -> tuple[bool, dict, list[str]]:
     ]
     ok = all(v.ok for v in rule_verdicts)
     counts: dict[str, int] = {}
-    triples = 0
     for t in combinations(range(1, genus.g + 1), 3):
         red = reduce_alpha(genus, AlphaTriple(*t))
-        ok = ok and red.verified
         counts[str(red.terminal)] = counts.get(str(red.terminal), 0) + 1
-        triples += 1
+    triples = sum(counts.values())
     detail = {
         "triples": triples,
         "terminal_counts": counts,

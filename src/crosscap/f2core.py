@@ -6,7 +6,7 @@ identity Gram matrix in this basis: the basis circles are disjoint and each
 is one-sided, so distinct circles pair to 0 and every circle pairs to 1 with
 itself.  Matrices are tuples of column masks and are validated to be
 invertible at construction.  All values are immutable and every operation is
-pure, so they can be shared freely between threads or worker processes.
+pure, so they can be shared freely.
 """
 
 from __future__ import annotations

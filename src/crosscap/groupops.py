@@ -37,7 +37,7 @@ from .f2core import (
     transvection,
 )
 from .gmform import q_eval, q_table
-from .words import induced_matrix, parse_word
+from .words import MCGWord, act, induced_matrix, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
@@ -391,9 +391,9 @@ class GenerationReport:
 def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationReport:
     """Close the standard generating set and compare with full enumeration."""
     g = genus.g
-    if not 2 <= g <= ENUMERATION_GENUS_CAP:
+    if g > ENUMERATION_GENUS_CAP:
         raise BudgetExceededError(
-            f"generation check is budgeted for genus 2..{ENUMERATION_GENUS_CAP}, got {g}"
+            f"generation check is budgeted for genus <= {ENUMERATION_GENUS_CAP}, got {g}"
         )
     gens = standard_generators(genus)
     closure = subgroup_closure(
@@ -509,19 +509,15 @@ def factorize(
 class _Reducer:
     """Applies standard generators to tracked classes, recording the moves.
 
-    Moves are recorded in application order; the word text reverses them so
+    Moves are recorded in application order; the word reverses them so
     the first move sits rightmost, matching word composition order.
     """
 
-    def __init__(self, genus: Genus):
+    def __init__(self, genus: Genus, tracked: list[H1Vector]):
         self.genus = genus
-        self._by_label = dict(standard_generators(genus))
-        self.tracked: list[H1Vector] = []
+        self.tracked = tracked
         self.moves: list[str] = []
-
-    def track(self, v: H1Vector) -> int:
-        self.tracked.append(v)
-        return len(self.tracked) - 1
+        self._words: dict[str, MCGWord] = {}  # each label parsed once
 
     def d(self, i: int) -> None:
         self._apply(two_index_label(i))
@@ -530,12 +526,15 @@ class _Reducer:
         self._apply(triple_label(i))
 
     def _apply(self, label: str) -> None:
-        m = self._by_label[label]
-        self.tracked = [m.apply(v) for v in self.tracked]
+        if label not in self._words:
+            self._words[label] = parse_word(label, self.genus)
+        word = self._words[label]
+        self.tracked = [act(word, v) for v in self.tracked]
         self.moves.append(label)
 
-    def word_text(self) -> str:
-        return " ".join(reversed(self.moves))
+    def word(self) -> MCGWord:
+        words = (self._words[label] for label in reversed(self.moves))
+        return MCGWord.product(self.genus, words)
 
 
 def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
@@ -708,15 +707,13 @@ def reduce_q2_vector(a: H1Vector) -> VectorReduction:
     val = q_eval(a)
     if val != 2:
         raise ValueError(f"form value of {a.to_text()} is {val}, need 2")
-    red = _Reducer(a.genus)
-    red.track(a)
+    red = _Reducer(a.genus, [a])
     _normalize_q2(red, 0)
     end = red.tracked[0]
-    word_text = red.word_text()
-    m = induced_matrix(parse_word(word_text, a.genus))
-    ok = m.apply(a) == end == H1Vector.from_indices(a.genus, (1, 3))
+    word = red.word()
+    ok = act(word, a) == end == H1Vector.from_indices(a.genus, (1, 3))
     _check(ok, "q=2 reduction failed to replay")
-    return VectorReduction(a, end, tuple(red.moves), word_text, True)
+    return VectorReduction(a, end, tuple(red.moves), word.spell(), True)
 
 
 def full_support_factorization(genus: Genus) -> tuple[H1Matrix, H1Matrix]:
@@ -800,9 +797,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
         )
     g = a.genus.g
     x12 = H1Vector.from_indices(a.genus, (1, 2))
-    red = _Reducer(a.genus)
-    red.track(a)
-    red.track(b)
+    red = _Reducer(a.genus, [a, b])
     tracked_pair = ("a", "b")
     note = ""
 
@@ -861,11 +856,10 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 _check(red.tracked[1] == x34, "pair reduction: second class is not x3+x4")
 
     end_pair = (red.tracked[0], red.tracked[1])
-    word_text = red.word_text()
-    m = induced_matrix(parse_word(word_text, a.genus))
+    word = red.word()
     src0 = a if tracked_pair[0] == "a" else a + b
     src1 = b if tracked_pair[1] == "b" else a + b
-    if m.apply(src0) != end_pair[0] or m.apply(src1) != end_pair[1]:
+    if act(word, src0) != end_pair[0] or act(word, src1) != end_pair[1]:
         raise InternalCheckError("pair reduction failed to replay")
 
     identity_applicable = branch == "full_support" and g % 2 == 0 and g >= 6
@@ -881,7 +875,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
         branch=branch,
         tracked_pair=tracked_pair,
         moves=tuple(red.moves),
-        word=word_text,
+        word=word.spell(),
         final_pair=end_pair,
         identity_applicable=identity_applicable,
         identity_holds=identity_holds,

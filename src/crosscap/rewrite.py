@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from .gmform import q_table
-from .words import alpha_class, curve_class, induced_matrix, parse_word
+from .words import MCGWord, act, alpha_class, curve_class, parse_word
 
 
 class FalsificationError(RuntimeError):
@@ -282,11 +282,12 @@ def instantiate(template: str, **bindings: int) -> str:
 
 @dataclass(frozen=True)
 class RuleInstance:
-    """One rule pinned to a position, with its concrete certificate word."""
+    """One rule pinned to a position, with its certificate text and word."""
 
     rule: RewriteRule
     anchor: int | tuple[int, int, int]
     certificate: str
+    word: MCGWord
     lhs_bits: int
     rhs_bits: int
     positions: tuple[int, ...]
@@ -306,12 +307,14 @@ def _pattern_bits(pattern: tuple[str, ...], anchor: int) -> int:
     return bits
 
 
-def _window_instance(rule: RewriteRule, anchor: int) -> RuleInstance:
+def _window_instance(rule: RewriteRule, anchor: int, genus: Genus) -> RuleInstance:
     span = len(rule.window)
+    certificate = instantiate(rule.certificate, i=anchor)
     return RuleInstance(
         rule=rule,
         anchor=anchor,
-        certificate=instantiate(rule.certificate, i=anchor),
+        certificate=certificate,
+        word=parse_word(certificate, genus),
         lhs_bits=_pattern_bits(rule.window, anchor),
         rhs_bits=_pattern_bits(rule.replacement, anchor),
         positions=tuple(range(anchor, anchor + span)),
@@ -330,7 +333,9 @@ def _alpha_shift(rule: RewriteRule, triple: tuple[int, int, int]):
     return None
 
 
-def _alpha_instance(rule: RewriteRule, triple: tuple[int, int, int]) -> RuleInstance:
+def _alpha_instance(
+    rule: RewriteRule, triple: tuple[int, int, int], genus: Genus
+) -> RuleInstance:
     shifted, slot = _alpha_shift(rule, triple)
     lhs = 0
     for t in triple:
@@ -338,10 +343,12 @@ def _alpha_instance(rule: RewriteRule, triple: tuple[int, int, int]) -> RuleInst
     rhs = 0
     for t in shifted:
         rhs |= 1 << (t - 1)
+    certificate = instantiate(rule.certificate, n=slot)
     return RuleInstance(
         rule=rule,
         anchor=triple,
-        certificate=instantiate(rule.certificate, n=slot),
+        certificate=certificate,
+        word=parse_word(certificate, genus),
         lhs_bits=lhs,
         rhs_bits=rhs,
         positions=tuple(sorted(set(triple) | set(shifted))),
@@ -355,17 +362,18 @@ def _all_triples(g: int):
                 yield (i, j, k)
 
 
+def _anchors(rule: RewriteRule, g: int) -> list:
+    """Where the rule applies at this genus: window anchors or triples."""
+    if rule.family == "alpha":
+        return [t for t in _all_triples(g) if _alpha_shift(rule, t) is not None]
+    return list(range(1, g - _ANCHOR_MARGIN[rule.family] + 1))
+
+
 def rule_instances(rule: RewriteRule, genus: Genus):
     """Every instance of one rule at this genus (anchor range or triples)."""
-    g = genus.g
-    if rule.family == "alpha":
-        for triple in _all_triples(g):
-            if _alpha_shift(rule, triple) is not None:
-                yield _alpha_instance(rule, triple)
-        return
-    margin = _ANCHOR_MARGIN[rule.family]
-    for anchor in range(1, g - margin + 1):
-        yield _window_instance(rule, anchor)
+    build = _alpha_instance if rule.family == "alpha" else _window_instance
+    for anchor in _anchors(rule, genus.g):
+        yield build(rule, anchor, genus)
 
 
 def builtin_rule_tables(genus: Genus) -> list[RuleInstance]:
@@ -380,7 +388,7 @@ def rules_json(genus: Genus) -> dict:
     """Schema-level export of the rule tables with anchor ranges."""
     entries = []
     for rule in _RULES:
-        anchors = [inst.anchor for inst in rule_instances(rule, genus)]
+        anchors = _anchors(rule, genus.g)
         entries.append(
             {
                 "id": rule.rule_id,
@@ -423,8 +431,7 @@ class RuleVerdict:
 def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
     """Structural check: every transvection axis lies inside the window."""
     allowed = set(inst.positions)
-    word = parse_word(inst.certificate, genus)
-    for letter in word.letters:
+    for letter in inst.word.letters:
         cls = curve_class(letter, genus)
         if cls is not None and not set(cls.support) <= allowed:
             raise InternalCheckError(
@@ -440,8 +447,7 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
     checked = 0
     for inst in rule_instances(rule, genus):
         _check_window_local(inst, genus)
-        m = induced_matrix(parse_word(inst.certificate, genus))
-        got = m.apply(inst.lhs_class(genus))
+        got = act(inst.word, inst.lhs_class(genus))
         checked += 1
         if got.bits != inst.rhs_bits:
             return RuleVerdict(
@@ -472,26 +478,16 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
     )
 
 
-def _fine_masks(rule: RewriteRule, anchor: int, g: int):
-    """(window mask, lhs bits, rhs bits) or None when the pattern's sign
-    parity cannot sit at this anchor."""
-    span = len(rule.window)
-    for k, sym in enumerate(rule.window):
-        if (sym in ("p", "P")) != ((anchor + k) % 2 == 1):
-            return None
-    wmask = ((1 << span) - 1) << (anchor - 1)
-    return wmask, _pattern_bits(rule.window, anchor), _pattern_bits(rule.replacement, anchor)
-
-
-# reduce_rseq builds and caches a graph on all 2^g sequences: about 4.4 s
-# and 435 MB at genus 18 on a 2-core host
+# reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:
+# its first call at genus 18 takes about 3 s and 51 MB peak RSS on a 2-core host
 RSEQ_GENUS_CAP = 18
 
 
 @lru_cache(maxsize=None)
-def _sequence_graph(g: int):
-    """Nodes are all 2^g sequences; edges are shuffle-rule instances, stored
-    with the instance index and the direction that maps source to target."""
+def _shuffle_moves(g: int):
+    """The shuffle-rule instances, and the live moves among them as
+    (instance index, window mask, lhs bits, rhs bits) in instance order: the
+    instances whose pattern's sign parity fits their anchor."""
     genus = Genus(g)
     instances = [
         inst
@@ -499,42 +495,42 @@ def _sequence_graph(g: int):
         if rule.family in ("swap3", "swap4")
         for inst in rule_instances(rule, genus)
     ]
-    adj: list[list[tuple[int, int, str]]] = [[] for _ in range(1 << g)]
+    moves = []
     for idx, inst in enumerate(instances):
-        masks = _fine_masks(inst.rule, inst.anchor, g)
-        if masks is None:
-            continue
-        wmask, lhs, rhs = masks
-        context = ~wmask & ((1 << g) - 1)
-        for bits in range(1 << g):
-            if bits & wmask == lhs:
-                target = (bits & context) | rhs
-                adj[bits].append((target, idx, "fwd"))
-                adj[target].append((bits, idx, "rev"))
-    return instances, adj
+        window = inst.rule.window
+        # the pattern's plus signs (p, P) must sit at odd positions
+        if all((sym in "pP") == (inst.anchor + k) % 2 for k, sym in enumerate(window)):
+            wmask = ((1 << len(window)) - 1) << (inst.anchor - 1)
+            moves.append((idx, wmask, inst.lhs_bits, inst.rhs_bits))
+    return instances, moves
+
+
+def _neighbours(u: int, moves):
+    """Edges of the sequence graph at u, read off the rule masks: (target,
+    instance index, "fwd" if the move maps its lhs to its rhs, else "rev")."""
+    for idx, wmask, lhs, rhs in moves:
+        window = u & wmask
+        if window == lhs:
+            yield u ^ lhs ^ rhs, idx, "fwd"
+        elif window == rhs:
+            yield u ^ lhs ^ rhs, idx, "rev"
 
 
 @lru_cache(maxsize=None)
 def _reduction_forest(g: int):
-    """Multi-source BFS tree from the normal forms over the sequence graph."""
-    instances, adj = _sequence_graph(g)
-    genus = Genus(g)
-    dist: dict[int, int] = {}
-    parent: dict[int, tuple[int, int, str]] = {}
-    queue = deque()
-    for target in canonical_targets(genus):
-        dist[target.bits] = 0
-        queue.append(target.bits)
+    """Multi-source BFS forest from the normal forms over the sequence graph:
+    each reached sequence maps to its parent link, each normal form to None."""
+    instances, moves = _shuffle_moves(g)
+    parent = {target.bits: None for target in canonical_targets(Genus(g))}
+    queue = deque(parent)
     while queue:
         u = queue.popleft()
-        for v, idx, direction in adj[u]:
-            if v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            # the stored edge runs u -> v; the path step v -> u reverses it
-            parent[v] = (u, idx, "rev" if direction == "fwd" else "fwd")
-            queue.append(v)
-    return instances, dist, parent
+        for v, idx, direction in _neighbours(u, moves):
+            if v not in parent:
+                # the edge runs u -> v; the path step v -> u reverses it
+                parent[v] = (u, idx, "rev" if direction == "fwd" else "fwd")
+                queue.append(v)
+    return instances, parent
 
 
 @dataclass(frozen=True)
@@ -585,36 +581,31 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
         raise BudgetExceededError(
             f"sequence reduction is budgeted for genus <= {RSEQ_GENUS_CAP}, got {g}"
         )
-    instances, dist, parent = _reduction_forest(g)
-    if s.bits not in dist:
+    instances, parent = _reduction_forest(g)
+    if s.bits not in parent:
         raise FalsificationError(
             f"sequence {s.ascii()} lies in a component without a normal form"
         )
     steps = []
     states = [s.bits]
+    step_words: list[MCGWord] = []
     cur = s.bits
-    word_parts: list[str] = []
-    while cur in parent:
-        nxt, idx, direction = parent[cur]
+    while (link := parent[cur]) is not None:
+        cur, idx, direction = link
         inst = instances[idx]
-        word = parse_word(inst.certificate, s.genus)
-        if direction == "rev":
-            word = word.inverse()
-        word_parts.append(word.spell())
+        step_words.append(inst.word if direction == "fwd" else inst.word.inverse())
         steps.append(PathStep(inst.rule.rule_id, inst.anchor, direction))
-        states.append(nxt)
-        cur = nxt
+        states.append(cur)
     end = RSequence(s.genus, cur)
-    combined_text = " ".join(reversed(word_parts))
-    m = induced_matrix(parse_word(combined_text, s.genus))
-    if m.apply(rseq_decode(s)) != rseq_decode(end):
+    word = MCGWord.product(s.genus, reversed(step_words))
+    if act(word, rseq_decode(s)) != rseq_decode(end):
         raise InternalCheckError("path certificate failed to replay")
     return CertifiedPath(
         start=s,
         end=end,
         steps=tuple(steps),
         states=tuple(RSequence(s.genus, b) for b in states),
-        word=combined_text,
+        word=word.spell(),
         verified=True,
     )
 
@@ -662,7 +653,7 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
         raise BudgetExceededError(
             f"component classification is budgeted for genus <= 12, got {g}"
         )
-    _, adj = _sequence_graph(g)
+    _, moves = _shuffle_moves(g)
     canon = {s.bits for s in canonical_targets(genus)}
     qtab = q_table(genus)
     seen = [False] * (1 << g)
@@ -677,7 +668,7 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
         while head < len(members):
             u = members[head]
             head += 1
-            for v, _, _ in adj[u]:
+            for v, _, _ in _neighbours(u, moves):
                 if not seen[v]:
                     seen[v] = True
                     members.append(v)
@@ -767,37 +758,33 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     start = triple.as_tuple
     cur = start
     steps: list[AlphaStep] = []
-    word_parts: list[str] = []
+    step_words: list[MCGWord] = []
     for _ in range(sum(start) // 2 + 1):
-        applied = False
         for rule_id in ("AL.1", "AL.2", "AL.3"):
             rule = _RULES_BY_ID[rule_id]
             shift = _alpha_shift(rule, cur)
             if shift is not None:
-                nxt, slot = shift
-                cert = instantiate(rule.certificate, n=slot)
-                steps.append(AlphaStep(rule_id, cur, nxt, cert))
-                word_parts.append(cert)
-                cur = nxt
-                applied = True
+                inst = _alpha_instance(rule, cur, genus)
+                steps.append(AlphaStep(rule_id, cur, shift[0], inst.certificate))
+                step_words.append(inst.word)
+                cur = shift[0]
                 break
-        if not applied:
-            break
+        else:
+            break  # no shift applies
     else:
         raise InternalCheckError("index-shift loop failed to terminate")
     if cur not in ALPHA_TERMINALS:
         raise FalsificationError(
             f"triple {start} stopped at {cur}, which is not a listed terminal"
         )
-    combined = " ".join(reversed(word_parts))
-    m = induced_matrix(parse_word(combined, genus))
-    if m.apply(alpha_class(genus, start)) != alpha_class(genus, cur):
+    word = MCGWord.product(genus, reversed(step_words))
+    if act(word, alpha_class(genus, start)) != alpha_class(genus, cur):
         raise InternalCheckError("index-shift certificate failed to replay")
     return AlphaReduction(
         start=start,
         terminal=cur,
         label=ALPHA_TERMINALS[cur],
         steps=tuple(steps),
-        word=combined,
+        word=word.spell(),
         verified=True,
     )

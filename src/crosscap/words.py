@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .f2core import Genus, H1Matrix, H1Vector
+from .f2core import Genus, H1Matrix, H1Vector, _require_same_genus
 from .gmform import QPreservationVerdict, preserves_q, q_eval, z4_str
 
 
@@ -209,6 +209,11 @@ class MCGWord:
             tuple(l.with_power(-l.power) for l in reversed(self.letters)),
         )
 
+    @classmethod
+    def product(cls, genus: Genus, words) -> "MCGWord":
+        """The words written left to right as one word, built in one step."""
+        return cls(genus, tuple(letter for word in words for letter in word.letters))
+
     def __mul__(self, other: "MCGWord") -> "MCGWord":
         if self.genus != other.genus:
             raise ValueError("cannot concatenate words over different genera")
@@ -250,18 +255,32 @@ def leg_class(letter: Letter, genus: Genus) -> H1Vector | None:
     return None
 
 
-def induced_matrix(word: MCGWord) -> H1Matrix:
-    """Product of the letter actions, rightmost letter first.
+def _images(word: MCGWord, masks) -> list[int]:
+    """Images of class masks under the word, rightmost letter first.
 
-    Works on column masks: a twist about a acts on each column c as the
-    transvection c -> c + (c . a) a.  Transvections are involutions, so only
-    odd powers act, and Y letters act as the identity.
+    A twist about a acts as the transvection c -> c + (c . a) a.
+    Transvections are involutions, so only odd powers act, and Y letters act
+    as the identity.
     """
-    cols = [1 << j for j in range(word.genus.g)]
-    for letter in reversed(word.letters):
-        a = _axis_bits(letter)
-        if a and letter.power % 2:
-            cols = [c ^ a if (c & a).bit_count() & 1 else c for c in cols]
+    axes = [a for l in reversed(word.letters) if l.power % 2 and (a := _axis_bits(l))]
+    out = []
+    for c in masks:
+        for a in axes:
+            if (c & a).bit_count() & 1:
+                c ^= a
+        out.append(c)
+    return out
+
+
+def act(word: MCGWord, v: H1Vector) -> H1Vector:
+    """Image of a class under the word's homology action."""
+    _require_same_genus(word, v)
+    return H1Vector(v.genus, _images(word, [v.bits])[0])
+
+
+def induced_matrix(word: MCGWord) -> H1Matrix:
+    """Matrix of the word's homology action; column j is the image of x_{j+1}."""
+    cols = _images(word, [1 << j for j in range(word.genus.g)])
     return H1Matrix(word.genus, tuple(cols))
 
 

@@ -6,6 +6,7 @@ from itertools import product
 
 from crosscap.f2core import Genus
 from crosscap.gmform import q_table
+from crosscap.rewrite import rule_instances, rule_schemas
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -44,6 +45,37 @@ def scan_first_failing(cols: tuple[int, ...], g: int) -> int | None:
         if qtab[img[v]] != qtab[v]:
             return v
     return None
+
+
+def sequence_graph(g: int):
+    """Slow oracle for the shuffle moves: the explicit adjacency list on all
+    2^g sequences.  Each live swap instance (sign parity fitting its anchor)
+    is matched against every sequence; a match adds the edge source ->
+    target as "fwd" and target -> source as "rev", with the instance index.
+    Returns the swap instances and the adjacency lists."""
+    genus = Genus(g)
+    instances = [
+        inst
+        for rule in rule_schemas()
+        if rule.family in ("swap3", "swap4")
+        for inst in rule_instances(rule, genus)
+    ]
+    adj: list[list[tuple[int, int, str]]] = [[] for _ in range(1 << g)]
+    for idx, inst in enumerate(instances):
+        window = inst.rule.window
+        if any(
+            (sym in ("p", "P")) != ((inst.anchor + k) % 2 == 1)
+            for k, sym in enumerate(window)
+        ):
+            continue
+        wmask = ((1 << len(window)) - 1) << (inst.anchor - 1)
+        context = ~wmask & ((1 << g) - 1)
+        for bits in range(1 << g):
+            if bits & wmask == inst.lhs_bits:
+                target = (bits & context) | inst.rhs_bits
+                adj[bits].append((target, idx, "fwd"))
+                adj[target].append((bits, idx, "rev"))
+    return instances, adj
 
 
 def random_invertible_cols(rng, g: int) -> tuple[int, ...]:

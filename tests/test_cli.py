@@ -127,7 +127,11 @@ class TestEnumerate:
 class TestVerifyLemma:
     @pytest.mark.parametrize(
         "lemma,genus",
-        [("4.4", 4), ("4.6", 5), ("4.8", 4), ("4.10", 7), ("thm4.1", 4)],
+        [
+            ("4.4", 4), ("4.6", 5), ("4.8", 4), ("4.10", 7), ("thm4.1", 4),
+            # at genus 1 the closure {I} equals the enumeration {I}
+            ("4.8", 1), ("thm4.1", 1),
+        ],
     )
     def test_each_workflow(self, capsys, lemma, genus):
         code, out, _ = run(capsys, "verify-lemma", lemma, "-g", str(genus))
@@ -221,6 +225,30 @@ class TestCliContract:
                     "t_{a_3} t_{c_18} Y_{alpha_{5,7,8},alpha_{5,7,8,9}} t_{d_20}^{3} t_{c_5}^{-1}",
                 ),
                 "14f2c12ea3476b990ee3af203bf5f850c9d9a6dbab3cbcf70739d59e4faff8f7",
+            ),
+            (
+                ("verify-lemma", "4.4", "-g", "10"),
+                "cb718e5859bb5f84d660a49744bd65fa2b07ed2042e6169587882d4cd4815091",
+            ),
+            (
+                ("verify-lemma", "4.10", "-g", "16"),
+                "82a482c92ce0dd6fc009438a475c66256230dd0ba20c7edd27673b28a80c9245",
+            ),
+            (
+                ("verify-lemma", "4.6", "-g", "12"),
+                "a7854d0b68c4a7833ff106c642a70668bb73cab2f9a0c6696ec31756a865535e",
+            ),
+            (
+                ("reduce-rseq", "PmpMPMpmPMpMPm"),
+                "14c7ea2bed71b60961af46965a83b6dd34abf952da3aa840069f6a817ee98d07",
+            ),
+            (
+                ("reduce-alpha", "-g", "64", "33", "48", "64"),
+                "454f5e482cba093b4c3977def54e2de3ef1b5a05a9aba6eaa2e8695807b04912",
+            ),
+            (
+                ("reduce-q2", "-g", "64", "x2+x7+x10+x19+x22+x31+x40+x44+x51+x64"),
+                "a9cb381785fc01d1201ac0b3ac84efe20d57871c3f067994ad1a9e77a0a23376",
             ),
         ],
     )

@@ -141,8 +141,9 @@ class TestGeneration:
         assert report.diameter == GOLDEN["diameters"][str(g)]
 
     def test_budget_bounds(self):
-        with pytest.raises(BudgetExceededError):
-            verify_generation(Genus(1))
+        # genus 1 is inside the budget: the closure {I} equals the enumeration {I}
+        report = verify_generation(Genus(1))
+        assert report.equal and report.closure_order == report.enumerated_order == 1
         with pytest.raises(BudgetExceededError):
             verify_generation(Genus(9))
 
@@ -316,6 +317,15 @@ class TestPairReduction:
     def test_degenerate_equal_classes(self):
         red = reduce_isotropic_pair(vec(4, "x1+x2"), vec(4, "x1+x2"))
         assert red.branch == "degenerate_pair"
+
+    def test_json_bytes_pinned(self):
+        # every move and the word of a 79-move generic reduction, frozen at genus 64
+        a = vec(64, "x3+x8+x17+x30")
+        b = vec(64, "x3+x5+x8+x12+x41+x60")
+        red = reduce_isotropic_pair(a, b)
+        text = json.dumps(red.to_json(), indent=2, sort_keys=True)
+        digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert digest == "7d732d2cddc3187ad9e01c8a467e8d2eae0364d39625e12e6a91a2e11732e234"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,9 @@ from crosscap.rewrite import (
     AlphaTriple,
     RSequence,
     _alpha_shift,
+    _neighbours,
     _reduction_forest,
-    _sequence_graph,
+    _shuffle_moves,
     builtin_rule_tables,
     canonical_targets,
     circle_predicates,
@@ -29,6 +30,8 @@ from crosscap.rewrite import (
     verify_rule_consistency,
 )
 from crosscap.words import alpha_class, induced_matrix, parse_word
+
+from helpers import sequence_graph
 
 
 def vec(g, text):
@@ -190,11 +193,28 @@ class TestNormalForms:
 
     def test_reduction_budget_builds_nothing(self):
         assert RSEQ_GENUS_CAP == 18
-        before = (_sequence_graph.cache_info().currsize, _reduction_forest.cache_info().currsize)
+        caches = (_shuffle_moves, _reduction_forest)
+        before = [cache.cache_info().currsize for cache in caches]
         with pytest.raises(BudgetExceededError):
             reduce_rseq(RSequence(Genus(19), 0))
-        after = (_sequence_graph.cache_info().currsize, _reduction_forest.cache_info().currsize)
-        assert after == before
+        assert [cache.cache_info().currsize for cache in caches] == before
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_neighbours_match_adjacency_oracle(self, g):
+        # same edges in the same order, so the forest and its paths agree
+        oracle_instances, adj = sequence_graph(g)
+        instances, moves = _shuffle_moves(g)
+        assert instances == oracle_instances
+        for u in range(1 << g):
+            assert list(_neighbours(u, moves)) == adj[u]
+
+    def test_certificates_spell_as_instantiated(self):
+        # reduce_alpha returns the spelling of the parsed step words
+        for g in (6, 12, 24):
+            genus = Genus(g)
+            for inst in builtin_rule_tables(genus):
+                assert inst.word.spell() == inst.certificate
+                assert parse_word(inst.certificate, genus) == inst.word
 
 
 class TestAlphaReduction:

@@ -7,6 +7,7 @@ from crosscap.words import (
     MCGWord,
     UnsupportedLetterError,
     WordParseError,
+    act,
     alpha_class,
     curve_class,
     decide_extendable,
@@ -182,9 +183,13 @@ class TestInducedAction:
         assert induced_matrix(u * v) == compose(induced_matrix(u), induced_matrix(v))
 
     @settings(max_examples=300, deadline=None)
-    @given(words())
-    def test_matches_transvection_product(self, word):
-        assert induced_matrix(word) == product_of_transvections(word)
+    @given(words(), st.data())
+    def test_matches_transvection_product(self, word, data):
+        oracle = product_of_transvections(word)
+        v = H1Vector(word.genus, data.draw(st.integers(0, (1 << word.genus.g) - 1)))
+        assert induced_matrix(word) == oracle
+        assert act(word, v) == oracle.apply(v)
+        assert parse_word(word.spell(), word.genus) == word
 
     def test_empty_word(self):
         for g in (2, 20, 64):
