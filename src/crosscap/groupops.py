@@ -15,7 +15,9 @@ Four kinds of work live here:
 Closure and both factorization waves run one serial breadth-first routine.
 Searches key elements by their column tuples and store a parent index and a
 signed letter per element; matrices and certificate words are built only
-when an element leaves this module.
+when an element leaves this module.  Both search kinds take their moves
+from one compile step per generating set (`_moves`, a small bounded
+cache), and the standard generators are built once per genus.
 
 Certificates and reduction words always replay: the product of the recorded
 generators is re-applied and compared before a result is returned.
@@ -24,6 +26,7 @@ generators is re-applied and compared before a result is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .f2core import (
@@ -33,6 +36,8 @@ from .f2core import (
     H1Matrix,
     H1Vector,
     InternalCheckError,
+    MAX_GENUS,
+    apply_mask,
     compose,
     transvection,
 )
@@ -59,23 +64,17 @@ def _spell(labels, word: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def _replay(genus: Genus, generators, word: tuple[int, ...]) -> H1Matrix:
-    """The product a signed word names, rightmost letter acting first."""
-    acc = H1Matrix.identity(genus)
+    """The product a signed word names, rightmost letter acting first.
+
+    Composes column masks directly, apart from the search's move tables, so
+    it checks them; one matrix is built and validated, at the end.
+    """
+    acc = tuple(1 << j for j in range(genus.g))
     for signed in word:
         m = generators[abs(signed) - 1]
-        acc = compose(acc, m if signed > 0 else m.inverse())
-    return acc
-
-
-def _alphabet(gens: list[H1Matrix]) -> list[tuple[int, H1Matrix]]:
-    """Generators and their inverses as signed letters; inverses equal to the
-    generator itself (involutions) are not duplicated."""
-    letters = [(k, m) for k, m in enumerate(gens, start=1)]
-    for k, m in enumerate(gens, start=1):
-        inv = m.inverse()
-        if inv.cols != m.cols:
-            letters.append((-k, inv))
-    return letters
+        cols = m.cols if signed > 0 else m.inverse().cols
+        acc = tuple(apply_mask(acc, c) for c in cols)
+    return H1Matrix(genus, acc)
 
 
 class _SearchTree:
@@ -113,20 +112,41 @@ def _left_move(m: H1Matrix):
 
 def _right_move(m: H1Matrix):
     """X -> X m on column tuples: column j of the product sums the columns
-    of X that column j of m selects.  The sums are inlined rather than left
-    to `apply_mask`, since this is the backward wave's inner loop."""
-    selections = [[j for j in range(m.genus.g) if (c >> j) & 1] for c in m.cols]
+    of X that column j of m selects.  Only the columns where m differs from
+    the identity are summed (two for a t_{d_i}, four for a triple); the rest
+    are copied.  The sums are inlined rather than left to `apply_mask`,
+    since this is the backward wave's inner loop."""
+    changed = [
+        (j, [i for i in range(m.genus.g) if (c >> i) & 1])
+        for j, c in enumerate(m.cols)
+        if c != 1 << j
+    ]
 
     def move(cols):
-        out = []
-        for positions in selections:
+        out = list(cols)
+        for j, positions in changed:
             acc = 0
-            for j in positions:
-                acc ^= cols[j]
-            out.append(acc)
+            for i in positions:
+                acc ^= cols[i]
+            out[j] = acc
         return tuple(out)
 
     return move
+
+
+@lru_cache(maxsize=4)
+def _moves(generators: tuple[H1Matrix, ...]):
+    """Compile a generating set, in order, into its signed alphabet as
+    forward moves X -> a X and backward moves X -> X a^-1, each paired with
+    its signed letter.  Letter k is generator k and -k its inverse; an
+    inverse equal to the generator itself (an involution) is not listed
+    twice.  Each generator is inverted once.  The last four sets compiled
+    stay cached, so repeated searches over one set skip this step."""
+    letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
+    letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
+    forward = tuple((signed, _left_move(m)) for signed, m, _ in letters)
+    backward = tuple((signed, _right_move(inv)) for signed, _, inv in letters)
+    return forward, backward
 
 
 def _grow(tree: _SearchTree, moves, room: int, other=None) -> list | None:
@@ -317,7 +337,7 @@ def subgroup_closure(
     if len(labels) != len(gens):
         raise ValueError("one label per generator required")
 
-    moves = [(signed, _left_move(m)) for signed, m in _alphabet(gens)]
+    moves, _ = _moves(tuple(gens))
     tree = _SearchTree(H1Matrix.identity(genus).cols)
     diameter = 0
     complete = True
@@ -352,14 +372,17 @@ def standard_generators(genus: Genus) -> list[tuple[str, H1Matrix]]:
     Two-index transvections about x_i + x_{i+2} (i = 1..g-2) and commuting
     triples about x_i+x_{i+1}, x_{i+2}+x_{i+3} and their sum (i = 1..g-3).
     Each label is the twist word inducing the matrix, so factorization output
-    is itself a parseable word.
+    is itself a parseable word.  Built once per genus; each call returns a
+    fresh list.
     """
-    out = []
-    for i in range(1, genus.g - 1):
-        out.append((two_index_label(i), induced_matrix(parse_word(two_index_label(i), genus))))
-    for i in range(1, genus.g - 2):
-        out.append((triple_label(i), induced_matrix(parse_word(triple_label(i), genus))))
-    return out
+    return list(_standard_generators(genus))
+
+
+@lru_cache(maxsize=MAX_GENUS)
+def _standard_generators(genus: Genus) -> tuple[tuple[str, H1Matrix], ...]:
+    labels = [two_index_label(i) for i in range(1, genus.g - 1)]
+    labels += [triple_label(i) for i in range(1, genus.g - 2)]
+    return tuple((label, induced_matrix(parse_word(label, genus))) for label in labels)
 
 
 @dataclass(frozen=True)
@@ -473,10 +496,10 @@ def factorize(
     if labels is None:
         labels = tuple(f"g{k}" for k in range(1, len(gens) + 1))
     labels = tuple(labels)
+    if len(labels) != len(gens):
+        raise ValueError("one label per generator required")
 
-    letters = _alphabet(gens)
-    fwd_moves = [(signed, _left_move(m)) for signed, m in letters]
-    bwd_moves = [(signed, _right_move(m.inverse())) for signed, m in letters]
+    fwd_moves, bwd_moves = _moves(tuple(gens))
     fwd = _SearchTree(H1Matrix.identity(genus).cols)
     bwd = _SearchTree(target.cols)
     meets = [target.cols] if target.cols in fwd.index else []

@@ -191,6 +191,16 @@ class TestReductions:
         assert "need 2" in err
 
 
+# a product of 8 standard generators at genus 9; factorize finds length 8
+FACTORIZE_G9 = (
+    "t_{d_2} t_{a_3} t_{a_5} t_{c_3} t_{d_6} t_{a_1} t_{a_3} t_{c_1} t_{d_4} "
+    "t_{a_4} t_{a_6} t_{c_4} t_{d_1} t_{a_6} t_{a_8} t_{c_6}"
+)
+CAPPED_FACTORIZE_G9 = ("factorize", "-g", "9", FACTORIZE_G9, "--cap", "200")
+# pinned commands that end in another exit code than 0
+PINNED_EXIT = {CAPPED_FACTORIZE_G9: 3}
+
+
 class TestCliContract:
     @pytest.mark.parametrize(
         "argv,digest",
@@ -250,11 +260,20 @@ class TestCliContract:
                 ("reduce-q2", "-g", "64", "x2+x7+x10+x19+x22+x31+x40+x44+x51+x64"),
                 "a9cb381785fc01d1201ac0b3ac84efe20d57871c3f067994ad1a9e77a0a23376",
             ),
+            (
+                ("factorize", "-g", "9", FACTORIZE_G9),
+                "9be4f29c50eb181e655e3635f9f0bf4084ac9353cf85c9160442e822ed15d5e2",
+            ),
+            (
+                # budget_exhausted with explored 200
+                CAPPED_FACTORIZE_G9,
+                "123ff67565223ace22dfed3fa31a45e78e905ece4c870b13f52725c50e05dff3",
+            ),
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == PINNED_EXIT.get(argv, 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_workers_accepts_only_one(self, capsys):

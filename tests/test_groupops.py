@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,9 @@ from crosscap.f2core import (
 )
 from crosscap.gmform import preserves_q, q_eval
 from crosscap.groupops import (
+    _left_move,
+    _moves,
+    _right_move,
     enumerate_orthogonal,
     factorize,
     full_support_factorization,
@@ -30,7 +34,7 @@ from crosscap.groupops import (
 )
 from crosscap.words import induced_matrix, parse_word
 
-from helpers import brute_orthogonal_cols
+from helpers import brute_orthogonal_cols, random_invertible_cols
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_orders.json").read_text()
@@ -148,6 +152,12 @@ class TestGeneration:
             verify_generation(Genus(9))
 
 
+def non_involutive_set():
+    """A 3-cycle of the basis (x1 -> x2 -> x3 -> x1) and t_{d_1} at genus 3."""
+    genus = Genus(3)
+    return [H1Matrix(genus, (0b010, 0b100, 0b001)), transvection(vec(3, "x1+x3"))]
+
+
 class TestFactorize:
     def _gens(self, g):
         pairs = standard_generators(Genus(g))
@@ -177,6 +187,11 @@ class TestFactorize:
                 m = mats[abs(signed) - 1]
                 acc = compose(acc, m if signed > 0 else m.inverse())
             assert acc == record.matrix
+
+    def test_label_count_checked(self):
+        mats, _ = self._gens(4)
+        with pytest.raises(ValueError, match="one label per generator required"):
+            factorize(H1Matrix.identity(Genus(4)), mats, labels=["x"])
 
     def test_non_member_proof(self):
         genus = Genus(3)
@@ -211,8 +226,7 @@ class TestFactorize:
         # enters the search alphabet; the splice order of the two half-words
         # only shows up with such generators
         genus = Genus(3)
-        cycle = H1Matrix(genus, (0b010, 0b100, 0b001))  # x1 -> x2 -> x3 -> x1
-        t = transvection(vec(3, "x1+x3"))
+        cycle, t = non_involutive_set()
         gens = [cycle, t]
         table = subgroup_closure(gens, labels=["r", "s"], genus=genus)
         assert table.verify_certificates()
@@ -225,6 +239,87 @@ class TestFactorize:
                 m = gens[abs(signed) - 1]
                 acc = compose(acc, m if signed > 0 else m.inverse())
             assert acc == record.matrix
+
+
+class TestMoves:
+    """The search's move tables against `compose`, the product they replace."""
+
+    @staticmethod
+    def _matrices(g):
+        rng = random.Random(g)
+        genus = Genus(g)
+        # uniform invertible matrices are mostly neither involutions nor
+        # isometries; the standard generators are both
+        mats = [H1Matrix(genus, random_invertible_cols(rng, g)) for _ in range(12)]
+        mats += [m for _, m in standard_generators(genus)]
+        mats.append(H1Matrix.identity(genus))
+        xs = [H1Matrix(genus, random_invertible_cols(rng, g)) for _ in range(8)]
+        return mats, xs
+
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_right_move_is_right_product(self, g):
+        mats, xs = self._matrices(g)
+        assert any(m.inverse() != m for m in mats)
+        assert any(not preserves_q(m).preserves for m in mats)
+        for m in mats:
+            move = _right_move(m)
+            for x in xs:
+                assert move(x.cols) == compose(x, m).cols
+
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_left_move_is_left_product(self, g):
+        mats, xs = self._matrices(g)
+        for m in mats:
+            move = _left_move(m)
+            for x in xs:
+                assert move(x.cols) == compose(m, x).cols
+
+
+class TestMoveCache:
+    def _targets(self):
+        gens = non_involutive_set()
+        table = subgroup_closure(gens, genus=Genus(3))
+        return [rec.matrix for rec in table.records()]
+
+    def test_alternating_sets_match_fresh_compiles(self):
+        cycle, t = non_involutive_set()
+        sets = ([cycle, t], [t, cycle], [cycle])
+        targets = self._targets()
+        fresh = {}
+        for k, gens in enumerate(sets):
+            for n, target in enumerate(targets):
+                _moves.cache_clear()
+                fresh[k, n] = factorize(target, gens)
+        for n, target in enumerate(targets):
+            for k, gens in enumerate(sets):
+                assert factorize(target, gens) == fresh[k, n]
+
+    def test_same_matrices_new_labels(self):
+        gens = non_involutive_set()
+        for target in self._targets():
+            first = factorize(target, gens, labels=["r", "s"])
+            second = factorize(target, gens, labels=["p", "q"])
+            assert second.word == first.word
+            rename = str.maketrans("rs", "pq")
+            assert second.word_labels == tuple(w.translate(rename) for w in first.word_labels)
+
+    def test_compiled_once_per_set(self):
+        gens = non_involutive_set()
+        targets = self._targets()
+        _moves.cache_clear()
+        for target in targets:
+            factorize(target, gens)
+        subgroup_closure(gens)
+        info = _moves.cache_info()
+        assert (info.misses, info.hits) == (1, len(targets))
+
+    def test_standard_generators_list_is_fresh(self):
+        genus = Genus(5)
+        first = standard_generators(genus)
+        kept = list(first)
+        first.pop()
+        first[0] = ("x", H1Matrix.identity(genus))
+        assert standard_generators(genus) == kept
 
 
 class TestQ2Reduction:
