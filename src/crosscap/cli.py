@@ -338,11 +338,14 @@ def _cmd_verify_lemma(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common(sub, genus_required: bool = True):
@@ -383,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("word")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_NODE_CAP)
+    # both starting elements of the bidirectional search count against it
+    p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_factorize)
 
     p = subs.add_parser("enumerate", help="enumerate the isometry group")
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-lemma", help="run one verification workflow")
     p.add_argument("lemma", help="4.4 | 4.6 | 4.8 | 4.10 | thm4.1 (or claim name)")
     _add_common(p)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP)
     p.add_argument("--workers", type=int, choices=(1,), default=1)
     p.set_defaults(func=_cmd_verify_lemma)
 

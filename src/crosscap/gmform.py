@@ -72,9 +72,10 @@ def z4_str(value: int, signed: bool = False) -> str:
     return _SIGNED[v] if signed else str(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def q_table(genus: Genus) -> tuple[int, ...]:
-    """q over all 2^g bit masks, indexed by mask."""
+    """q over all 2^g bit masks, indexed by mask; the tables of the last four
+    genera stay cached."""
     g = genus.g
     odd = _odd_mask(g)
     even = ((1 << g) - 1) ^ odd

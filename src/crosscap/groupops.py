@@ -17,7 +17,10 @@ Searches key elements by their column tuples and store a parent index and a
 signed letter per element; matrices and certificate words are built only
 when an element leaves this module.  Both search kinds take their moves
 from one compile step per generating set (`_moves`, a small bounded
-cache), and the standard generators are built once per genus.
+cache), and the standard generators are built once per genus.  The
+reductions take their moves from one table per genus (`_label_table`):
+each standard label's parsed word and twist axes.  A reducer tracks plain
+class masks and builds classes only for its result.
 
 Certificates and reduction words always replay: the product of the recorded
 generators is re-applied and compared before a result is returned.
@@ -37,15 +40,19 @@ from .f2core import (
     H1Vector,
     InternalCheckError,
     MAX_GENUS,
+    _odd_mask,
     apply_mask,
     compose,
     transvection,
 )
 from .gmform import q_eval, q_table
-from .words import MCGWord, act, induced_matrix, parse_word
+from .words import MCGWord, _axes, _fold, act, induced_matrix, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
+# each forward move of factorize is a 2^g-entry lookup table: at genus 16
+# the 27 standard letters hold about 1.8 M entries, at genus 20 about 37 M
+FACTORIZE_GENUS_CAP = 16
 
 
 def _check(ok: bool, what: str) -> None:
@@ -380,9 +387,22 @@ def standard_generators(genus: Genus) -> list[tuple[str, H1Matrix]]:
 
 @lru_cache(maxsize=MAX_GENUS)
 def _standard_generators(genus: Genus) -> tuple[tuple[str, H1Matrix], ...]:
+    return tuple(
+        (label, induced_matrix(word)) for label, (word, _) in _label_table(genus).items()
+    )
+
+
+@lru_cache(maxsize=MAX_GENUS)
+def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...]]]:
+    """The standard labels of a genus, in generator order, each with its
+    parsed word and that word's twist axes (the reducers' moves)."""
     labels = [two_index_label(i) for i in range(1, genus.g - 1)]
     labels += [triple_label(i) for i in range(1, genus.g - 2)]
-    return tuple((label, induced_matrix(parse_word(label, genus))) for label in labels)
+    table = {}
+    for label in labels:
+        word = parse_word(label, genus)
+        table[label] = (word, tuple(_axes(word)))
+    return table
 
 
 @dataclass(frozen=True)
@@ -486,10 +506,21 @@ def factorize(
     The cap bounds the elements of both waves together, their two starting
     elements included, at each insertion; an insertion past it ends the
     search as "budget_exhausted", never as non-membership.  Non-membership
-    is only claimed when a whole side closed.
+    is only claimed when a whole side closed, so the cap must be at least 2.
+
+    Budgeted: genus above FACTORIZE_GENUS_CAP raises BudgetExceededError
+    before any move table is compiled.
     """
     gens = list(generators)
     genus = target.genus
+    if genus.g > FACTORIZE_GENUS_CAP:
+        raise BudgetExceededError(
+            f"factorization is budgeted for genus <= {FACTORIZE_GENUS_CAP}, got {genus.g}"
+        )
+    if cap < 2:
+        raise ValueError(
+            f"cap must be at least 2, since both starting elements count; got {cap}"
+        )
     for m in gens:
         if m.genus != genus:
             raise GenusMismatchError("generators must share the target's genus")
@@ -530,17 +561,18 @@ def factorize(
 
 
 class _Reducer:
-    """Applies standard generators to tracked classes, recording the moves.
+    """Applies standard generators to tracked class masks, recording the moves.
 
-    Moves are recorded in application order; the word reverses them so
-    the first move sits rightmost, matching word composition order.
+    Each move folds the cached axes of its label over the masks.  Moves are
+    recorded in application order; the word reverses them so the first move
+    sits rightmost, matching word composition order.
     """
 
     def __init__(self, genus: Genus, tracked: list[H1Vector]):
         self.genus = genus
-        self.tracked = tracked
+        self.tracked = [v.bits for v in tracked]
         self.moves: list[str] = []
-        self._words: dict[str, MCGWord] = {}  # each label parsed once
+        self._table = _label_table(genus)
 
     def d(self, i: int) -> None:
         self._apply(two_index_label(i))
@@ -549,15 +581,20 @@ class _Reducer:
         self._apply(triple_label(i))
 
     def _apply(self, label: str) -> None:
-        if label not in self._words:
-            self._words[label] = parse_word(label, self.genus)
-        word = self._words[label]
-        self.tracked = [act(word, v) for v in self.tracked]
+        self.tracked = _fold(self._table[label][1], self.tracked)
         self.moves.append(label)
 
+    def vector(self, idx: int) -> H1Vector:
+        return H1Vector(self.genus, self.tracked[idx])
+
     def word(self) -> MCGWord:
-        words = (self._words[label] for label in reversed(self.moves))
+        words = (self._table[label][0] for label in reversed(self.moves))
         return MCGWord.product(self.genus, words)
+
+
+def _support(bits: int) -> list[int]:
+    """1-based indices of a class mask, ascending."""
+    return [i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1]
 
 
 def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
@@ -589,9 +626,9 @@ def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
 
 def _rearrange(red: _Reducer, idx: int, odd_targets, even_targets) -> None:
     """Drive the support of tracked[idx] onto the target slots with swaps."""
-    v = red.tracked[idx]
-    odds = [i for i in v.support if i % 2]
-    evens = [i for i in v.support if i % 2 == 0]
+    support = _support(red.tracked[idx])
+    odds = [i for i in support if i % 2]
+    evens = [i for i in support if i % 2 == 0]
     for j in _swap_plan(odds, sorted(odd_targets)):
         red.d(j)
     for j in _swap_plan(evens, sorted(even_targets)):
@@ -607,14 +644,15 @@ def _normalize_q2(red: _Reducer, idx: int) -> None:
     left.
     """
     g = red.genus.g
-    x13 = H1Vector.from_indices(red.genus, (1, 3))
+    odd = _odd_mask(g)
     for _ in range(6 * g + 6):
-        v = red.tracked[idx]
-        lo, le = v.l_odd, v.l_even
+        bits = red.tracked[idx]
+        lo = (bits & odd).bit_count()
+        le = bits.bit_count() - lo
         _check((lo - le) % 4 == 2, "q=2 normal form: support parity broken")
         if (lo, le) == (2, 0):
             _rearrange(red, idx, [1, 3], [])
-            _check(red.tracked[idx] == x13, "q=2 normal form: x1+x3 not reached")
+            _check(red.tracked[idx] == 0b101, "q=2 normal form: x1+x3 not reached")
             return
         if le > lo:
             # park the odd support clear of slots 1 and 3, line the evens up
@@ -656,11 +694,12 @@ def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
     """Drive an isotropic class supported above `offset` to consecutive
     (odd, even) pairs starting at offset+1; returns the pair count."""
     g = red.genus.g
+    odd = _odd_mask(g)
     for _ in range(6 * g + 6):
-        v = red.tracked[idx]
-        _check(all(i > offset for i in v.support), "pair normal form: support below offset")
-        lo = sum(1 for i in v.support if i % 2)
-        le = v.weight - lo
+        bits = red.tracked[idx]
+        _check(not bits & ((1 << offset) - 1), "pair normal form: support below offset")
+        lo = (bits & odd).bit_count()
+        le = bits.bit_count() - lo
         _check((lo - le) % 4 == 0, "pair normal form: support parity broken")
         if lo == le:
             _rearrange(
@@ -732,7 +771,7 @@ def reduce_q2_vector(a: H1Vector) -> VectorReduction:
         raise ValueError(f"form value of {a.to_text()} is {val}, need 2")
     red = _Reducer(a.genus, [a])
     _normalize_q2(red, 0)
-    end = red.tracked[0]
+    end = red.vector(0)
     word = red.word()
     ok = act(word, a) == end == H1Vector.from_indices(a.genus, (1, 3))
     _check(ok, "q=2 reduction failed to replay")
@@ -819,7 +858,6 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
             f"pair needs form values (0, 0, 0) on a, b, a+b; got {values}"
         )
     g = a.genus.g
-    x12 = H1Vector.from_indices(a.genus, (1, 2))
     red = _Reducer(a.genus, [a, b])
     tracked_pair = ("a", "b")
     note = ""
@@ -844,28 +882,28 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 [2 * i + 1 + 2 * s for s in range(m)],
                 [2 * i + 2 + 2 * s for s in range(m)],
             )
-            red.tracked[0] = red.tracked[0] + red.tracked[1]
+            red.tracked[0] ^= red.tracked[1]
             tracked_pair = ("a+b", "b")
             while i > 1:
                 red.e(2 * i - 2)
                 red.d(2 * i - 2)
                 i -= 1
-            _check(red.tracked[0] == x12, "pair reduction: first class is not x1+x2")
+            _check(red.tracked[0] == 0b11, "pair reduction: first class is not x1+x2")
             _check(
-                red.tracked[1] == H1Vector.from_indices(a.genus, range(3, g + 1)),
+                red.tracked[1] == (1 << g) - 4,
                 "pair reduction: second class is not x3+...+xg",
             )
             branch = "full_support"
     else:
-        _check(red.tracked[0] == x12, "pair reduction: first class is not x1+x2")
-        vb = red.tracked[1]
-        if vb.bits & 0b11:
+        _check(red.tracked[0] == 0b11, "pair reduction: first class is not x1+x2")
+        low = red.tracked[1] & 0b11
+        if low:
             # the pair classes pair to 0, so the second contains both of
             # x1, x2; swap in the third class of the triple instead
-            _check((vb.bits & 0b11) == 0b11, "pair reduction: second class meets x1, x2 once")
-            red.tracked[1] = red.tracked[1] + red.tracked[0]
+            _check(low == 0b11, "pair reduction: second class meets x1, x2 once")
+            red.tracked[1] ^= red.tracked[0]
             tracked_pair = ("a", "a+b")
-        if red.tracked[1].is_zero():
+        if not red.tracked[1]:
             branch = "degenerate_pair"
             note = "the classes agree; the triple collapses to one transvection squared"
         else:
@@ -875,10 +913,9 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 branch = "full_support"
             else:
                 branch = "generic"
-                x34 = H1Vector.from_indices(a.genus, (3, 4))
-                _check(red.tracked[1] == x34, "pair reduction: second class is not x3+x4")
+                _check(red.tracked[1] == 0b1100, "pair reduction: second class is not x3+x4")
 
-    end_pair = (red.tracked[0], red.tracked[1])
+    end_pair = (red.vector(0), red.vector(1))
     word = red.word()
     src0 = a if tracked_pair[0] == "a" else a + b
     src1 = b if tracked_pair[1] == "b" else a + b

@@ -333,6 +333,16 @@ def _alpha_shift(rule: RewriteRule, triple: tuple[int, int, int]):
     return None
 
 
+# room for every slot n of one template at every genus up to 64: the sum of
+# g-2 over g is 1953
+@lru_cache(maxsize=2048)
+def _shift_certificate(genus: Genus, template: str, n: int) -> tuple[str, MCGWord]:
+    """An index-shift certificate at slot n and its word.  The three shift
+    rules share one template, so a word depends only on the genus and n."""
+    certificate = instantiate(template, n=n)
+    return certificate, parse_word(certificate, genus)
+
+
 def _alpha_instance(
     rule: RewriteRule, triple: tuple[int, int, int], genus: Genus
 ) -> RuleInstance:
@@ -343,12 +353,12 @@ def _alpha_instance(
     rhs = 0
     for t in shifted:
         rhs |= 1 << (t - 1)
-    certificate = instantiate(rule.certificate, n=slot)
+    certificate, word = _shift_certificate(genus, rule.certificate, slot)
     return RuleInstance(
         rule=rule,
         anchor=triple,
         certificate=certificate,
-        word=parse_word(certificate, genus),
+        word=word,
         lhs_bits=lhs,
         rhs_bits=rhs,
         positions=tuple(sorted(set(triple) | set(shifted))),
@@ -483,7 +493,8 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 RSEQ_GENUS_CAP = 18
 
 
-@lru_cache(maxsize=None)
+# one entry per genus a forest or a classification can reach
+@lru_cache(maxsize=RSEQ_GENUS_CAP)
 def _shuffle_moves(g: int):
     """The shuffle-rule instances, and the live moves among them as
     (instance index, window mask, lhs bits, rhs bits) in instance order: the
@@ -516,7 +527,9 @@ def _neighbours(u: int, moves):
             yield u ^ lhs ^ rhs, idx, "rev"
 
 
-@lru_cache(maxsize=None)
+# the forests of the last four genera stay cached: at genus 15-18 together
+# about 480 k links
+@lru_cache(maxsize=4)
 def _reduction_forest(g: int):
     """Multi-source BFS forest from the normal forms over the sequence graph:
     each reached sequence maps to its parent link, each normal form to None."""
@@ -764,10 +777,11 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
             rule = _RULES_BY_ID[rule_id]
             shift = _alpha_shift(rule, cur)
             if shift is not None:
-                inst = _alpha_instance(rule, cur, genus)
-                steps.append(AlphaStep(rule_id, cur, shift[0], inst.certificate))
-                step_words.append(inst.word)
-                cur = shift[0]
+                shifted, slot = shift
+                certificate, word = _shift_certificate(genus, rule.certificate, slot)
+                steps.append(AlphaStep(rule_id, cur, shifted, certificate))
+                step_words.append(word)
+                cur = shifted
                 break
         else:
             break  # no shift applies

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .f2core import Genus, H1Matrix, H1Vector, _require_same_genus
+from .f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, _require_same_genus
 from .gmform import QPreservationVerdict, preserves_q, q_eval, z4_str
 
 
@@ -203,21 +203,39 @@ class MCGWord:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @classmethod
+    def _joined(cls, genus: Genus, letters: tuple[Letter, ...]) -> "MCGWord":
+        """A word over letters already validated at this genus, not checked again."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "genus", genus)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def inverse(self) -> "MCGWord":
-        return MCGWord(
+        return MCGWord._joined(
             self.genus,
             tuple(l.with_power(-l.power) for l in reversed(self.letters)),
         )
 
     @classmethod
     def product(cls, genus: Genus, words) -> "MCGWord":
-        """The words written left to right as one word, built in one step."""
-        return cls(genus, tuple(letter for word in words for letter in word.letters))
+        """The words written left to right as one word, built in one step.
+
+        Their letters were validated when each word was built; only the
+        genus is checked, since a letter valid at one genus may be invalid
+        at a smaller one.
+        """
+        letters = []
+        for word in words:
+            if word.genus.g != genus.g:
+                raise GenusMismatchError(
+                    f"cannot join a word over genus {word.genus.g} into genus {genus.g}"
+                )
+            letters += word.letters
+        return cls._joined(genus, tuple(letters))
 
     def __mul__(self, other: "MCGWord") -> "MCGWord":
-        if self.genus != other.genus:
-            raise ValueError("cannot concatenate words over different genera")
-        return MCGWord(self.genus, self.letters + other.letters)
+        return MCGWord.product(self.genus, (self, other))
 
 
 # support of each twisting circle's class, shifted to start at x_i
@@ -255,14 +273,18 @@ def leg_class(letter: Letter, genus: Genus) -> H1Vector | None:
     return None
 
 
-def _images(word: MCGWord, masks) -> list[int]:
-    """Images of class masks under the word, rightmost letter first.
+def _axes(word: MCGWord) -> list[int]:
+    """Axis masks of the word's odd-power twists, rightmost letter first.
 
-    A twist about a acts as the transvection c -> c + (c . a) a.
     Transvections are involutions, so only odd powers act, and Y letters act
     as the identity.
     """
-    axes = [a for l in reversed(word.letters) if l.power % 2 and (a := _axis_bits(l))]
+    return [a for l in reversed(word.letters) if l.power % 2 and (a := _axis_bits(l))]
+
+
+def _fold(axes, masks) -> list[int]:
+    """Images of class masks under the transvections about `axes`, first
+    axis acting first: a twist about a acts as c -> c + (c . a) a."""
     out = []
     for c in masks:
         for a in axes:
@@ -275,12 +297,12 @@ def _images(word: MCGWord, masks) -> list[int]:
 def act(word: MCGWord, v: H1Vector) -> H1Vector:
     """Image of a class under the word's homology action."""
     _require_same_genus(word, v)
-    return H1Vector(v.genus, _images(word, [v.bits])[0])
+    return H1Vector(v.genus, _fold(_axes(word), [v.bits])[0])
 
 
 def induced_matrix(word: MCGWord) -> H1Matrix:
     """Matrix of the word's homology action; column j is the image of x_{j+1}."""
-    cols = _images(word, [1 << j for j in range(word.genus.g)])
+    cols = _fold(_axes(word), [1 << j for j in range(word.genus.g)])
     return H1Matrix(word.genus, tuple(cols))
 
 

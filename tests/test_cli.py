@@ -100,6 +100,20 @@ class TestFactorize:
             assert out == ""
             assert "--cap" in err
 
+    def test_cap_one_is_usage_error_only_for_factorize(self, capsys):
+        # both starting elements of the search count against the cap
+        code, out, err = run(capsys, "factorize", "-g", "9", "t_{d_1}", "--cap", "1")
+        assert (code, out) == (2, "")
+        assert "--cap: must be at least 2" in err
+        code, out, _ = run(capsys, "verify-lemma", "4.8", "-g", "1", "--cap", "1")
+        assert code == 0
+        assert json.loads(out)["detail"]["equal"] is True
+
+    def test_genus_budget(self, capsys):
+        code, out, err = run(capsys, "factorize", "-g", "64", "t_{d_1}")
+        assert (code, out) == (3, "")
+        assert "genus <= 16" in err
+
     def test_failed_replay_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(
             groupops, "_replay", lambda genus, gens, word: H1Matrix.identity(genus)
@@ -197,8 +211,10 @@ FACTORIZE_G9 = (
     "t_{a_4} t_{a_6} t_{c_4} t_{d_1} t_{a_6} t_{a_8} t_{c_6}"
 )
 CAPPED_FACTORIZE_G9 = ("factorize", "-g", "9", FACTORIZE_G9, "--cap", "200")
+# the smallest cap factorize accepts: the two starting elements fill it
+SMALLEST_CAP_FACTORIZE = ("factorize", "-g", "9", "t_{d_1}", "--cap", "2")
 # pinned commands that end in another exit code than 0
-PINNED_EXIT = {CAPPED_FACTORIZE_G9: 3}
+PINNED_EXIT = {CAPPED_FACTORIZE_G9: 3, SMALLEST_CAP_FACTORIZE: 3}
 
 
 class TestCliContract:
@@ -268,6 +284,14 @@ class TestCliContract:
                 # budget_exhausted with explored 200
                 CAPPED_FACTORIZE_G9,
                 "123ff67565223ace22dfed3fa31a45e78e905ece4c870b13f52725c50e05dff3",
+            ),
+            (
+                SMALLEST_CAP_FACTORIZE,
+                "6d8c83d558c168103f2f162d5455d1769b04baad2bb86b86c6d148f6d9205abb",
+            ),
+            (
+                ("verify-lemma", "4.10", "-g", "24"),
+                "934ea631e361b2e51b8dc345405becdd458e7d072913c369605ff2076f816618",
             ),
         ],
     )

@@ -20,6 +20,8 @@ from crosscap.f2core import (
 )
 from crosscap.gmform import preserves_q, q_eval
 from crosscap.groupops import (
+    FACTORIZE_GENUS_CAP,
+    _Reducer,
     _left_move,
     _moves,
     _right_move,
@@ -32,7 +34,7 @@ from crosscap.groupops import (
     subgroup_closure,
     verify_generation,
 )
-from crosscap.words import induced_matrix, parse_word
+from crosscap.words import act, induced_matrix, parse_word
 
 from helpers import brute_orthogonal_cols, random_invertible_cols
 
@@ -192,6 +194,26 @@ class TestFactorize:
         mats, _ = self._gens(4)
         with pytest.raises(ValueError, match="one label per generator required"):
             factorize(H1Matrix.identity(Genus(4)), mats, labels=["x"])
+
+    def test_cap_below_two_rejected(self):
+        # both starting elements count, so a cap of 1 could never be honoured
+        mats, labels = self._gens(4)
+        identity = H1Matrix.identity(Genus(4))
+        for cap in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2"):
+                factorize(identity, mats, labels=labels, cap=cap)
+        assert factorize(identity, mats, labels=labels, cap=2).found
+        capped = factorize(transvection(vec(4, "x2+x4")), mats, labels=labels, cap=2)
+        assert (capped.status, capped.explored) == ("budget_exhausted", 2)
+
+    def test_genus_budget_compiles_nothing(self):
+        assert FACTORIZE_GENUS_CAP == 16
+        genus = Genus(FACTORIZE_GENUS_CAP + 1)
+        mats = [m for _, m in standard_generators(genus)]
+        before = _moves.cache_info()
+        with pytest.raises(BudgetExceededError, match="genus <= 16"):
+            factorize(H1Matrix.identity(genus), mats)
+        assert _moves.cache_info() == before
 
     def test_non_member_proof(self):
         genus = Genus(3)
@@ -458,6 +480,47 @@ class TestPairReduction:
                     assert a == b
 
 
+class TestReducerOracle:
+    """The mask-level reducer against `act` on classes, after every move."""
+
+    @pytest.fixture
+    def checked_moves(self, monkeypatch):
+        parsed = {}
+        moves = []
+        apply = _Reducer._apply
+
+        def checked(red, label):
+            before = [H1Vector(red.genus, bits) for bits in red.tracked]
+            apply(red, label)
+            key = (red.genus, label)
+            if key not in parsed:
+                parsed[key] = parse_word(label, red.genus)
+            assert red.tracked == [act(parsed[key], v).bits for v in before]
+            moves.append(label)
+
+        monkeypatch.setattr(_Reducer, "_apply", checked)
+        return moves
+
+    @pytest.mark.parametrize("g", range(3, 11))
+    def test_every_q2_class(self, checked_moves, g):
+        genus = Genus(g)
+        for bits in range(1, 1 << g):
+            a = H1Vector(genus, bits)
+            if q_eval(a) == 2:
+                reduce_q2_vector(a)
+        assert checked_moves or g == 3
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_every_isotropic_pair(self, checked_moves, g):
+        genus = Genus(g)
+        zeros = [v for v in (H1Vector(genus, b) for b in range(1, 1 << g)) if q_eval(v) == 0]
+        for a in zeros:
+            for b in zeros:
+                if q_eval(a + b) == 0:
+                    reduce_isotropic_pair(a, b)
+        assert checked_moves or g < 4
+
+
 class TestInternalChecks:
     def test_swap_plan_check_survives_optimize(self):
         # under -O a bare assert would vanish and the plan would be [3, 1]
@@ -476,3 +539,38 @@ class TestInternalChecks:
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "InternalCheckError" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            # the moves still track correctly, but the word spells t_{d_1}
+            # for the triple; only the replay of the joined word, which
+            # recomputes the axes from its letters, sees it
+            ("(_label_table(genus)[two_index_label(1)][0], axes)", "failed to replay"),
+            # the triple move folds two of its three axes
+            ("(word, axes[:2])", "support parity broken"),
+        ],
+    )
+    def test_corrupted_label_table_fails_check_under_optimize(self, corrupt, message):
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "import sys\n"
+            "from crosscap.cli import main\n"
+            "from crosscap.f2core import Genus\n"
+            "from crosscap.groupops import _label_table, triple_label, two_index_label\n"
+            "genus = Genus(6)\n"
+            "word, axes = _label_table(genus)[triple_label(1)]\n"
+            f"_label_table(genus)[triple_label(1)] = {corrupt}\n"
+            "sys.exit(main(['reduce-q2', '-g', '6', 'x2+x4']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal check failed")
+        assert message in proc.stderr

@@ -13,6 +13,7 @@ from crosscap.rewrite import (
     _alpha_shift,
     _neighbours,
     _reduction_forest,
+    _shift_certificate,
     _shuffle_moves,
     builtin_rule_tables,
     canonical_targets,
@@ -215,6 +216,40 @@ class TestNormalForms:
             for inst in builtin_rule_tables(genus):
                 assert inst.word.spell() == inst.certificate
                 assert parse_word(inst.certificate, genus) == inst.word
+
+    def test_cached_shift_words_spell_as_instantiated(self):
+        # all three shift rules share one template; every slot n of it
+        for g in (6, 24, 64):
+            genus = Genus(g)
+            for rule in rule_schemas():
+                if rule.family != "alpha":
+                    continue
+                for n in range(3, g + 1):
+                    text = instantiate(rule.certificate, n=n)
+                    certificate, word = _shift_certificate(genus, rule.certificate, n)
+                    assert certificate == text
+                    assert word.spell() == text
+                    assert word == parse_word(text, genus)
+
+    def test_every_cache_bounded(self):
+        from crosscap import f2core, gmform, groupops, rewrite, words
+
+        # the caches README's "Concurrency" section lists, with their bounds
+        caches = {
+            f"{obj.__module__.split('.')[-1]}.{obj.__name__}": obj.cache_info().maxsize
+            for module in (f2core, gmform, words, groupops, rewrite)
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_info")
+        }
+        assert caches == {
+            "groupops._moves": 4,
+            "groupops._standard_generators": 64,
+            "groupops._label_table": 64,
+            "rewrite._shift_certificate": 2048,
+            "rewrite._shuffle_moves": 18,
+            "rewrite._reduction_forest": 4,
+            "gmform.q_table": 4,
+        }
 
 
 class TestAlphaReduction:

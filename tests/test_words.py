@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap.f2core import Genus, H1Matrix, H1Vector, compose, preserves_intersection_form, transvection
+from crosscap.f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, compose, preserves_intersection_form, transvection
 from crosscap.words import (
     Letter,
     MCGWord,
@@ -122,6 +122,33 @@ class TestGrammar:
         word = parse_word("t_{a_1} Y_{2,1} t_{d_2}^{-1}", g)
         assert word.inverse().spell() == "t_{d_2} Y_{2,1}^{-1} t_{a_1}^{-1}"
         assert induced_matrix(word.inverse()) == induced_matrix(word).inverse()
+
+    def test_joined_words_equal_validated_words(self):
+        genus = Genus(16)
+        one = parse_word("t_{a_1} Y_{2,1} t_{d_2}^{-1}", genus)
+        two = parse_word("t_{c_13} Y_{alpha_{4,6,7},alpha_{4,6,7,9}}^{2}", genus)
+        joined = MCGWord.product(genus, [one, two.inverse(), one])
+        assert joined == MCGWord(genus, one.letters + two.inverse().letters + one.letters)
+        assert one * two == MCGWord.product(genus, [one, two])
+        inverse = one.inverse()
+        assert inverse == MCGWord(genus, inverse.letters)
+
+    def test_joined_words_reject_another_genus(self):
+        # t_{d_14} and t_{c_13} are valid at genus 16 but not at genus 12
+        big = parse_word("t_{d_14} t_{c_13}", Genus(16))
+        small = parse_word("t_{a_1} t_{d_2}", Genus(12))
+        for genus, words in (
+            (Genus(12), [small, big]),
+            (Genus(12), [big.inverse()]),
+            (Genus(16), [big, small]),
+            (Genus(16), [small.inverse()]),
+        ):
+            with pytest.raises(GenusMismatchError):
+                MCGWord.product(genus, words)
+        with pytest.raises(GenusMismatchError):
+            small * big
+        with pytest.raises(GenusMismatchError):
+            big.inverse() * small
 
 
 class TestCurveClasses:
