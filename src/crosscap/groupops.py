@@ -17,10 +17,10 @@ Searches key elements by their column tuples and store a parent index and a
 signed letter per element; matrices and certificate words are built only
 when an element leaves this module.  Both search kinds take their moves
 from one compile step per generating set (`_moves`, a small bounded
-cache), and the standard generators are built once per genus.  The
-reductions take their moves from one table per genus (`_label_table`):
-each standard label's parsed word and twist axes.  A reducer tracks plain
-class masks and builds classes only for its result.
+cache).  The standard generating set is one table per genus
+(`_label_table`): each standard label's parsed word, twist axes and
+matrix.  The reductions take their moves from its axes; a reducer tracks
+plain class masks and builds classes only for its result.
 
 Certificates and reduction words always replay: the product of the recorded
 generators is re-applied and compared before a result is returned.
@@ -46,7 +46,7 @@ from .f2core import (
     transvection,
 )
 from .gmform import q_eval, q_table
-from .words import MCGWord, _axes, _fold, act, induced_matrix, parse_word
+from .words import MCGWord, _axes, _fold, act, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
@@ -382,26 +382,22 @@ def standard_generators(genus: Genus) -> list[tuple[str, H1Matrix]]:
     is itself a parseable word.  Built once per genus; each call returns a
     fresh list.
     """
-    return list(_standard_generators(genus))
+    return [(label, matrix) for label, (_, _, matrix) in _label_table(genus).items()]
 
 
 @lru_cache(maxsize=MAX_GENUS)
-def _standard_generators(genus: Genus) -> tuple[tuple[str, H1Matrix], ...]:
-    return tuple(
-        (label, induced_matrix(word)) for label, (word, _) in _label_table(genus).items()
-    )
-
-
-@lru_cache(maxsize=MAX_GENUS)
-def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...]]]:
+def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...], H1Matrix]]:
     """The standard labels of a genus, in generator order, each with its
-    parsed word and that word's twist axes (the reducers' moves)."""
+    parsed word, that word's twist axes (the reducers' moves) and the
+    matrix the axes fold the basis to (the generator)."""
     labels = [two_index_label(i) for i in range(1, genus.g - 1)]
     labels += [triple_label(i) for i in range(1, genus.g - 2)]
+    basis = [1 << j for j in range(genus.g)]
     table = {}
     for label in labels:
         word = parse_word(label, genus)
-        table[label] = (word, tuple(_axes(word)))
+        axes = tuple(_axes(word))
+        table[label] = (word, axes, H1Matrix(genus, tuple(_fold(axes, basis))))
     return table
 
 
@@ -603,22 +599,27 @@ def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
     Both lists are ascending positions of the same parity and length; the
     rank-aligned matching never crosses.  Down-movers run first in ascending
     rank, then up-movers in descending rank; this order keeps every
-    intermediate slot free (asserted).
+    intermediate slot free (asserted against `occupied`, the set of `cur`).
     """
     _check(len(current) == len(targets), "swap plan: position lists differ in length")
     cur = list(current)
+    occupied = set(cur)
     plan: list[int] = []
     for r in range(len(cur)):
         while cur[r] > targets[r]:
             j = cur[r] - 2
-            _check(j not in cur, "swap plan: downward slot occupied")
+            _check(j not in occupied, "swap plan: downward slot occupied")
             plan.append(j)
+            occupied.remove(cur[r])
+            occupied.add(j)
             cur[r] = j
     for r in range(len(cur) - 1, -1, -1):
         while cur[r] < targets[r]:
             j = cur[r]
-            _check(j + 2 not in cur, "swap plan: upward slot occupied")
+            _check(j + 2 not in occupied, "swap plan: upward slot occupied")
             plan.append(j)
+            occupied.remove(j)
+            occupied.add(j + 2)
             cur[r] = j + 2
     _check(cur == list(targets), "swap plan: targets not reached")
     return plan
@@ -733,7 +734,7 @@ def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
     raise InternalCheckError("pair normal-form loop failed to terminate")
 
 
-def _peel_pairs(red: _Reducer, idx: int, offset: int, n: int) -> int:
+def _peel_pairs(red: _Reducer, offset: int, n: int) -> int:
     """Erase trailing pairs one at a time while room above remains."""
     g = red.genus.g
     while n > 1 and offset + 2 * n != g:
@@ -863,7 +864,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
     note = ""
 
     n = _normalize_q0_to_pairs(red, 0, 0)
-    n = _peel_pairs(red, 0, 0, n)
+    n = _peel_pairs(red, 0, n)
     if 2 * n == g:
         # the first class is pinned at the all-ones vector, which every
         # generator fixes; reduce the second alone, then switch to the
@@ -884,10 +885,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
             )
             red.tracked[0] ^= red.tracked[1]
             tracked_pair = ("a+b", "b")
-            while i > 1:
-                red.e(2 * i - 2)
-                red.d(2 * i - 2)
-                i -= 1
+            _peel_pairs(red, 0, i)
             _check(red.tracked[0] == 0b11, "pair reduction: first class is not x1+x2")
             _check(
                 red.tracked[1] == (1 << g) - 4,
@@ -908,7 +906,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
             note = "the classes agree; the triple collapses to one transvection squared"
         else:
             k = _normalize_q0_to_pairs(red, 1, 2)
-            k = _peel_pairs(red, 1, 2, k)
+            k = _peel_pairs(red, 2, k)
             if 2 + 2 * k == g and k >= 2:
                 branch = "full_support"
             else:

@@ -29,10 +29,11 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from .gmform import q_table
-from .words import MCGWord, act, alpha_class, curve_class, parse_word
+from .words import MCGWord, _axis_bits, act, alpha_class, parse_word
 
 
 class FalsificationError(RuntimeError):
@@ -180,6 +181,8 @@ _SWAP4_CERT_B = (
     "Y_{i,i+2} Y_{i+1,i+2} t_{a_{i+2}}^{2} t_{c_i}^{-1} t_{a_{i+2}}^{-1} t_{a_i}^{-1}"
 )
 _SWAP4_CERT_C = "Y_{i+1,i} t_{a_i} t_{a_{i+2}} t_{c_i} Y_{i+2,i+3}^{-1}"
+# the one certificate of all three index shifts
+_SHIFT_CERT = "Y_{n,n-2}^{-1} Y_{n-1,n-2}^{-1} t_{d_{n-2}}"
 
 _RULES: list[RewriteRule] = [
     # sign shuffles, window length 3
@@ -230,12 +233,9 @@ _RULES: list[RewriteRule] = [
     RewriteRule("TC.15", "twist4", "15", ("X", "X", "X", "X"), ("X", "X", "X", "X"),
                 "t_{c_i}", False, noop=True),
     # index shifts on three-index circles: lower one index by two
-    RewriteRule("AL.1", "alpha", "first", None, None,
-                "Y_{n,n-2}^{-1} Y_{n-1,n-2}^{-1} t_{d_{n-2}}", False),
-    RewriteRule("AL.2", "alpha", "second", None, None,
-                "Y_{n,n-2}^{-1} Y_{n-1,n-2}^{-1} t_{d_{n-2}}", False),
-    RewriteRule("AL.3", "alpha", "third", None, None,
-                "Y_{n,n-2}^{-1} Y_{n-1,n-2}^{-1} t_{d_{n-2}}", False),
+    RewriteRule("AL.1", "alpha", "first", None, None, _SHIFT_CERT, False),
+    RewriteRule("AL.2", "alpha", "second", None, None, _SHIFT_CERT, False),
+    RewriteRule("AL.3", "alpha", "third", None, None, _SHIFT_CERT, False),
 ]
 
 _RULES_BY_ID = {r.rule_id: r for r in _RULES}
@@ -282,7 +282,8 @@ def instantiate(template: str, **bindings: int) -> str:
 
 @dataclass(frozen=True)
 class RuleInstance:
-    """One rule pinned to a position, with its certificate text and word."""
+    """One rule pinned to a position, with its certificate text and word.
+    The window and both sides are class masks: bit k - 1 is x_k."""
 
     rule: RewriteRule
     anchor: int | tuple[int, int, int]
@@ -290,7 +291,7 @@ class RuleInstance:
     word: MCGWord
     lhs_bits: int
     rhs_bits: int
-    positions: tuple[int, ...]
+    window_bits: int
 
     def lhs_class(self, genus: Genus) -> H1Vector:
         return H1Vector(genus, self.lhs_bits)
@@ -317,7 +318,7 @@ def _window_instance(rule: RewriteRule, anchor: int, genus: Genus) -> RuleInstan
         word=parse_word(certificate, genus),
         lhs_bits=_pattern_bits(rule.window, anchor),
         rhs_bits=_pattern_bits(rule.replacement, anchor),
-        positions=tuple(range(anchor, anchor + span)),
+        window_bits=((1 << span) - 1) << (anchor - 1),
     )
 
 
@@ -333,13 +334,12 @@ def _alpha_shift(rule: RewriteRule, triple: tuple[int, int, int]):
     return None
 
 
-# room for every slot n of one template at every genus up to 64: the sum of
-# g-2 over g is 1953
+# room for every slot n at every genus up to 64: the sum of g-2 over g is 1953
 @lru_cache(maxsize=2048)
-def _shift_certificate(genus: Genus, template: str, n: int) -> tuple[str, MCGWord]:
-    """An index-shift certificate at slot n and its word.  The three shift
+def _shift_certificate(genus: Genus, n: int) -> tuple[str, MCGWord]:
+    """The index-shift certificate at slot n and its word.  The three shift
     rules share one template, so a word depends only on the genus and n."""
-    certificate = instantiate(template, n=n)
+    certificate = instantiate(_SHIFT_CERT, n=n)
     return certificate, parse_word(certificate, genus)
 
 
@@ -353,7 +353,7 @@ def _alpha_instance(
     rhs = 0
     for t in shifted:
         rhs |= 1 << (t - 1)
-    certificate, word = _shift_certificate(genus, rule.certificate, slot)
+    certificate, word = _shift_certificate(genus, slot)
     return RuleInstance(
         rule=rule,
         anchor=triple,
@@ -361,21 +361,15 @@ def _alpha_instance(
         word=word,
         lhs_bits=lhs,
         rhs_bits=rhs,
-        positions=tuple(sorted(set(triple) | set(shifted))),
+        window_bits=lhs | rhs,
     )
-
-
-def _all_triples(g: int):
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            for k in range(j + 1, g + 1):
-                yield (i, j, k)
 
 
 def _anchors(rule: RewriteRule, g: int) -> list:
     """Where the rule applies at this genus: window anchors or triples."""
     if rule.family == "alpha":
-        return [t for t in _all_triples(g) if _alpha_shift(rule, t) is not None]
+        triples = combinations(range(1, g + 1), 3)
+        return [t for t in triples if _alpha_shift(rule, t) is not None]
     return list(range(1, g - _ANCHOR_MARGIN[rule.family] + 1))
 
 
@@ -439,14 +433,15 @@ class RuleVerdict:
 
 
 def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
-    """Structural check: every transvection axis lies inside the window."""
-    allowed = set(inst.positions)
+    """Structural check: every transvection axis lies inside the window.
+    The word's letters were validated when it was parsed."""
     for letter in inst.word.letters:
-        cls = curve_class(letter, genus)
-        if cls is not None and not set(cls.support) <= allowed:
+        axis = _axis_bits(letter)
+        if axis & ~inst.window_bits:
+            window = list(H1Vector(genus, inst.window_bits).support)
             raise InternalCheckError(
-                f"{inst.rule.rule_id} at {inst.anchor}: axis {cls.to_text()} "
-                f"leaves the window {sorted(allowed)}"
+                f"{inst.rule.rule_id} at {inst.anchor}: axis "
+                f"{H1Vector(genus, axis).to_text()} leaves the window {window}"
             )
 
 
@@ -491,6 +486,8 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 # reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:
 # its first call at genus 18 takes about 3 s and 51 MB peak RSS on a 2-core host
 RSEQ_GENUS_CAP = 18
+# classify_rseq_components walks the components of all 2^g sequences
+COMPONENTS_GENUS_CAP = 12
 
 
 # one entry per genus a forest or a classification can reach
@@ -511,8 +508,7 @@ def _shuffle_moves(g: int):
         window = inst.rule.window
         # the pattern's plus signs (p, P) must sit at odd positions
         if all((sym in "pP") == (inst.anchor + k) % 2 for k, sym in enumerate(window)):
-            wmask = ((1 << len(window)) - 1) << (inst.anchor - 1)
-            moves.append((idx, wmask, inst.lhs_bits, inst.rhs_bits))
+            moves.append((idx, inst.window_bits, inst.lhs_bits, inst.rhs_bits))
     return instances, moves
 
 
@@ -662,9 +658,10 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
     must be constant on each (form value, support parity) and the assertion
     that every component contains a normal form."""
     g = genus.g
-    if g > 12:
+    if g > COMPONENTS_GENUS_CAP:
         raise BudgetExceededError(
-            f"component classification is budgeted for genus <= 12, got {g}"
+            f"component classification is budgeted for genus <= "
+            f"{COMPONENTS_GENUS_CAP}, got {g}"
         )
     _, moves = _shuffle_moves(g)
     canon = {s.bits for s in canonical_targets(genus)}
@@ -778,7 +775,7 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
             shift = _alpha_shift(rule, cur)
             if shift is not None:
                 shifted, slot = shift
-                certificate, word = _shift_certificate(genus, rule.certificate, slot)
+                certificate, word = _shift_certificate(genus, slot)
                 steps.append(AlphaStep(rule_id, cur, shifted, certificate))
                 step_words.append(word)
                 cur = shifted

@@ -7,6 +7,7 @@ from itertools import product
 from crosscap.f2core import Genus
 from crosscap.gmform import q_table
 from crosscap.rewrite import rule_instances, rule_schemas
+from crosscap.words import curve_class
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -76,6 +77,28 @@ def sequence_graph(g: int):
                 adj[bits].append((target, idx, "fwd"))
                 adj[target].append((bits, idx, "rev"))
     return instances, adj
+
+
+def window_positions(inst) -> tuple[int, ...]:
+    """Slow oracle for a rule instance's window, as ascending positions:
+    the span of the pattern from its anchor, or for an index shift the
+    triple together with the index the rule lowers by two."""
+    rule = inst.rule
+    if rule.family != "alpha":
+        return tuple(range(inst.anchor, inst.anchor + len(rule.window)))
+    lowered = inst.anchor[("AL.1", "AL.2", "AL.3").index(rule.rule_id)] - 2
+    return tuple(sorted(set(inst.anchor) | {lowered}))
+
+
+def leaves_window(inst, genus: Genus) -> bool:
+    """Slow oracle for the locality check: whether some twist letter of the
+    instance's word has a curve class outside `window_positions`."""
+    allowed = set(window_positions(inst))
+    for letter in inst.word.letters:
+        cls = curve_class(letter, genus)
+        if cls is not None and not set(cls.support) <= allowed:
+            return True
+    return False
 
 
 def random_invertible_cols(rng, g: int) -> tuple[int, ...]:

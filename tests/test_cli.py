@@ -293,6 +293,11 @@ class TestCliContract:
                 ("verify-lemma", "4.10", "-g", "24"),
                 "934ea631e361b2e51b8dc345405becdd458e7d072913c369605ff2076f816618",
             ),
+            (
+                # every shift-rule anchor and the one shared shift template
+                ("verify-lemma", "4.6", "-g", "24"),
+                "3c069b559c73678fd77f856db4cf82345aa35cda7e066f15bd18d5a3c2464001",
+            ),
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):

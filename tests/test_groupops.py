@@ -444,6 +444,17 @@ class TestPairReduction:
         digest = hashlib.sha256((text + "\n").encode()).hexdigest()
         assert digest == "7d732d2cddc3187ad9e01c8a467e8d2eae0364d39625e12e6a91a2e11732e234"
 
+    def test_full_support_json_bytes_pinned(self):
+        # a 22-move full-support reduction at genus 10 that erases three pairs
+        # after the switch to the complementary pair
+        genus = Genus(10)
+        a = H1Vector.from_indices(genus, range(1, 11))
+        red = reduce_isotropic_pair(a, vec(10, "x9+x10"))
+        assert red.branch == "full_support" and len(red.moves) == 22
+        text = json.dumps(red.to_json(), indent=2, sort_keys=True)
+        digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert digest == "092f9cf086733dbd28026c84930992f31a656db507a27c11f05afdfbfcc13d4e"
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             reduce_isotropic_pair(vec(4, "0"), vec(4, "x1+x2"))
@@ -546,9 +557,9 @@ class TestInternalChecks:
             # the moves still track correctly, but the word spells t_{d_1}
             # for the triple; only the replay of the joined word, which
             # recomputes the axes from its letters, sees it
-            ("(_label_table(genus)[two_index_label(1)][0], axes)", "failed to replay"),
+            ("(_label_table(genus)[two_index_label(1)][0], axes, matrix)", "failed to replay"),
             # the triple move folds two of its three axes
-            ("(word, axes[:2])", "support parity broken"),
+            ("(word, axes[:2], matrix)", "support parity broken"),
         ],
     )
     def test_corrupted_label_table_fails_check_under_optimize(self, corrupt, message):
@@ -559,7 +570,7 @@ class TestInternalChecks:
             "from crosscap.f2core import Genus\n"
             "from crosscap.groupops import _label_table, triple_label, two_index_label\n"
             "genus = Genus(6)\n"
-            "word, axes = _label_table(genus)[triple_label(1)]\n"
+            "word, axes, matrix = _label_table(genus)[triple_label(1)]\n"
             f"_label_table(genus)[triple_label(1)] = {corrupt}\n"
             "sys.exit(main(['reduce-q2', '-g', '6', 'x2+x4']))\n"
         )

@@ -1,16 +1,25 @@
+import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
-from crosscap.f2core import BudgetExceededError, Genus, H1Vector
+import crosscap
+from crosscap import rewrite
+from crosscap.f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
     ALPHA_TERMINALS,
+    COMPONENTS_GENUS_CAP,
     RSEQ_GENUS_CAP,
     AlphaTriple,
     RSequence,
     _alpha_shift,
+    _check_window_local,
     _neighbours,
     _reduction_forest,
     _shift_certificate,
@@ -30,9 +39,9 @@ from crosscap.rewrite import (
     rules_json,
     verify_rule_consistency,
 )
-from crosscap.words import alpha_class, induced_matrix, parse_word
+from crosscap.words import MCGWord, alpha_class, induced_matrix, parse_word
 
-from helpers import sequence_graph
+from helpers import leaves_window, sequence_graph, window_positions
 
 
 def vec(g, text):
@@ -189,8 +198,9 @@ class TestNormalForms:
         assert sum(c.size for c in report.components) == 1 << g
 
     def test_components_budget(self):
+        assert COMPONENTS_GENUS_CAP == 12
         with pytest.raises(BudgetExceededError):
-            classify_rseq_components(Genus(13))
+            classify_rseq_components(Genus(COMPONENTS_GENUS_CAP + 1))
 
     def test_reduction_budget_builds_nothing(self):
         assert RSEQ_GENUS_CAP == 18
@@ -226,7 +236,7 @@ class TestNormalForms:
                     continue
                 for n in range(3, g + 1):
                     text = instantiate(rule.certificate, n=n)
-                    certificate, word = _shift_certificate(genus, rule.certificate, n)
+                    certificate, word = _shift_certificate(genus, n)
                     assert certificate == text
                     assert word.spell() == text
                     assert word == parse_word(text, genus)
@@ -243,13 +253,101 @@ class TestNormalForms:
         }
         assert caches == {
             "groupops._moves": 4,
-            "groupops._standard_generators": 64,
             "groupops._label_table": 64,
             "rewrite._shift_certificate": 2048,
             "rewrite._shuffle_moves": 18,
             "rewrite._reduction_forest": 4,
             "gmform.q_table": 4,
         }
+
+
+def _with_letter(inst, genus, text):
+    """The instance with one more letter on the left of its word."""
+    word = MCGWord(genus, parse_word(text, genus).letters + inst.word.letters)
+    return dataclasses.replace(inst, word=word)
+
+
+# (rule, anchor, added letter, its axis, window, lemma whose check runs the
+# rule): the added axis leaves the window
+_ESCAPES = [
+    ("S3.1", 1, "t_{a_3}", "x3+x4", [1, 2, 3], None),
+    ("TA.1", 1, "t_{a_2}", "x2+x3", [1, 2], "4.6"),
+    ("AL.1", (3, 4, 5), "t_{d_2}", "x2+x4", [1, 3, 4, 5], "4.10"),
+]
+
+
+class TestWindowLocality:
+    @pytest.mark.parametrize("g", (6, 12, 24))
+    def test_window_bits_match_position_oracle(self, g):
+        genus = Genus(g)
+        for n, inst in enumerate(builtin_rule_tables(genus)):
+            assert inst.window_bits == H1Vector.from_indices(genus, window_positions(inst)).bits
+            assert not leaves_window(inst, genus)
+            _check_window_local(inst, genus)
+            # one more twist letter, inside or outside the window by turns
+            grown = _with_letter(inst, genus, f"t_{{a_{n % (g - 1) + 1}}}")
+            if leaves_window(grown, genus):
+                with pytest.raises(InternalCheckError, match="leaves the window"):
+                    _check_window_local(grown, genus)
+            else:
+                _check_window_local(grown, genus)
+
+    @pytest.mark.parametrize(
+        "rule_id,anchor,letter,axis,window,lemma", _ESCAPES, ids=[e[0] for e in _ESCAPES]
+    )
+    def test_escaping_axis_fails_consistency(
+        self, monkeypatch, rule_id, anchor, letter, axis, window, lemma
+    ):
+        genus = Genus(6)
+        original = rewrite.rule_instances
+
+        def corrupted(rule, genus):
+            for inst in original(rule, genus):
+                yield _with_letter(inst, genus, letter) if inst.anchor == anchor else inst
+
+        monkeypatch.setattr(rewrite, "rule_instances", corrupted)
+        with pytest.raises(InternalCheckError) as info:
+            verify_rule_consistency(rule_by_id(rule_id), genus)
+        assert str(info.value) == (
+            f"{rule_id} at {anchor}: axis {axis} leaves the window {window}"
+        )
+
+    @pytest.mark.parametrize(
+        "rule_id,anchor,letter,axis,window,lemma",
+        [e for e in _ESCAPES if e[-1]],
+        ids=[e[0] for e in _ESCAPES if e[-1]],
+    )
+    def test_escaping_axis_fails_check_under_optimize(
+        self, rule_id, anchor, letter, axis, window, lemma
+    ):
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "import dataclasses, sys\n"
+            "from crosscap import rewrite\n"
+            "from crosscap.cli import main\n"
+            "from crosscap.words import MCGWord, parse_word\n"
+            "original = rewrite.rule_instances\n"
+            "def corrupted(rule, genus):\n"
+            "    for inst in original(rule, genus):\n"
+            f"        if inst.anchor == {anchor!r}:\n"
+            f"            extra = parse_word({letter!r}, genus).letters\n"
+            "            word = MCGWord(genus, extra + inst.word.letters)\n"
+            "            inst = dataclasses.replace(inst, word=word)\n"
+            "        yield inst\n"
+            "rewrite.rule_instances = corrupted\n"
+            f"sys.exit(main(['verify-lemma', {lemma!r}, '-g', '6']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal check failed")
+        assert f"{rule_id} at {anchor}: axis {axis} leaves the window {window}" in proc.stderr
 
 
 class TestAlphaReduction:
