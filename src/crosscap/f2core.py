@@ -29,6 +29,12 @@ class BudgetExceededError(RuntimeError):
     """An operation was asked to exceed its documented search budget."""
 
 
+def _require_genus_budget(what: str, g: int, cap: int) -> None:
+    """Refuse an exponential search above its genus budget, before any work."""
+    if g > cap:
+        raise BudgetExceededError(f"{what} is budgeted for genus <= {cap}, got {g}")
+
+
 class InternalCheckError(AssertionError):
     """An internal invariant or certificate replay failed.
 

@@ -32,10 +32,10 @@ from functools import lru_cache
 
 from .f2core import Genus, H1Matrix, H1Vector, _odd_mask, intersection
 
-# Both modes are exact and O(g^2); this limit only picks the witness order
-# "auto" reports.  Up to it the witness is the smallest failing class (the
-# one an increasing scan over all 2^g classes would meet first), above it
-# the first failing basis class or basis pair in row order.
+# The isometry test is exact and O(g^2) at every genus; this limit only
+# picks the witness order.  Up to it the witness is the smallest failing
+# class (the one an increasing scan over all 2^g classes would meet first),
+# above it the first failing basis class or basis pair in row order.
 EXHAUSTIVE_LIMIT = 20
 
 _SIGNED = {0: "0", 1: "+1", 2: "2", 3: "-1"}
@@ -46,9 +46,14 @@ def basis_value(index: int) -> int:
     return 1 if index % 2 else 3
 
 
+def _q_mask(v: int, odd: int) -> int:
+    """q on a raw mask: l_odd - l_even = 2 l_odd - weight (mod 4)."""
+    return (2 * (v & odd).bit_count() - v.bit_count()) % 4
+
+
 def q_eval(v: H1Vector) -> int:
     """Value of the form on v, via the closed form l_odd - l_even mod 4."""
-    return (v.l_odd - v.l_even) % 4
+    return _q_mask(v.bits, _odd_mask(v.genus.g))
 
 
 def q_eval_recursive(v: H1Vector) -> int:
@@ -94,11 +99,6 @@ class QPreservationVerdict:
         return self.preserves
 
 
-def _q_mask(v: int, odd: int) -> int:
-    """q on a raw mask: l_odd - l_even = 2 l_odd - weight (mod 4)."""
-    return (2 * (v & odd).bit_count() - v.bit_count()) % 4
-
-
 def _smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
     """The smallest mask whose form value M changes, or None (see the
     module docstring for the proof)."""
@@ -124,27 +124,26 @@ def _first_failing_basis(cols: tuple[int, ...], odd: int) -> int | None:
     return None
 
 
-def preserves_q(m: H1Matrix, mode: str = "auto") -> QPreservationVerdict:
+def preserves_q(m: H1Matrix) -> QPreservationVerdict:
     """Decide whether a matrix is an isometry of the form.
 
     M preserves q exactly when it preserves q on every basis class and the
     intersection pairing on every pair of basis classes: the refinement rule
     then propagates preservation by induction on support size (see the
-    module docstring).  Both modes decide this from the columns in O(g^2)
-    and differ only in the witness a failure reports.  In exhaustive mode it
-    is the smallest failing class, the first class an increasing scan over
-    all 2^g classes meets: x_k for the first column k that changes its form
-    value or pairs oddly with an earlier column, or x_i + x_k in the second
-    case with i the first such earlier column.  In basis mode it is the
-    first failing basis class, else the first oddly pairing basis pair in
-    row order.  "auto" picks exhaustive up to genus EXHAUSTIVE_LIMIT.
+    module docstring).  This is decided from the columns in O(g^2); the
+    genus only picks the witness a failure reports.  Up to genus
+    EXHAUSTIVE_LIMIT ("exhaustive") it is the smallest failing class, the
+    first class an increasing scan over all 2^g classes meets: x_k for the
+    first column k that changes its form value or pairs oddly with an
+    earlier column, or x_i + x_k in the second case with i the first such
+    earlier column.  Above it ("basis") it is the first failing basis class,
+    else the first oddly pairing basis pair in row order.
     """
-    if mode not in ("auto", "exhaustive", "basis"):
-        raise ValueError(f"unknown mode {mode!r}")
     g = m.genus.g
-    if mode == "auto":
-        mode = "exhaustive" if g <= EXHAUSTIVE_LIMIT else "basis"
-    find = _smallest_failing if mode == "exhaustive" else _first_failing_basis
+    if g <= EXHAUSTIVE_LIMIT:
+        mode, find = "exhaustive", _smallest_failing
+    else:
+        mode, find = "basis", _first_failing_basis
     witness = find(m.cols, _odd_mask(g))
     if witness is None:
         return QPreservationVerdict(True, mode)

@@ -33,7 +33,6 @@ from functools import lru_cache
 from itertools import islice
 
 from .f2core import (
-    BudgetExceededError,
     Genus,
     GenusMismatchError,
     H1Matrix,
@@ -41,11 +40,12 @@ from .f2core import (
     InternalCheckError,
     MAX_GENUS,
     _odd_mask,
+    _require_genus_budget,
     apply_mask,
     compose,
     transvection,
 )
-from .gmform import q_eval, q_table
+from .gmform import _q_mask, q_eval
 from .words import MCGWord, _axes, _fold, act, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
@@ -217,7 +217,6 @@ class GroupTable:
     elements: dict[tuple[int, ...], int]
     complete: bool
     diameter: int
-    cap: int | None = None
     tree: _SearchTree | None = None
 
     @property
@@ -300,13 +299,9 @@ def enumerate_orthogonal(genus: Genus) -> GroupTable:
     Budgeted: genus above ENUMERATION_GENUS_CAP is refused.
     """
     g = genus.g
-    if g > ENUMERATION_GENUS_CAP:
-        raise BudgetExceededError(
-            f"orthogonal enumeration is budgeted for genus <= "
-            f"{ENUMERATION_GENUS_CAP}, got {g}"
-        )
-    qtab = q_table(genus)
-    ones, threes = ([v for v in range(1 << g) if qtab[v] == q] for q in (1, 3))
+    _require_genus_budget("orthogonal enumeration", g, ENUMERATION_GENUS_CAP)
+    odd = _odd_mask(g)
+    ones, threes = ([v for v in range(1 << g) if _q_mask(v, odd) == q] for q in (1, 3))
     elements: dict[tuple[int, ...], int] = {}
     _complete_columns(g, (), ones, threes, elements)
     return GroupTable(genus, (), (), elements, True, 0)
@@ -356,7 +351,7 @@ def subgroup_closure(
             complete = False
             break
     return GroupTable(
-        genus, labels, tuple(gens), tree.index, complete, diameter, cap=cap, tree=tree
+        genus, labels, tuple(gens), tree.index, complete, diameter, tree=tree
     )
 
 
@@ -430,10 +425,7 @@ class GenerationReport:
 def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationReport:
     """Close the standard generating set and compare with full enumeration."""
     g = genus.g
-    if g > ENUMERATION_GENUS_CAP:
-        raise BudgetExceededError(
-            f"generation check is budgeted for genus <= {ENUMERATION_GENUS_CAP}, got {g}"
-        )
+    _require_genus_budget("generation check", g, ENUMERATION_GENUS_CAP)
     gens = standard_generators(genus)
     closure = subgroup_closure(
         [m for _, m in gens],
@@ -509,10 +501,7 @@ def factorize(
     """
     gens = list(generators)
     genus = target.genus
-    if genus.g > FACTORIZE_GENUS_CAP:
-        raise BudgetExceededError(
-            f"factorization is budgeted for genus <= {FACTORIZE_GENUS_CAP}, got {genus.g}"
-        )
+    _require_genus_budget("factorization", genus.g, FACTORIZE_GENUS_CAP)
     if cap < 2:
         raise ValueError(
             f"cap must be at least 2, since both starting elements count; got {cap}"
@@ -917,8 +906,8 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
     word = red.word()
     src0 = a if tracked_pair[0] == "a" else a + b
     src1 = b if tracked_pair[1] == "b" else a + b
-    if act(word, src0) != end_pair[0] or act(word, src1) != end_pair[1]:
-        raise InternalCheckError("pair reduction failed to replay")
+    replayed = _fold(_axes(word), [src0.bits, src1.bits])
+    _check(replayed == red.tracked, "pair reduction failed to replay")
 
     identity_applicable = branch == "full_support" and g % 2 == 0 and g >= 6
     identity_holds = None

@@ -31,8 +31,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
-from .gmform import q_table
+from .f2core import (
+    Genus,
+    H1Vector,
+    InternalCheckError,
+    _odd_mask,
+    _require_genus_budget,
+)
+from .gmform import _q_mask
 from .words import MCGWord, _axis_bits, act, alpha_class, parse_word
 
 
@@ -171,8 +177,6 @@ class RewriteRule:
     bidirectional: bool
     noop: bool = False
 
-
-_ANCHOR_MARGIN = {"swap3": 2, "swap4": 3, "twist2": 1, "twist4": 3}
 
 _SWAP3_CERT_A = "Y_{i+2,i} Y_{i+1,i} t_{d_i}"
 _SWAP3_CERT_B = "Y_{i+2,i+1} Y_{i+1,i+2} t_{d_i}"
@@ -370,7 +374,7 @@ def _anchors(rule: RewriteRule, g: int) -> list:
     if rule.family == "alpha":
         triples = combinations(range(1, g + 1), 3)
         return [t for t in triples if _alpha_shift(rule, t) is not None]
-    return list(range(1, g - _ANCHOR_MARGIN[rule.family] + 1))
+    return list(range(1, g - len(rule.window) + 2))
 
 
 def rule_instances(rule: RewriteRule, genus: Genus):
@@ -490,8 +494,6 @@ RSEQ_GENUS_CAP = 18
 COMPONENTS_GENUS_CAP = 12
 
 
-# one entry per genus a forest or a classification can reach
-@lru_cache(maxsize=RSEQ_GENUS_CAP)
 def _shuffle_moves(g: int):
     """The shuffle-rule instances, and the live moves among them as
     (instance index, window mask, lhs bits, rhs bits) in instance order: the
@@ -586,10 +588,7 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     symbol level; never expected).
     """
     g = s.genus.g
-    if g > RSEQ_GENUS_CAP:
-        raise BudgetExceededError(
-            f"sequence reduction is budgeted for genus <= {RSEQ_GENUS_CAP}, got {g}"
-        )
+    _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
     instances, parent = _reduction_forest(g)
     if s.bits not in parent:
         raise FalsificationError(
@@ -658,14 +657,10 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
     must be constant on each (form value, support parity) and the assertion
     that every component contains a normal form."""
     g = genus.g
-    if g > COMPONENTS_GENUS_CAP:
-        raise BudgetExceededError(
-            f"component classification is budgeted for genus <= "
-            f"{COMPONENTS_GENUS_CAP}, got {g}"
-        )
+    _require_genus_budget("component classification", g, COMPONENTS_GENUS_CAP)
     _, moves = _shuffle_moves(g)
     canon = {s.bits for s in canonical_targets(genus)}
-    qtab = q_table(genus)
+    odd = _odd_mask(g)
     seen = [False] * (1 << g)
     summaries = []
     all_ok = True
@@ -682,7 +677,7 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
                 if not seen[v]:
                     seen[v] = True
                     members.append(v)
-        q_values = {qtab[b] for b in members}
+        q_values = {_q_mask(b, odd) for b in members}
         parities = {b.bit_count() & 1 for b in members}
         canonical_members = tuple(
             RSequence(genus, b).ascii() for b in sorted(canon & set(members))

@@ -85,16 +85,20 @@ def _spell_alpha(indices: tuple) -> str:
     return "alpha_{" + ",".join(str(i) for i in indices) + "}"
 
 
-_ALPHA_SET = r"(?:alpha|α)_(?:(\d+)|\{(\d+(?:,\d+)*)\})"
-_RX_YA = re.compile(r"Y_\{" + _ALPHA_SET + "," + _ALPHA_SET + r"\}")
-_RX_Y = re.compile(r"Y_\{(\d+),(\d+)\}")
-_RX_T = re.compile(r"t_\{([a-d])_(?:(\d+)|\{(\d+)\})\}")
+_ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
+# one pattern for every letter, its alternatives tried in order: alpha slide
+# (groups leg, arm), index slide (i, j), twist (kind, index)
+_RX_LETTER = re.compile(
+    r"Y_\{" + _ALPHA_SET + "," + _ALPHA_SET + r"\}"
+    r"|Y_\{(\d+),(\d+)\}"
+    r"|t_\{([a-d])_(\d+|\{\d+\})\}"
+)
 _RX_EXP = re.compile(r"\^(?:\{(-?\d+)\}|(-?\d+))")
 
 
-def _parse_alpha_groups(plain: str | None, braced: str | None) -> tuple[int, ...]:
-    text = plain if plain is not None else braced
-    return tuple(int(t) for t in text.split(","))
+def _indices(text: str) -> tuple[int, ...]:
+    """The indices written "3" or "{1,3,4}"."""
+    return tuple(int(t) for t in text.strip("{}").split(","))
 
 
 def parse_word(text: str, genus: Genus) -> "MCGWord":
@@ -106,23 +110,17 @@ def parse_word(text: str, genus: Genus) -> "MCGWord":
         if text[pos].isspace():
             pos += 1
             continue
-        m = _RX_YA.match(text, pos)
-        if m:
-            leg = _parse_alpha_groups(m.group(1), m.group(2))
-            arm = _parse_alpha_groups(m.group(3), m.group(4))
-            letter = Letter("ya", (leg, arm))
+        m = _RX_LETTER.match(text, pos)
+        if m is None:
+            snippet = text[pos : pos + 16]
+            raise WordParseError(f"unrecognized letter {snippet!r}", pos)
+        leg, arm, i, j, kind, index = m.groups()
+        if leg is not None:
+            letter = Letter("ya", (_indices(leg), _indices(arm)))
+        elif i is not None:
+            letter = Letter("y", (int(i), int(j)))
         else:
-            m = _RX_Y.match(text, pos)
-            if m:
-                letter = Letter("y", (int(m.group(1)), int(m.group(2))))
-            else:
-                m = _RX_T.match(text, pos)
-                if m:
-                    idx = int(m.group(2) if m.group(2) is not None else m.group(3))
-                    letter = Letter(m.group(1), (idx,))
-                else:
-                    snippet = text[pos : pos + 16]
-                    raise WordParseError(f"unrecognized letter {snippet!r}", pos)
+            letter = Letter(kind, _indices(index))
         pos = m.end()
         m = _RX_EXP.match(text, pos)
         if m:
@@ -328,7 +326,7 @@ class ExtendabilityVerdict:
         return out
 
 
-def decide_extendable(word: MCGWord, mode: str = "auto") -> ExtendabilityVerdict:
+def decide_extendable(word: MCGWord) -> ExtendabilityVerdict:
     """Decide extendability of a word over the standardly embedded surface.
 
     A mapping class extends over the ambient four-sphere exactly when its
@@ -337,7 +335,7 @@ def decide_extendable(word: MCGWord, mode: str = "auto") -> ExtendabilityVerdict
     changes.
     """
     m = induced_matrix(word)
-    verdict: QPreservationVerdict = preserves_q(m, mode=mode)
+    verdict: QPreservationVerdict = preserves_q(m)
     return ExtendabilityVerdict(word, m, verdict.preserves, verdict.witness)
 
 

@@ -138,6 +138,47 @@ class TestEnumerate:
         assert "budget" in err
 
 
+# every budget refusal, with the exact stderr line (computed before the
+# genus budgets went through one guard)
+BUDGET_REFUSALS = [
+    (
+        ("enumerate", "-g", "9"),
+        "orthogonal enumeration is budgeted for genus <= 8, got 9",
+    ),
+    (
+        ("verify-lemma", "4.8", "-g", "9"),
+        "generation check is budgeted for genus <= 8, got 9",
+    ),
+    (
+        ("verify-lemma", "thm4.1", "-g", "9"),
+        "generation check is budgeted for genus <= 8, got 9",
+    ),
+    (
+        ("factorize", "-g", "17", "t_{d_1}"),
+        "factorization is budgeted for genus <= 16, got 17",
+    ),
+    (
+        ("reduce-rseq", "pMpMpMpMpMpMpMpMpMp"),
+        "sequence reduction is budgeted for genus <= 18, got 19",
+    ),
+    (
+        ("verify-lemma", "4.4", "-g", "13"),
+        "component classification is budgeted for genus <= 12, got 13",
+    ),
+    (
+        ("verify-lemma", "4.8", "-g", "7", "--cap", "100"),
+        "closure hit the node cap; raise --cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", BUDGET_REFUSALS)
+def test_budget_refusal_pinned(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"budget exhausted: {message}\n"
+
+
 class TestVerifyLemma:
     @pytest.mark.parametrize(
         "lemma,genus",

@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 
 from crosscap import gmform
-from crosscap.f2core import Genus, H1Matrix, H1Vector, compose, transvection
+from crosscap.f2core import Genus, H1Matrix, H1Vector, _odd_mask, compose, transvection
 from crosscap.gmform import (
+    EXHAUSTIVE_LIMIT,
+    _first_failing_basis,
+    _smallest_failing,
     basis_value,
     preserves_q,
     q_eval,
@@ -56,10 +59,9 @@ def mixed_invertible_cols(rng, g):
 
 def assert_matches_scan(m):
     expected = scan_first_failing(m.cols, m.genus.g)
-    for mode in ("auto", "exhaustive"):
-        verdict = preserves_q(m, mode=mode)
-        witness = None if verdict.witness is None else verdict.witness.bits
-        assert (verdict.preserves, witness) == (expected is None, expected)
+    verdict = preserves_q(m)
+    witness = None if verdict.witness is None else verdict.witness.bits
+    assert (verdict.preserves, witness) == (expected is None, expected)
     return expected
 
 
@@ -151,15 +153,11 @@ class TestPreservation:
         genus = Genus(6)
         for _ in range(200):
             m = H1Matrix(genus, mixed_invertible_cols(rng, 6))
-            basis = preserves_q(m, mode="basis")
-            assert basis.preserves == (scan_first_failing(m.cols, 6) is None)
-            if not basis.preserves:
-                w = basis.witness
+            basis = _first_failing_basis(m.cols, _odd_mask(6))
+            assert (basis is None) == (scan_first_failing(m.cols, 6) is None)
+            if basis is not None:
+                w = H1Vector(genus, basis)
                 assert q_eval(m.apply(w)) != q_eval(w)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            preserves_q(H1Matrix.identity(Genus(3)), mode="quick")
 
 
 class TestSmallestWitness:
@@ -208,18 +206,24 @@ class TestSmallestWitness:
         genus = Genus(g)
         for _ in range(30):
             m = decide_extendable(parse_word(random_word_text(rng, g, 12), genus)).matrix
-            assert preserves_q(m) == preserves_q(m, mode="basis")
+            verdict = preserves_q(m)
+            witness = None if verdict.witness is None else verdict.witness.bits
+            assert verdict.mode == "basis"
+            assert witness == _first_failing_basis(m.cols, _odd_mask(g))
 
     def test_pinned_two_class_witnesses(self):
-        # computed with the 2^g scan before it left the library
-        for g, auto in ((20, "x2+x5"), (24, "x1+x7")):
+        # computed with the 2^g scan before it left the library; genus 21 is
+        # the first above the limit
+        assert EXHAUSTIVE_LIMIT == 20
+        for g, expected in ((20, "x2+x5"), (21, "x1+x7"), (24, "x1+x7")):
             cols = [1 << j for j in range(g)]
             cols[4] = bits(2, 4, 5, 6, 8)
             cols[6] = bits(1, 2, 7)
             m = H1Matrix(Genus(g), tuple(cols))
-            assert preserves_q(m).witness.to_text() == auto
-            assert preserves_q(m, mode="exhaustive").witness.to_text() == "x2+x5"
-            assert preserves_q(m, mode="basis").witness.to_text() == "x1+x7"
+            assert preserves_q(m).witness.to_text() == expected
+            odd = _odd_mask(g)
+            assert _smallest_failing(m.cols, odd) == bits(2, 5)
+            assert _first_failing_basis(m.cols, odd) == bits(1, 7)
 
     def test_no_form_table_needed(self, monkeypatch):
         def refuse(genus):

@@ -585,3 +585,31 @@ class TestInternalChecks:
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal check failed")
         assert message in proc.stderr
+
+    def test_corrupted_label_table_fails_pair_replay_under_optimize(self):
+        # the first triple move still folds its own axes, but its word spells
+        # the second triple; only the replay of the joined word sees it
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "from crosscap.f2core import Genus, H1Vector\n"
+            "from crosscap.groupops import _label_table, reduce_isotropic_pair, triple_label\n"
+            "genus = Genus(8)\n"
+            "table = _label_table(genus)\n"
+            "_, axes, matrix = table[triple_label(1)]\n"
+            "table[triple_label(1)] = (table[triple_label(2)][0], axes, matrix)\n"
+            "reduce_isotropic_pair(\n"
+            "    H1Vector.parse(genus, 'x2+x4+x6+x8'), H1Vector.parse(genus, 'x1+x2+x3+x4')\n"
+            ")\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.rstrip().endswith(
+            "InternalCheckError: pair reduction failed to replay"
+        )

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -202,13 +203,17 @@ class TestNormalForms:
         with pytest.raises(BudgetExceededError):
             classify_rseq_components(Genus(COMPONENTS_GENUS_CAP + 1))
 
-    def test_reduction_budget_builds_nothing(self):
+    def test_reduction_budget_builds_nothing(self, monkeypatch):
         assert RSEQ_GENUS_CAP == 18
-        caches = (_shuffle_moves, _reduction_forest)
-        before = [cache.cache_info().currsize for cache in caches]
+
+        def refuse(g):
+            raise AssertionError("the budget must refuse before any move is built")
+
+        monkeypatch.setattr(rewrite, "_shuffle_moves", refuse)
+        before = _reduction_forest.cache_info().currsize
         with pytest.raises(BudgetExceededError):
             reduce_rseq(RSequence(Genus(19), 0))
-        assert [cache.cache_info().currsize for cache in caches] == before
+        assert _reduction_forest.cache_info().currsize == before
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_neighbours_match_adjacency_oracle(self, g):
@@ -244,7 +249,7 @@ class TestNormalForms:
     def test_every_cache_bounded(self):
         from crosscap import f2core, gmform, groupops, rewrite, words
 
-        # the caches README's "Concurrency" section lists, with their bounds
+        # the caches README's "Concurrency" table lists, with their bounds
         caches = {
             f"{obj.__module__.split('.')[-1]}.{obj.__name__}": obj.cache_info().maxsize
             for module in (f2core, gmform, words, groupops, rewrite)
@@ -255,10 +260,13 @@ class TestNormalForms:
             "groupops._moves": 4,
             "groupops._label_table": 64,
             "rewrite._shift_certificate": 2048,
-            "rewrite._shuffle_moves": 18,
             "rewrite._reduction_forest": 4,
             "gmform.q_table": 4,
         }
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Concurrency", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `(\w+\.\w+)`", section, flags=re.M)
+        assert sorted(listed) == sorted(caches)
 
 
 def _with_letter(inst, genus, text):
