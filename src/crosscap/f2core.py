@@ -137,7 +137,7 @@ class H1Vector:
     @property
     def l_even(self) -> int:
         """Number of even indices in the support."""
-        return (self.bits & _even_mask(self.genus.g)).bit_count()
+        return self.weight - self.l_odd
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -165,10 +165,6 @@ _ALTERNATE_BITS = 0x5555_5555_5555_5555
 def _odd_mask(g: int) -> int:
     # odd 1-based indices live on even bit positions
     return _ALTERNATE_BITS & ((1 << g) - 1)
-
-
-def _even_mask(g: int) -> int:
-    return ((1 << g) - 1) ^ _odd_mask(g)
 
 
 def intersection(v: H1Vector, w: H1Vector) -> int:

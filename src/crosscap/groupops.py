@@ -12,11 +12,12 @@ Four kinds of work live here:
   driven to x1+x3, and any isotropic pair to [x1+x2, x3+x4] or to an
   explicitly flagged full-support configuration.
 
-Closure and both factorization waves run one serial breadth-first routine.
-Searches key elements by their column tuples and store a parent index and a
-signed letter per element; matrices and certificate words are built only
-when an element leaves this module.  Both search kinds take their moves
-from one compile step per generating set (`_moves`, a small bounded
+Closure, enumeration and both factorization waves key every element by one
+packed int, column j in bit block j (`_pack`); searches store a parent
+index and a signed letter per element, and column tuples, matrices and
+certificate words are built only when an element leaves this module.  Each
+signed letter is compiled into a few shift-and-multiply terms on the packed
+int, one compile step per generating set (`_moves`, a small bounded
 cache).  The standard generating set is one table per genus
 (`_label_table`): each standard label's parsed word, twist axes and
 matrix.  The reductions take their moves from its axes; a reducer tracks
@@ -50,8 +51,10 @@ from .words import MCGWord, _axes, _fold, act, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
-# each forward move of factorize is a 2^g-entry lookup table: at genus 16
-# the 27 standard letters hold about 1.8 M entries, at genus 20 about 37 M
+# a compiled letter is at most g terms of O(g) shifts, so compiling costs
+# O(g^2); the cap bounds the breadth-first search itself, whose levels grow
+# with the group (40320 elements at genus 7, 2580480 at genus 8) until a
+# sifting factorization replaces it
 FACTORIZE_GENUS_CAP = 16
 
 
@@ -73,7 +76,7 @@ def _spell(labels, word: tuple[int, ...]) -> tuple[str, ...]:
 def _replay(genus: Genus, generators, word: tuple[int, ...]) -> H1Matrix:
     """The product a signed word names, rightmost letter acting first.
 
-    Composes column masks directly, apart from the search's move tables, so
+    Composes column masks directly, apart from the search's packed moves, so
     it checks them; one matrix is built and validated, at the end.
     """
     acc = tuple(1 << j for j in range(genus.g))
@@ -84,15 +87,25 @@ def _replay(genus: Genus, generators, word: tuple[int, ...]) -> H1Matrix:
     return H1Matrix(genus, acc)
 
 
+def _pack(cols, g: int) -> int:
+    """One int for a matrix of genus g: column j in bits g*j .. g*j+g-1."""
+    return sum(c << (g * j) for j, c in enumerate(cols))
+
+
+def _unpack(key: int, g: int) -> tuple[int, ...]:
+    low = (1 << g) - 1
+    return tuple((key >> (g * j)) & low for j in range(g))
+
+
 class _SearchTree:
-    """The nodes of one breadth-first search, keyed by column tuple.
+    """The nodes of one breadth-first search, keyed by packed int.
 
     Node i is the i-th element discovered; it stores the index of its parent
     and the signed letter that reached it.  The root is node 0, so a node's
     word is read off by walking up, first letter first.
     """
 
-    def __init__(self, root: tuple[int, ...]):
+    def __init__(self, root: int):
         self.index = {root: 0}
         self.parent = [0]
         self.letter = [0]
@@ -106,37 +119,50 @@ class _SearchTree:
         return tuple(out)
 
 
-def _left_move(m: H1Matrix):
-    """X -> m X on column tuples, by a lookup table of m's action."""
+def _packed_move(m: H1Matrix, left: bool):
+    """X -> m X (left) or X -> X m on packed ints.
+
+    With n_j = cols[j] ^ (1 << j) for each column where m differs from the
+    identity, and J the columns sharing one n, each distinct n is one term:
+    left, block j of X gains n times the parity of its bits J, read as
+    ((XOR of X >> j, j in J) & ONES) * n; right, every block of J gains the
+    sum of X's blocks in the support of n, read as
+    ((XOR of X >> g*i, i in supp n) & LOW) * E_J, E_J = sum of 1 << g*j.
+    Shift lists are padded to even length with g*g, which reads zero, so a
+    t_{d_i} is one two-shift term and a triple two; those run straight-line.
+    """
     g = m.genus.g
-    tab = [0] * (1 << g)
-    for v in range(1, 1 << g):
-        low = v & -v
-        tab[v] = tab[v ^ low] ^ m.cols[low.bit_length() - 1]
-    image = tab.__getitem__
-    return lambda cols: tuple(map(image, cols))
+    mask = sum(1 << (g * j) for j in range(g)) if left else (1 << g) - 1
+    groups: dict[int, list[int]] = {}
+    for j, c in enumerate(m.cols):
+        if c != 1 << j:
+            groups.setdefault(c ^ (1 << j), []).append(j)
+    terms = []
+    for n, js in groups.items():
+        if left:
+            shifts, mult = js, n
+        else:
+            shifts = [g * i for i in range(g) if (n >> i) & 1]
+            mult = sum(1 << (g * j) for j in js)
+        terms.append((shifts + [g * g] * (len(shifts) % 2), mult))
+    if all(len(shifts) == 2 for shifts, _ in terms):
+        if len(terms) == 1:
+            ((a, b), p) = terms[0]
+            return lambda x: x ^ (((x >> a) ^ (x >> b)) & mask) * p
+        if len(terms) == 2:
+            ((a, b), p), ((c, d), q) = terms
+            return lambda x: (
+                x ^ (((x >> a) ^ (x >> b)) & mask) * p ^ (((x >> c) ^ (x >> d)) & mask) * q
+            )
 
-
-def _right_move(m: H1Matrix):
-    """X -> X m on column tuples: column j of the product sums the columns
-    of X that column j of m selects.  Only the columns where m differs from
-    the identity are summed (two for a t_{d_i}, four for a triple); the rest
-    are copied.  The sums are inlined rather than left to `apply_mask`,
-    since this is the backward wave's inner loop."""
-    changed = [
-        (j, [i for i in range(m.genus.g) if (c >> i) & 1])
-        for j, c in enumerate(m.cols)
-        if c != 1 << j
-    ]
-
-    def move(cols):
-        out = list(cols)
-        for j, positions in changed:
+    def move(x: int) -> int:
+        out = x
+        for shifts, mult in terms:
             acc = 0
-            for i in positions:
-                acc ^= cols[i]
-            out[j] = acc
-        return tuple(out)
+            for s in shifts:
+                acc ^= x >> s
+            out ^= (acc & mask) * mult
+        return out
 
     return move
 
@@ -151,8 +177,8 @@ def _moves(generators: tuple[H1Matrix, ...]):
     stay cached, so repeated searches over one set skip this step."""
     letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
     letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
-    forward = tuple((signed, _left_move(m)) for signed, m, _ in letters)
-    backward = tuple((signed, _right_move(inv)) for signed, _, inv in letters)
+    forward = tuple((signed, _packed_move(m, True)) for signed, m, _ in letters)
+    backward = tuple((signed, _packed_move(inv, False)) for signed, _, inv in letters)
     return forward, backward
 
 
@@ -167,10 +193,10 @@ def _grow(tree: _SearchTree, moves, room: int, other=None) -> list | None:
     frontier, tree.frontier = tree.frontier, []
     new = tree.frontier
     meets = []
-    for cols in frontier:
-        node = index[cols]
+    for key in frontier:
+        node = index[key]
         for signed, move in moves:
-            child = move(cols)
+            child = move(key)
             if child in index:
                 continue
             if room <= 0:
@@ -207,14 +233,17 @@ class GroupElementRecord:
 class GroupTable:
     """A set of matrices, closed under the generators when complete.
 
-    `elements` maps each column tuple to its discovery index.  A closure keeps
-    its search tree, which holds the words; enumerated tables have none.
+    `elements` maps each packed matrix (`_pack`) to its discovery index.  A
+    closure keeps its search tree, which holds the words; enumerated tables
+    have none.  A matrix of another genus is never a member: packed at this
+    genus, a smaller one has a zero top column and a larger one reaches past
+    bit g*g.
     """
 
     genus: Genus
     labels: tuple[str, ...]
     generators: tuple[H1Matrix, ...]
-    elements: dict[tuple[int, ...], int]
+    elements: dict[int, int]
     complete: bool
     diameter: int
     tree: _SearchTree | None = None
@@ -224,20 +253,21 @@ class GroupTable:
         return len(self.elements)
 
     def __contains__(self, m: H1Matrix) -> bool:
-        return m.cols in self.elements
+        return _pack(m.cols, self.genus.g) in self.elements
 
-    def _record(self, cols: tuple[int, ...], index: int) -> GroupElementRecord:
+    def _record(self, key: int, index: int) -> GroupElementRecord:
         word = self.tree.word(index) if self.tree is not None else ()
-        return GroupElementRecord(H1Matrix(self.genus, cols), word)
+        return GroupElementRecord(H1Matrix(self.genus, _unpack(key, self.genus.g)), word)
 
     def record_for(self, m: H1Matrix) -> GroupElementRecord | None:
-        index = self.elements.get(m.cols)
-        return None if index is None else self._record(m.cols, index)
+        key = _pack(m.cols, self.genus.g)
+        index = self.elements.get(key)
+        return None if index is None else self._record(key, index)
 
     def records(self):
         """Every element with its word, in discovery order."""
-        for cols, index in self.elements.items():
-            yield self._record(cols, index)
+        for key, index in self.elements.items():
+            yield self._record(key, index)
 
     def word_labels(self, word: tuple[int, ...]) -> list[str]:
         return list(_spell(self.labels, word))
@@ -273,17 +303,18 @@ class GroupTable:
 # ---------------------------------------------------------------------------
 
 
-def _complete_columns(g: int, prefix: tuple, want, then, out: dict) -> None:
-    """Extend `prefix` by each column of `want`, the next by one of `then`,
-    and so on alternately; both lists hold only candidates orthogonal to
-    every column already chosen."""
-    if len(prefix) == g:
+def _complete_columns(g: int, prefix: int, shift: int, want, then, out: dict) -> None:
+    """Extend the packed `prefix` by each column of `want` at bit `shift`, the
+    next by one of `then`, and so on alternately; both lists hold only
+    candidates orthogonal to every column already chosen."""
+    if shift == g * g:
         out[prefix] = len(out)
         return
     for c in want:
         _complete_columns(
             g,
-            prefix + (c,),
+            prefix | c << shift,
+            shift + g,
             [v for v in then if not (v & c).bit_count() & 1],
             [v for v in want if not (v & c).bit_count() & 1],
             out,
@@ -302,8 +333,8 @@ def enumerate_orthogonal(genus: Genus) -> GroupTable:
     _require_genus_budget("orthogonal enumeration", g, ENUMERATION_GENUS_CAP)
     odd = _odd_mask(g)
     ones, threes = ([v for v in range(1 << g) if _q_mask(v, odd) == q] for q in (1, 3))
-    elements: dict[tuple[int, ...], int] = {}
-    _complete_columns(g, (), ones, threes, elements)
+    elements: dict[int, int] = {}
+    _complete_columns(g, 0, 0, ones, threes, elements)
     return GroupTable(genus, (), (), elements, True, 0)
 
 
@@ -340,7 +371,7 @@ def subgroup_closure(
         raise ValueError("one label per generator required")
 
     moves, _ = _moves(tuple(gens))
-    tree = _SearchTree(H1Matrix.identity(genus).cols)
+    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g))
     diameter = 0
     complete = True
     while tree.frontier:
@@ -497,7 +528,7 @@ def factorize(
     is only claimed when a whole side closed, so the cap must be at least 2.
 
     Budgeted: genus above FACTORIZE_GENUS_CAP raises BudgetExceededError
-    before any move table is compiled.
+    before any letter is compiled.
     """
     gens = list(generators)
     genus = target.genus
@@ -516,9 +547,10 @@ def factorize(
         raise ValueError("one label per generator required")
 
     fwd_moves, bwd_moves = _moves(tuple(gens))
-    fwd = _SearchTree(H1Matrix.identity(genus).cols)
-    bwd = _SearchTree(target.cols)
-    meets = [target.cols] if target.cols in fwd.index else []
+    goal = _pack(target.cols, genus.g)
+    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g))
+    bwd = _SearchTree(goal)
+    meets = [goal] if goal in fwd.index else []
     forward = True
     while not meets:
         explored = len(fwd.index) + len(bwd.index)

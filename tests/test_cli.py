@@ -339,6 +339,21 @@ class TestCliContract:
                 ("verify-lemma", "4.6", "-g", "24"),
                 "3c069b559c73678fd77f856db4cf82345aa35cda7e066f15bd18d5a3c2464001",
             ),
+            (
+                # found, length 5, explored 2643: 144-bit packed keys
+                (
+                    "factorize",
+                    "-g",
+                    "12",
+                    "t_{d_1} t_{d_5} t_{a_3} t_{a_5} t_{c_3} t_{d_9} t_{d_2}",
+                ),
+                "edd28016f615ee7027ef7436912cb8e810bfba401af6f20878629120fb04b4a1",
+            ),
+            (
+                # found, length 3, explored 487: 256-bit keys at the genus cap
+                ("factorize", "-g", "16", "t_{d_1} t_{a_11} t_{a_13} t_{c_11} t_{d_14}"),
+                "00a0424c7a0ff71ddb17d4aa62ab616c7eb546d22d86318563272147a9a3ce1b",
+            ),
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -22,9 +23,10 @@ from crosscap.gmform import preserves_q, q_eval
 from crosscap.groupops import (
     FACTORIZE_GENUS_CAP,
     _Reducer,
-    _left_move,
     _moves,
-    _right_move,
+    _pack,
+    _packed_move,
+    _unpack,
     enumerate_orthogonal,
     factorize,
     full_support_factorization,
@@ -56,11 +58,11 @@ class TestEnumeration:
     def test_against_brute_filter(self, g):
         # oracle: filter every invertible matrix by exhaustive preservation
         table = enumerate_orthogonal(Genus(g))
-        assert set(table.elements) == brute_orthogonal_cols(g)
+        assert {rec.matrix.cols for rec in table.records()} == brute_orthogonal_cols(g)
 
     def test_g3_is_swap(self):
         table = enumerate_orthogonal(Genus(3))
-        mats = set(table.elements)
+        mats = {rec.matrix.cols for rec in table.records()}
         assert H1Matrix.identity(Genus(3)).cols in mats
         assert transvection(vec(3, "x1+x3")).cols in mats
 
@@ -264,37 +266,78 @@ class TestFactorize:
 
 
 class TestMoves:
-    """The search's move tables against `compose`, the product they replace."""
+    """The search's packed moves against `compose`, the product they replace."""
 
     @staticmethod
-    def _matrices(g):
+    def _terms(m):
+        # one term per distinct nonzero column difference from the identity
+        return len({c ^ (1 << j) for j, c in enumerate(m.cols)} - {0})
+
+    @classmethod
+    def _matrices(cls, g):
         rng = random.Random(g)
         genus = Genus(g)
         # uniform invertible matrices are mostly neither involutions nor
-        # isometries; the standard generators are both
+        # isometries, and dense, so they run the general loop over three or
+        # more terms; the standard generators are both, with one term
+        # (t_{d_i}) or two (a triple); the identity has none
         mats = [H1Matrix(genus, random_invertible_cols(rng, g)) for _ in range(12)]
-        mats += [m for _, m in standard_generators(genus)]
+        gens = [m for _, m in standard_generators(genus)]
+        assert {cls._terms(m) for m in gens} == ({1, 2} if g >= 4 else {1} if g == 3 else set())
+        mats += gens
         mats.append(H1Matrix.identity(genus))
+        if g >= 3:
+            assert max(cls._terms(m) for m in mats) >= 3
         xs = [H1Matrix(genus, random_invertible_cols(rng, g)) for _ in range(8)]
         return mats, xs
 
-    @pytest.mark.parametrize("g", range(2, 10))
+    @pytest.mark.parametrize("g", range(2, 17))
     def test_right_move_is_right_product(self, g):
         mats, xs = self._matrices(g)
         assert any(m.inverse() != m for m in mats)
         assert any(not preserves_q(m).preserves for m in mats)
         for m in mats:
-            move = _right_move(m)
+            move = _packed_move(m, False)
             for x in xs:
-                assert move(x.cols) == compose(x, m).cols
+                assert move(_pack(x.cols, g)) == _pack(compose(x, m).cols, g)
 
-    @pytest.mark.parametrize("g", range(2, 10))
+    @pytest.mark.parametrize("g", range(2, 17))
     def test_left_move_is_left_product(self, g):
         mats, xs = self._matrices(g)
         for m in mats:
-            move = _left_move(m)
+            move = _packed_move(m, True)
             for x in xs:
-                assert move(x.cols) == compose(m, x).cols
+                assert move(_pack(x.cols, g)) == _pack(compose(m, x).cols, g)
+
+    @pytest.mark.parametrize("g", range(1, 17))
+    def test_pack_round_trip(self, g):
+        rng = random.Random(100 + g)
+        for _ in range(20):
+            cols = tuple(rng.randrange(1 << g) for _ in range(g))
+            key = _pack(cols, g)
+            # oracle: column j spelled as the j-th g-bit block from the bottom
+            spelled = "".join(format(c, f"0{g}b") for c in reversed(cols))
+            assert key == int(spelled, 2)
+            assert _unpack(key, g) == cols
+
+
+class TestMembershipAcrossGenera:
+    """A matrix of another genus is never a member, with no genus check."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_neighbouring_genera_are_not_members(self, g):
+        genus = Genus(g)
+        closure = subgroup_closure([m for _, m in standard_generators(genus)], genus=genus)
+        for table in (closure, enumerate_orthogonal(genus)):
+            for h in (g - 1, g + 1):
+                other = Genus(h)
+                others = [H1Matrix.identity(other)]
+                others += [m for _, m in standard_generators(other)]
+                others += [rec.matrix for rec in islice(enumerate_orthogonal(other).records(), 50)]
+                for m in others:
+                    assert m not in table
+                    assert table.record_for(m) is None
+            assert H1Matrix.identity(genus) in table
 
 
 class TestMoveCache:
@@ -585,6 +628,45 @@ class TestInternalChecks:
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal check failed")
         assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (
+                "factorize(gens[1], gens)",
+                "factorization word failed to replay",
+            ),
+            ("verify_generation(genus)", "closure certificate failed to replay"),
+        ],
+    )
+    def test_broken_packed_move_fails_replay_under_optimize(self, call, message):
+        # letter 1's forward move applies generator 2: the search still
+        # reaches its targets, but records letter 1; only `_replay`, which
+        # composes column tuples, sees it
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "from crosscap import groupops\n"
+            "from crosscap.f2core import Genus\n"
+            "from crosscap.groupops import factorize, standard_generators, verify_generation\n"
+            "compiled = groupops._moves\n"
+            "def broken(generators):\n"
+            "    forward, backward = compiled(generators)\n"
+            "    return ((1, forward[1][1]),) + forward[1:], backward\n"
+            "groupops._moves = broken\n"
+            "genus = Genus(6)\n"
+            "gens = [m for _, m in standard_generators(genus)]\n"
+            f"{call}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.rstrip().endswith(f"InternalCheckError: {message}")
 
     def test_corrupted_label_table_fails_pair_replay_under_optimize(self):
         # the first triple move still folds its own axes, but its word spells
