@@ -19,6 +19,7 @@ from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from .gmform import q_eval, z4_str
 from .groupops import (
     DEFAULT_NODE_CAP,
+    GenerationReport,
     enumerate_orthogonal,
     factorize,
     reduce_q2_vector,
@@ -235,10 +236,15 @@ def _verify_46(genus: Genus) -> tuple[bool, dict, list[str]]:
     return ok, detail, lines
 
 
-def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
+def _complete_generation(genus: Genus, cap: int) -> GenerationReport:
     report = verify_generation(genus, cap=cap)
     if not report.closure_complete:
         raise BudgetExceededError("closure hit the node cap; raise --cap")
+    return report
+
+
+def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
+    report = _complete_generation(genus, cap)
     lines = [
         f"closure order {report.closure_order}, enumerated order "
         f"{report.enumerated_order}, equal: {report.equal} "
@@ -280,9 +286,7 @@ def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
     words += [f"t_{{d_{i}}}" for i in range(1, g - 1)]
     words += [f"t_{{a_{i}}} t_{{a_{i+2}}} t_{{c_{i}}}" for i in range(1, g - 2)]
     failing = [w for w in words if not decide_extendable(parse_word(w, genus)).extendable]
-    generation = verify_generation(genus, cap=cap)
-    if not generation.closure_complete:
-        raise BudgetExceededError("closure hit the node cap; raise --cap")
+    generation = _complete_generation(genus, cap)
     ok = not failing and generation.equal
     detail = {
         "generator_words": len(words),

@@ -13,12 +13,12 @@ Four kinds of work live here:
   explicitly flagged full-support configuration.
 
 Closure, enumeration and both factorization waves key every element by one
-packed int, column j in bit block j (`_pack`); searches store a parent
-index and a signed letter per element, and column tuples, matrices and
-certificate words are built only when an element leaves this module.  Each
-signed letter is compiled into a few shift-and-multiply terms on the packed
-int, one compile step per generating set (`_moves`, a small bounded
-cache).  The standard generating set is one table per genus
+packed int, column j in bit block j (`_pack`); a search tree maps each to
+the signed letter that reached it, and undoing that letter's move recomputes
+the parent.  Matrices and words are built only when an element leaves this
+module.  Each signed letter is compiled into a few shift-and-multiply terms
+on the packed int, one compile step per generating set (`_moves`, a small
+bounded cache).  The standard generating set is one table per genus
 (`_label_table`): each standard label's parsed word, twist axes and
 matrix.  The reductions take their moves from its axes; a reducer tracks
 plain class masks and builds classes only for its result.
@@ -69,6 +69,14 @@ def _check(ok: bool, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """The labels of n generators, g1..gn unless given; one per generator."""
+    labels = tuple(f"g{k}" for k in range(1, n + 1)) if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise ValueError("one label per generator required")
+    return labels
+
+
 def _spell(labels, word: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(labels[abs(s) - 1] + ("" if s > 0 else "^{-1}") for s in word)
 
@@ -98,25 +106,30 @@ def _unpack(key: int, g: int) -> tuple[int, ...]:
 
 
 class _SearchTree:
-    """The nodes of one breadth-first search, keyed by packed int.
+    """One breadth-first search over packed ints, growing by `moves`.
 
-    Node i is the i-th element discovered; it stores the index of its parent
-    and the signed letter that reached it.  The root is node 0, so a node's
-    word is read off by walking up, first letter first.
+    `index` maps each reached key, in discovery order, to the signed letter
+    whose move reached it (the root to 0).  Undoing that move, by the
+    opposite letter's move or, for an involution, its own, gives the parent;
+    a word is read off up to the root, first letter first.
     """
 
-    def __init__(self, root: int):
+    def __init__(self, root: int, moves: dict):
         self.index = {root: 0}
-        self.parent = [0]
-        self.letter = [0]
         self.frontier = [root]
+        self.moves = moves
 
-    def word(self, node: int) -> tuple[int, ...]:
+    def word(self, key: int) -> tuple[int, ...]:
         out = []
-        while node:
-            out.append(self.letter[node])
-            node = self.parent[node]
-        return tuple(out)
+        # a key at depth d is d undo steps from the root
+        for _ in range(len(self.index)):
+            signed = self.index.get(key)
+            _check(signed is not None, "search tree: an undone move left the tree")
+            if not signed:
+                return tuple(out)
+            out.append(signed)
+            key = self.moves.get(-signed, self.moves[signed])(key)
+        raise InternalCheckError("search tree: undoing moves never reached the root")
 
 
 def _packed_move(m: H1Matrix, left: bool):
@@ -170,31 +183,30 @@ def _packed_move(m: H1Matrix, left: bool):
 @lru_cache(maxsize=4)
 def _moves(generators: tuple[H1Matrix, ...]):
     """Compile a generating set, in order, into its signed alphabet as
-    forward moves X -> a X and backward moves X -> X a^-1, each paired with
-    its signed letter.  Letter k is generator k and -k its inverse; an
+    forward moves X -> a X and backward moves X -> X a^-1, two dicts from
+    signed letter to move.  Letter k is generator k and -k its inverse; an
     inverse equal to the generator itself (an involution) is not listed
     twice.  Each generator is inverted once.  The last four sets compiled
     stay cached, so repeated searches over one set skip this step."""
     letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
     letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
-    forward = tuple((signed, _packed_move(m, True)) for signed, m, _ in letters)
-    backward = tuple((signed, _packed_move(inv, False)) for signed, _, inv in letters)
+    forward = {signed: _packed_move(m, True) for signed, m, _ in letters}
+    backward = {signed: _packed_move(inv, False) for signed, _, inv in letters}
     return forward, backward
 
 
-def _grow(tree: _SearchTree, moves, room: int, other=None) -> list | None:
+def _grow(tree: _SearchTree, room: int, other=None) -> list | None:
     """Add the next breadth-first level to `tree`: children of the frontier
     in discovery order, moves in listed order, unseen children only, at most
     `room` of them.  Returns the inserted children that `other` also holds
     (the meets of a bidirectional search), or None, leaving the level
     partial, when one more insertion was needed.
     """
-    index, parent, letter = tree.index, tree.parent, tree.letter
+    index, moves = tree.index, tuple(tree.moves.items())
     frontier, tree.frontier = tree.frontier, []
     new = tree.frontier
     meets = []
     for key in frontier:
-        node = index[key]
         for signed, move in moves:
             child = move(key)
             if child in index:
@@ -202,9 +214,7 @@ def _grow(tree: _SearchTree, moves, room: int, other=None) -> list | None:
             if room <= 0:
                 return None
             room -= 1
-            index[child] = len(parent)
-            parent.append(node)
-            letter.append(signed)
+            index[child] = signed
             new.append(child)
             if other is not None and child in other:
                 meets.append(child)
@@ -233,11 +243,11 @@ class GroupElementRecord:
 class GroupTable:
     """A set of matrices, closed under the generators when complete.
 
-    `elements` maps each packed matrix (`_pack`) to its discovery index.  A
-    closure keeps its search tree, which holds the words; enumerated tables
-    have none.  A matrix of another genus is never a member: packed at this
-    genus, a smaller one has a zero top column and a larger one reaches past
-    bit g*g.
+    `elements` holds each packed matrix (`_pack`) in discovery order.  A
+    closure's is its search tree's dict, which the tree reads words off;
+    enumerated tables map every matrix to 0 and have no tree.  A matrix of
+    another genus is never a member: packed at this genus, a smaller one has
+    a zero top column and a larger one reaches past bit g*g.
     """
 
     genus: Genus
@@ -255,19 +265,18 @@ class GroupTable:
     def __contains__(self, m: H1Matrix) -> bool:
         return _pack(m.cols, self.genus.g) in self.elements
 
-    def _record(self, key: int, index: int) -> GroupElementRecord:
-        word = self.tree.word(index) if self.tree is not None else ()
+    def _record(self, key: int) -> GroupElementRecord:
+        word = self.tree.word(key) if self.tree is not None else ()
         return GroupElementRecord(H1Matrix(self.genus, _unpack(key, self.genus.g)), word)
 
     def record_for(self, m: H1Matrix) -> GroupElementRecord | None:
         key = _pack(m.cols, self.genus.g)
-        index = self.elements.get(key)
-        return None if index is None else self._record(key, index)
+        return self._record(key) if key in self.elements else None
 
     def records(self):
         """Every element with its word, in discovery order."""
-        for key, index in self.elements.items():
-            yield self._record(key, index)
+        for key in self.elements:
+            yield self._record(key)
 
     def word_labels(self, word: tuple[int, ...]) -> list[str]:
         return list(_spell(self.labels, word))
@@ -308,7 +317,7 @@ def _complete_columns(g: int, prefix: int, shift: int, want, then, out: dict) ->
     next by one of `then`, and so on alternately; both lists hold only
     candidates orthogonal to every column already chosen."""
     if shift == g * g:
-        out[prefix] = len(out)
+        out[prefix] = 0
         return
     for c in want:
         _complete_columns(
@@ -364,18 +373,14 @@ def subgroup_closure(
     for m in gens:
         if m.genus != genus:
             raise GenusMismatchError("generators must share one genus")
-    if labels is None:
-        labels = tuple(f"g{k}" for k in range(1, len(gens) + 1))
-    labels = tuple(labels)
-    if len(labels) != len(gens):
-        raise ValueError("one label per generator required")
+    labels = _labels(labels, len(gens))
 
     moves, _ = _moves(tuple(gens))
-    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g))
+    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), moves)
     diameter = 0
     complete = True
     while tree.frontier:
-        grown = _grow(tree, moves, cap - len(tree.index))
+        grown = _grow(tree, cap - len(tree.index))
         if tree.frontier:
             diameter += 1
         if grown is None:
@@ -540,32 +545,26 @@ def factorize(
     for m in gens:
         if m.genus != genus:
             raise GenusMismatchError("generators must share the target's genus")
-    if labels is None:
-        labels = tuple(f"g{k}" for k in range(1, len(gens) + 1))
-    labels = tuple(labels)
-    if len(labels) != len(gens):
-        raise ValueError("one label per generator required")
+    labels = _labels(labels, len(gens))
 
     fwd_moves, bwd_moves = _moves(tuple(gens))
     goal = _pack(target.cols, genus.g)
-    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g))
-    bwd = _SearchTree(goal)
+    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), fwd_moves)
+    bwd = _SearchTree(goal, bwd_moves)
     meets = [goal] if goal in fwd.index else []
     forward = True
     while not meets:
         explored = len(fwd.index) + len(bwd.index)
-        side, other, moves = (fwd, bwd, fwd_moves) if forward else (bwd, fwd, bwd_moves)
+        side, other = (fwd, bwd) if forward else (bwd, fwd)
         if not side.frontier:
             return FactorizationResult("not_member", None, None, explored)
-        meets = _grow(side, moves, cap - explored, other.index)
+        meets = _grow(side, cap - explored, other.index)
         if meets is None:
             return FactorizationResult(
                 "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
             )
         forward = not forward
-    word = min(
-        (fwd.word(fwd.index[c]) + bwd.word(bwd.index[c]) for c in meets), key=len
-    )
+    word = min((fwd.word(c) + bwd.word(c) for c in meets), key=len)
     _check(_replay(genus, gens, word) == target, "factorization word failed to replay")
     return FactorizationResult(
         "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)

@@ -26,7 +26,6 @@ pairs to 0 with every axis and passes through untouched.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -488,7 +487,8 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 
 
 # reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:
-# its first call at genus 18 takes about 3 s and 51 MB peak RSS on a 2-core host
+# its first call at genus 18 takes about 3.1 s and 38 MB peak RSS in a fresh
+# process on a 2-core host (Python 3.11.7)
 RSEQ_GENUS_CAP = 18
 # classify_rseq_components walks the components of all 2^g sequences
 COMPONENTS_GENUS_CAP = 12
@@ -514,34 +514,36 @@ def _shuffle_moves(g: int):
     return instances, moves
 
 
-def _neighbours(u: int, moves):
-    """Edges of the sequence graph at u, read off the rule masks: (target,
-    instance index, "fwd" if the move maps its lhs to its rhs, else "rev")."""
-    for idx, wmask, lhs, rhs in moves:
-        window = u & wmask
-        if window == lhs:
-            yield u ^ lhs ^ rhs, idx, "fwd"
-        elif window == rhs:
-            yield u ^ lhs ^ rhs, idx, "rev"
+def _spread(reached: dict, sources, moves) -> list[int]:
+    """Breadth-first search of the sequence graph from `sources`: a move links
+    u to u ^ lhs ^ rhs when u's window shows either side.  Sources join
+    `reached` as None, each new sequence as the instance index of the move
+    that reached it.  Returns the members in discovery order."""
+    members = list(sources)
+    reached.update(dict.fromkeys(members))
+    # the loop visits the members it appends, level after level
+    for u in members:
+        for idx, wmask, lhs, rhs in moves:
+            window = u & wmask
+            if window == lhs or window == rhs:
+                v = u ^ lhs ^ rhs
+                if v not in reached:
+                    reached[v] = idx
+                    members.append(v)
+    return members
 
 
 # the forests of the last four genera stay cached: at genus 15-18 together
-# about 480 k links
+# about 480 k entries, each a shared small int
 @lru_cache(maxsize=4)
 def _reduction_forest(g: int):
     """Multi-source BFS forest from the normal forms over the sequence graph:
-    each reached sequence maps to its parent link, each normal form to None."""
+    each normal form maps to None, each other sequence to the instance index
+    of the move that reached it, whose undoing gives its parent."""
     instances, moves = _shuffle_moves(g)
-    parent = {target.bits: None for target in canonical_targets(Genus(g))}
-    queue = deque(parent)
-    while queue:
-        u = queue.popleft()
-        for v, idx, direction in _neighbours(u, moves):
-            if v not in parent:
-                # the edge runs u -> v; the path step v -> u reverses it
-                parent[v] = (u, idx, "rev" if direction == "fwd" else "fwd")
-                queue.append(v)
-    return instances, parent
+    forest: dict[int, int | None] = {}
+    _spread(forest, [target.bits for target in canonical_targets(Genus(g))], moves)
+    return instances, forest
 
 
 @dataclass(frozen=True)
@@ -589,8 +591,8 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     """
     g = s.genus.g
     _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
-    instances, parent = _reduction_forest(g)
-    if s.bits not in parent:
+    instances, forest = _reduction_forest(g)
+    if s.bits not in forest:
         raise FalsificationError(
             f"sequence {s.ascii()} lies in a component without a normal form"
         )
@@ -598,9 +600,11 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     states = [s.bits]
     step_words: list[MCGWord] = []
     cur = s.bits
-    while (link := parent[cur]) is not None:
-        cur, idx, direction = link
+    while (idx := forest[cur]) is not None:
         inst = instances[idx]
+        # the step back to the parent runs forward when cur shows the lhs
+        direction = "fwd" if cur & inst.window_bits == inst.lhs_bits else "rev"
+        cur ^= inst.lhs_bits ^ inst.rhs_bits
         step_words.append(inst.word if direction == "fwd" else inst.word.inverse())
         steps.append(PathStep(inst.rule.rule_id, inst.anchor, direction))
         states.append(cur)
@@ -661,22 +665,13 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
     _, moves = _shuffle_moves(g)
     canon = {s.bits for s in canonical_targets(genus)}
     odd = _odd_mask(g)
-    seen = [False] * (1 << g)
+    reached: dict[int, int | None] = {}
     summaries = []
     all_ok = True
     for start in range(1 << g):
-        if seen[start]:
+        if start in reached:
             continue
-        members = [start]
-        seen[start] = True
-        head = 0
-        while head < len(members):
-            u = members[head]
-            head += 1
-            for v, _, _ in _neighbours(u, moves):
-                if not seen[v]:
-                    seen[v] = True
-                    members.append(v)
+        members = _spread(reached, [start], moves)
         q_values = {_q_mask(b, odd) for b in members}
         parities = {b.bit_count() & 1 for b in members}
         canonical_members = tuple(

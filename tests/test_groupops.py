@@ -640,9 +640,10 @@ class TestInternalChecks:
         ],
     )
     def test_broken_packed_move_fails_replay_under_optimize(self, call, message):
-        # letter 1's forward move applies generator 2: the search still
-        # reaches its targets, but records letter 1; only `_replay`, which
-        # composes column tuples, sees it
+        # letter 1's forward move applies generator 2, an involution, so the
+        # undo walk still finds each parent: the search reaches its targets
+        # but records letter 1; only `_replay`, which composes column tuples,
+        # sees it
         src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap import groupops\n"
@@ -651,7 +652,7 @@ class TestInternalChecks:
             "compiled = groupops._moves\n"
             "def broken(generators):\n"
             "    forward, backward = compiled(generators)\n"
-            "    return ((1, forward[1][1]),) + forward[1:], backward\n"
+            "    return {**forward, 1: forward[2]}, backward\n"
             "groupops._moves = broken\n"
             "genus = Genus(6)\n"
             "gens = [m for _, m in standard_generators(genus)]\n"
@@ -667,6 +668,60 @@ class TestInternalChecks:
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert proc.stderr.rstrip().endswith(f"InternalCheckError: {message}")
+
+    @pytest.mark.parametrize(
+        "undo,call,message",
+        [
+            # letter -1 never reaches a new element, so the search finds the
+            # same set, but undoing letter 1 stays put, so the walk alone
+            # would never reach the root
+            (
+                "lambda x: x",
+                "factorize(gens[0], gens)",
+                "undoing moves never reached the root",
+            ),
+            (
+                "lambda x: x",
+                "list(subgroup_closure(gens).records())",
+                "undoing moves never reached the root",
+            ),
+            # undoing letter 1 lands on a key the tree never reached
+            (
+                "lambda x: x ^ 1 << 8",
+                "factorize(gens[0], gens)",
+                "an undone move left the tree",
+            ),
+        ],
+    )
+    def test_broken_undo_move_fails_check_under_optimize(self, undo, call, message):
+        # the inverse of the 3-cycle is a listed letter, so its move is what
+        # undoes letter 1; only the undo walk, bounded by the tree's size,
+        # sees the fault, never a KeyError or an endless walk
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "from crosscap import groupops\n"
+            "from crosscap.f2core import Genus, H1Matrix, transvection, H1Vector\n"
+            "from crosscap.groupops import factorize, subgroup_closure\n"
+            "compiled = groupops._moves\n"
+            "def broken(generators):\n"
+            "    forward, backward = compiled(generators)\n"
+            f"    return {{**forward, -1: {undo}}}, backward\n"
+            "groupops._moves = broken\n"
+            "genus = Genus(3)\n"
+            "gens = [H1Matrix(genus, (0b010, 0b100, 0b001)),\n"
+            "        transvection(H1Vector.parse(genus, 'x1+x3'))]\n"
+            f"{call}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.rstrip().endswith(f"InternalCheckError: search tree: {message}")
 
     def test_corrupted_label_table_fails_pair_replay_under_optimize(self):
         # the first triple move still folds its own axes, but its word spells

@@ -21,10 +21,8 @@ from crosscap.rewrite import (
     RSequence,
     _alpha_shift,
     _check_window_local,
-    _neighbours,
     _reduction_forest,
     _shift_certificate,
-    _shuffle_moves,
     builtin_rule_tables,
     canonical_targets,
     circle_predicates,
@@ -217,12 +215,48 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_neighbours_match_adjacency_oracle(self, g):
-        # same edges in the same order, so the forest and its paths agree
+        # the neighbours `_spread` reads off the rule masks, against the
+        # explicit adjacency lists: a breadth-first search over the lists
+        # reaches the same sequences in the same order through the same
+        # instances as the forest
         oracle_instances, adj = sequence_graph(g)
-        instances, moves = _shuffle_moves(g)
+        oracle = {t.bits: None for t in canonical_targets(Genus(g))}
+        queue = list(oracle)
+        for u in queue:
+            for v, idx, _ in adj[u]:
+                if v not in oracle:
+                    oracle[v] = idx
+                    queue.append(v)
+        instances, forest = _reduction_forest(g)
         assert instances == oracle_instances
-        for u in range(1 << g):
-            assert list(_neighbours(u, moves)) == adj[u]
+        assert list(forest.items()) == list(oracle.items())
+        if g > 10:
+            return
+        # the components need every edge, not only the forest's
+        canon = {t.bits for t in canonical_targets(Genus(g))}
+        seen = set()
+        expected = []
+        for start in range(1 << g):
+            if start in seen:
+                continue
+            members = {start}
+            queue = [start]
+            for u in queue:
+                for v, _, _ in adj[u]:
+                    if v not in members:
+                        members.add(v)
+                        queue.append(v)
+            seen |= members
+            expected.append(
+                (
+                    len(members),
+                    RSequence(Genus(g), start).ascii(),
+                    tuple(RSequence(Genus(g), b).ascii() for b in sorted(canon & members)),
+                )
+            )
+        report = classify_rseq_components(Genus(g))
+        got = [(c.size, c.representative, c.canonical_members) for c in report.components]
+        assert got == expected
 
     def test_certificates_spell_as_instantiated(self):
         # reduce_alpha returns the spelling of the parsed step words
