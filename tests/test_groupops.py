@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -11,6 +12,8 @@ import pytest
 
 import crosscap
 
+from crosscap import groupops
+from crosscap.cli import main
 from crosscap.f2core import (
     BudgetExceededError,
     Genus,
@@ -19,7 +22,7 @@ from crosscap.f2core import (
     compose,
     transvection,
 )
-from crosscap.gmform import preserves_q, q_eval
+from crosscap.gmform import preserves_q, q_eval, q_table
 from crosscap.groupops import (
     FACTORIZE_GENUS_CAP,
     _Reducer,
@@ -30,10 +33,12 @@ from crosscap.groupops import (
     enumerate_orthogonal,
     factorize,
     full_support_factorization,
+    level_counts,
     reduce_isotropic_pair,
     reduce_q2_vector,
     standard_generators,
     subgroup_closure,
+    two_index_label,
     verify_generation,
 )
 from crosscap.words import act, induced_matrix, parse_word
@@ -140,13 +145,75 @@ class TestClosure:
         assert digest == "42823ba4f5e3d20489baa26be6716bf7687cb7c4b7f68a05417807714cc140ed"
 
 
+def brute_level_count(g: int, j: int) -> int:
+    """|B_j| by a scan over all 2^g classes: q(c) = q(x_j), c orthogonal to
+    x_1..x_{j-1} and c outside span(x_1..x_{j-1}, x1+...+xg)."""
+    q = q_table(Genus(g))
+    low = [1 << i for i in range(j - 1)]
+    span = {0}
+    for v in low + [(1 << g) - 1]:
+        span |= {s ^ v for s in span}
+    return sum(
+        1
+        for c in range(1 << g)
+        if q[c] == q[1 << (j - 1)]
+        and not any((c & x).bit_count() & 1 for x in low)
+        and c not in span
+    )
+
+
+def no_enumeration(genus):
+    raise AssertionError("the generation check enumerated the group")
+
+
 class TestGeneration:
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
-    def test_closure_equals_enumeration(self, g):
+    def test_closure_equals_enumeration(self, g, monkeypatch):
+        # the order is proved by counting: the enumeration is never asked
+        monkeypatch.setattr(groupops, "enumerate_orthogonal", no_enumeration)
         report = verify_generation(Genus(g))
         assert report.equal
         assert report.closure_order == GOLDEN["orders"][str(g)]
+        assert report.enumerated_order == report.closure_order
         assert report.diameter == GOLDEN["diameters"][str(g)]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
+    def test_counting_bound_is_enumerated_order(self, g):
+        assert math.prod(level_counts(Genus(g))) == enumerate_orthogonal(Genus(g)).order
+
+    def test_counting_bound_golden_at_genus_8(self):
+        assert math.prod(level_counts(Genus(8))) == GOLDEN["orders"]["8"]
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_level_counts_against_scan(self, g):
+        # B_g = {x_g} by definition: x_g lies in span(x_<g, w), so the scan
+        # finds nothing there
+        counts = level_counts(Genus(g))
+        assert counts == tuple(brute_level_count(g, j) for j in range(1, g)) + (1,)
+
+    def test_non_isometry_closure_of_bound_order_is_falsified(self, monkeypatch, capsys):
+        # the transvection about x1+x2 is an involution sending x1 (q = 1) to
+        # x2 (q = 3): its closure has order 2, the counting bound at genus 3,
+        # so only the preserves_q premise tells it from the isometry group
+        genus = Genus(3)
+        t = transvection(vec(3, "x1+x2"))
+        assert not preserves_q(t) and math.prod(level_counts(genus)) == 2
+        monkeypatch.setattr(groupops, "standard_generators", lambda genus: [("t", t)])
+        report = verify_generation(genus)
+        assert (report.closure_order, report.closure_complete) == (2, True)
+        assert not report.equal
+        assert main(["verify-lemma", "4.8", "-g", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["detail"]["equal"] is False
+
+    @pytest.mark.parametrize("g,order", [(5, 12), (6, 36), (7, 144), (8, 576)])
+    def test_dropping_every_triple_is_falsified(self, g, order, monkeypatch, capsys):
+        two_index = {two_index_label(i) for i in range(1, g - 1)}
+        kept = [(label, m) for label, m in standard_generators(Genus(g)) if label in two_index]
+        monkeypatch.setattr(groupops, "standard_generators", lambda genus: kept)
+        assert main(["verify-lemma", "4.8", "-g", str(g)]) == 1
+        detail = json.loads(capsys.readouterr().out)["detail"]
+        assert (detail["closure_order"], detail["equal"]) == (order, False)
+        assert detail["enumerated_order"] == GOLDEN["orders"][str(g)]
 
     def test_budget_bounds(self):
         # genus 1 is inside the budget: the closure {I} equals the enumeration {I}
