@@ -283,8 +283,7 @@ def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
     words += [f"Y_{{{i},{j}}}" for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
     words += [f"t_{{a_{i}}}^{{2}}" for i in range(1, g)]
     words += [f"t_{{c_{i}}}^{{2}}" for i in range(1, g - 2)]
-    words += [f"t_{{d_{i}}}" for i in range(1, g - 1)]
-    words += [f"t_{{a_{i}}} t_{{a_{i+2}}} t_{{c_{i}}}" for i in range(1, g - 2)]
+    words += [label for label, _ in standard_generators(genus)]
     failing = [w for w in words if not decide_extendable(parse_word(w, genus)).extendable]
     generation = _complete_generation(genus, cap)
     ok = not failing and generation.equal
@@ -352,9 +351,8 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(sub, genus_required: bool = True):
-    if genus_required:
-        sub.add_argument("-g", "--genus", type=int, required=True)
+def _add_common(sub):
+    sub.add_argument("-g", "--genus", type=int, required=True)
     sub.add_argument("--format", choices=("text", "json"), default="json")
 
 

@@ -43,6 +43,12 @@ class InternalCheckError(AssertionError):
     """
 
 
+def _check(ok: bool, what: str) -> None:
+    """An internal invariant; unlike `assert`, it survives `python -O`."""
+    if not ok:
+        raise InternalCheckError(what)
+
+
 @dataclass(frozen=True, order=True)
 class Genus:
     """Crosscap count of the surface; fixes the rank of mod-2 homology."""
@@ -128,16 +134,6 @@ class H1Vector:
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    @property
-    def l_odd(self) -> int:
-        """Number of odd indices in the support."""
-        return (self.bits & _odd_mask(self.genus.g)).bit_count()
-
-    @property
-    def l_even(self) -> int:
-        """Number of even indices in the support."""
-        return self.weight - self.l_odd
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -42,6 +42,7 @@ from .f2core import (
     H1Vector,
     InternalCheckError,
     MAX_GENUS,
+    _check,
     _odd_mask,
     _require_genus_budget,
     apply_mask,
@@ -49,7 +50,7 @@ from .f2core import (
     transvection,
 )
 from .gmform import _q_mask, basis_value, preserves_q, q_eval
-from .words import MCGWord, _axes, _fold, act, parse_word
+from .words import MCGWord, _axes, _fold, certify, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
@@ -58,12 +59,6 @@ ENUMERATION_GENUS_CAP = 8
 # with the group (40320 elements at genus 7, 2580480 at genus 8) until a
 # sifting factorization replaces it
 FACTORIZE_GENUS_CAP = 16
-
-
-def _check(ok: bool, what: str) -> None:
-    """An internal invariant; unlike `assert`, it survives `python -O`."""
-    if not ok:
-        raise InternalCheckError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +443,6 @@ class GenerationReport:
     diameter: int
     closure_complete: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.equal
-
     def to_json(self) -> dict:
         return {
             "genus": self.genus,
@@ -609,8 +600,8 @@ class _Reducer:
     """Applies standard generators to tracked class masks, recording the moves.
 
     Each move folds the cached axes of its label over the masks.  Moves are
-    recorded in application order; the word reverses them so the first move
-    sits rightmost, matching word composition order.
+    recorded in application order; `certify` joins their label words with
+    the first move rightmost, matching word composition order.
     """
 
     def __init__(self, genus: Genus, tracked: list[H1Vector]):
@@ -632,9 +623,11 @@ class _Reducer:
     def vector(self, idx: int) -> H1Vector:
         return H1Vector(self.genus, self.tracked[idx])
 
-    def word(self) -> MCGWord:
-        words = (self._table[label][0] for label in reversed(self.moves))
-        return MCGWord.product(self.genus, words)
+    def word(self, sources: list[int], what: str) -> MCGWord:
+        """The moves as one word, replayed from the source masks onto the
+        tracked masks."""
+        steps = [self._table[label][0] for label in self.moves]
+        return certify(self.genus, steps, sources, self.tracked, what)
 
 
 def _support(bits: int) -> list[int]:
@@ -821,11 +814,8 @@ def reduce_q2_vector(a: H1Vector) -> VectorReduction:
         raise ValueError(f"form value of {a.to_text()} is {val}, need 2")
     red = _Reducer(a.genus, [a])
     _normalize_q2(red, 0)
-    end = red.vector(0)
-    word = red.word()
-    ok = act(word, a) == end == H1Vector.from_indices(a.genus, (1, 3))
-    _check(ok, "q=2 reduction failed to replay")
-    return VectorReduction(a, end, tuple(red.moves), word.spell(), True)
+    word = red.word([a.bits], "q=2 reduction failed to replay")
+    return VectorReduction(a, red.vector(0), tuple(red.moves), word.spell(), True)
 
 
 def full_support_factorization(genus: Genus) -> tuple[H1Matrix, H1Matrix]:
@@ -963,11 +953,9 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
                 _check(red.tracked[1] == 0b1100, "pair reduction: second class is not x3+x4")
 
     end_pair = (red.vector(0), red.vector(1))
-    word = red.word()
     src0 = a if tracked_pair[0] == "a" else a + b
     src1 = b if tracked_pair[1] == "b" else a + b
-    replayed = _fold(_axes(word), [src0.bits, src1.bits])
-    _check(replayed == red.tracked, "pair reduction failed to replay")
+    word = red.word([src0.bits, src1.bits], "pair reduction failed to replay")
 
     identity_applicable = branch == "full_support" and g % 2 == 0 and g >= 6
     identity_holds = None

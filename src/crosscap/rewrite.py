@@ -38,7 +38,7 @@ from .f2core import (
     _require_genus_budget,
 )
 from .gmform import _q_mask
-from .words import MCGWord, _axis_bits, act, alpha_class, parse_word
+from .words import MCGWord, _axis_bits, act, certify, parse_word
 
 
 class FalsificationError(RuntimeError):
@@ -242,6 +242,8 @@ _RULES: list[RewriteRule] = [
 ]
 
 _RULES_BY_ID = {r.rule_id: r for r in _RULES}
+# the index shifts in priority order: AL.p, at position p - 1, moves entry p
+_SHIFT_RULES = tuple(r for r in _RULES if r.family == "alpha")
 
 # Terminal triples of the index-shift system and their class labels: the
 # first four are equivalent to the first one-sided circle, the last four to
@@ -325,16 +327,19 @@ def _window_instance(rule: RewriteRule, anchor: int, genus: Genus) -> RuleInstan
     )
 
 
-def _alpha_shift(rule: RewriteRule, triple: tuple[int, int, int]):
-    """Shifted triple and slot value if the rule applies to the triple."""
-    i, j, k = triple
-    if rule.rule_id == "AL.1" and i > 2:
-        return (i - 2, j, k), i
-    if rule.rule_id == "AL.2" and j > i + 2:
-        return (i, j - 2, k), j
-    if rule.rule_id == "AL.3" and k > j + 2:
-        return (i, j, k - 2), k
-    return None
+def _alpha_shift(p: int, triple: tuple[int, int, int]):
+    """AL.p: lower entry p by two when it sits more than 2 above entry p - 1,
+    reading 0 before the first entry.  The shifted triple and the slot (the
+    entry's value) if the rule applies, else None."""
+    n = triple[p - 1]
+    if n <= ((0,) + triple)[p - 1] + 2:
+        return None
+    return triple[: p - 1] + (n - 2,) + triple[p:], n
+
+
+def _mask(indices) -> int:
+    """Class mask of the sum of x_t over distinct indices t."""
+    return sum(1 << (t - 1) for t in indices)
 
 
 # room for every slot n at every genus up to 64: the sum of g-2 over g is 1953
@@ -349,13 +354,8 @@ def _shift_certificate(genus: Genus, n: int) -> tuple[str, MCGWord]:
 def _alpha_instance(
     rule: RewriteRule, triple: tuple[int, int, int], genus: Genus
 ) -> RuleInstance:
-    shifted, slot = _alpha_shift(rule, triple)
-    lhs = 0
-    for t in triple:
-        lhs |= 1 << (t - 1)
-    rhs = 0
-    for t in shifted:
-        rhs |= 1 << (t - 1)
+    shifted, slot = _alpha_shift(_SHIFT_RULES.index(rule) + 1, triple)
+    lhs, rhs = _mask(triple), _mask(shifted)
     certificate, word = _shift_certificate(genus, slot)
     return RuleInstance(
         rule=rule,
@@ -371,8 +371,9 @@ def _alpha_instance(
 def _anchors(rule: RewriteRule, g: int) -> list:
     """Where the rule applies at this genus: window anchors or triples."""
     if rule.family == "alpha":
+        p = _SHIFT_RULES.index(rule) + 1
         triples = combinations(range(1, g + 1), 3)
-        return [t for t in triples if _alpha_shift(rule, t) is not None]
+        return [t for t in triples if _alpha_shift(p, t) is not None]
     return list(range(1, g - len(rule.window) + 2))
 
 
@@ -608,13 +609,10 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
         step_words.append(inst.word if direction == "fwd" else inst.word.inverse())
         steps.append(PathStep(inst.rule.rule_id, inst.anchor, direction))
         states.append(cur)
-    end = RSequence(s.genus, cur)
-    word = MCGWord.product(s.genus, reversed(step_words))
-    if act(word, rseq_decode(s)) != rseq_decode(end):
-        raise InternalCheckError("path certificate failed to replay")
+    word = certify(s.genus, step_words, [s.bits], [cur], "path certificate failed to replay")
     return CertifiedPath(
         start=s,
-        end=end,
+        end=RSequence(s.genus, cur),
         steps=tuple(steps),
         states=tuple(RSequence(s.genus, b) for b in states),
         word=word.spell(),
@@ -752,35 +750,29 @@ class AlphaReduction:
 
 def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     """Shift the triple down (first index, then second, then third) until one
-    of the eight terminals is reached; certificate replay-verified."""
+    of the eight terminals is reached; certificate replay-verified.  A shift
+    lowers one entry by two and entries stay at least 1, so each rule's loop
+    ends; AL.p leaves the entries before p alone, so no earlier rule applies
+    again."""
     if triple.k > genus.g:
         raise ValueError(f"triple {triple.as_tuple} does not fit genus {genus.g}")
     start = triple.as_tuple
     cur = start
     steps: list[AlphaStep] = []
     step_words: list[MCGWord] = []
-    for _ in range(sum(start) // 2 + 1):
-        for rule_id in ("AL.1", "AL.2", "AL.3"):
-            rule = _RULES_BY_ID[rule_id]
-            shift = _alpha_shift(rule, cur)
-            if shift is not None:
-                shifted, slot = shift
-                certificate, word = _shift_certificate(genus, slot)
-                steps.append(AlphaStep(rule_id, cur, shifted, certificate))
-                step_words.append(word)
-                cur = shifted
-                break
-        else:
-            break  # no shift applies
-    else:
-        raise InternalCheckError("index-shift loop failed to terminate")
+    for p, rule in enumerate(_SHIFT_RULES, 1):
+        while (shift := _alpha_shift(p, cur)) is not None:
+            shifted, slot = shift
+            certificate, word = _shift_certificate(genus, slot)
+            steps.append(AlphaStep(rule.rule_id, cur, shifted, certificate))
+            step_words.append(word)
+            cur = shifted
     if cur not in ALPHA_TERMINALS:
         raise FalsificationError(
             f"triple {start} stopped at {cur}, which is not a listed terminal"
         )
-    word = MCGWord.product(genus, reversed(step_words))
-    if act(word, alpha_class(genus, start)) != alpha_class(genus, cur):
-        raise InternalCheckError("index-shift certificate failed to replay")
+    what = "index-shift certificate failed to replay"
+    word = certify(genus, step_words, [_mask(start)], [_mask(cur)], what)
     return AlphaReduction(
         start=start,
         terminal=cur,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, _require_same_genus
+from .f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, _check, _require_same_genus
 from .gmform import QPreservationVerdict, preserves_q, q_eval, z4_str
 
 
@@ -290,6 +290,16 @@ def _fold(axes, masks) -> list[int]:
                 c ^= a
         out.append(c)
     return out
+
+
+def certify(genus: Genus, steps, sources, targets, what: str) -> MCGWord:
+    """A reduction's certificate: its list of step words joined into one
+    word, the first step acting first.  The word's own axes must carry the
+    list of source class masks onto the list of target masks, or
+    InternalCheckError(what) is raised."""
+    word = MCGWord.product(genus, reversed(steps))
+    _check(_fold(_axes(word), sources) == targets, what)
+    return word
 
 
 def act(word: MCGWord, v: H1Vector) -> H1Vector:

@@ -148,3 +148,23 @@ def random_letter(rng, g: int) -> str:
 
 def random_word_text(rng, g: int, max_len: int = 10) -> str:
     return " ".join(random_letter(rng, g) for _ in range(rng.randint(0, max_len)))
+
+
+def shift_steps(triple: tuple[int, int, int]) -> list[tuple[str, tuple, tuple]]:
+    """Oracle for the index-shift reduction, as the rules are stated: AL.1
+    lowers i by two when i > 2, AL.2 lowers j when j > i + 2, AL.3 lowers k
+    when k > j + 2.  The first rule that applies is applied, until none
+    does; returns each step as (rule id, before, after)."""
+    steps = []
+    i, j, k = triple
+    while True:
+        if i > 2:
+            rule, after = "AL.1", (i - 2, j, k)
+        elif j > i + 2:
+            rule, after = "AL.2", (i, j - 2, k)
+        elif k > j + 2:
+            rule, after = "AL.3", (i, j, k - 2)
+        else:
+            return steps
+        steps.append((rule, (i, j, k), after))
+        i, j, k = after

@@ -354,6 +354,11 @@ class TestCliContract:
                 ("factorize", "-g", "16", "t_{d_1} t_{a_11} t_{a_13} t_{c_11} t_{d_14}"),
                 "00a0424c7a0ff71ddb17d4aa62ab616c7eb546d22d86318563272147a9a3ce1b",
             ),
+            (
+                # every triple of the index-shift system at genus 32
+                ("verify-lemma", "4.10", "-g", "32"),
+                "f44ae10538a24e701519ba877a7fbafffa7bf7755b632b575c400913de7a3e50",
+            ),
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):

@@ -61,9 +61,6 @@ class TestVectorNotation:
     def test_lengths(self):
         v = vec(6, "x1+x2+x4")
         assert v.weight == 3
-        assert v.l_odd == 1
-        assert v.l_even == 2
-        assert v.l_odd + v.l_even == v.weight
 
 
 class TestIntersection:

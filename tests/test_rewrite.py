@@ -40,7 +40,7 @@ from crosscap.rewrite import (
 )
 from crosscap.words import MCGWord, alpha_class, induced_matrix, parse_word
 
-from helpers import leaves_window, sequence_graph, window_positions
+from helpers import leaves_window, sequence_graph, shift_steps, window_positions
 
 
 def vec(g, text):
@@ -425,14 +425,77 @@ class TestAlphaReduction:
         # the fixed priority is a determinism choice; random application
         # order must land on the same terminal
         rng = random.Random(11)
-        rules = [rule_by_id(r) for r in ("AL.1", "AL.2", "AL.3")]
         for g in range(3, 10):
             for t in combinations(range(1, g + 1), 3):
                 expected = reduce_alpha(Genus(g), AlphaTriple(*t)).terminal
                 cur = t
                 while True:
-                    options = [r for r in rules if _alpha_shift(r, cur) is not None]
+                    options = [p for p in (1, 2, 3) if _alpha_shift(p, cur) is not None]
                     if not options:
                         break
                     cur = _alpha_shift(rng.choice(options), cur)[0]
                 assert cur == expected
+
+    def test_steps_match_first_applicable_oracle(self):
+        for g in range(3, 25):
+            genus = Genus(g)
+            for t in combinations(range(1, g + 1), 3):
+                expected = shift_steps(t)
+                red = reduce_alpha(genus, AlphaTriple(*t))
+                assert [(s.rule_id, s.before, s.after) for s in red.steps] == expected
+                # along the path no earlier rule applies, and each rule's shift
+                # is the oracle's, its slot the entry it lowers
+                for rule, before, after in expected:
+                    p = int(rule[-1])
+                    assert [_alpha_shift(q, before) for q in range(1, p)] == [None] * (p - 1)
+                    assert _alpha_shift(p, before) == (after, before[p - 1])
+                assert [_alpha_shift(p, red.terminal) for p in (1, 2, 3)] == [None] * 3
+
+
+class TestCertificateReplay:
+    @pytest.mark.parametrize(
+        "corrupt,argv,message",
+        [
+            # the path's one step, S4.6 at 1, carries the word of S3.1 at 1,
+            # t_{d_1}, which fixes x2+x4; the forest still walks to PmPmpm,
+            # so only the replay of the joined word sees it
+            (
+                "import dataclasses\n"
+                "instances, forest = rewrite._reduction_forest(6)\n"
+                "idx = forest[rewrite.RSequence.parse('pMpMpm').bits]\n"
+                "instances[idx] = dataclasses.replace(instances[idx], word=instances[0].word)\n",
+                ["reduce-rseq", "pMpMpm"],
+                "path certificate failed to replay",
+            ),
+            # each shift keeps its certificate text but gets the word of the
+            # next slot
+            (
+                "original = rewrite._shift_certificate\n"
+                "def next_slot(genus, n):\n"
+                "    return original(genus, n)[0], original(genus, n + 1)[1]\n"
+                "rewrite._shift_certificate = next_slot\n",
+                ["reduce-alpha", "-g", "8", "3", "5", "7"],
+                "index-shift certificate failed to replay",
+            ),
+        ],
+        ids=["reduce-rseq", "reduce-alpha"],
+    )
+    def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, message):
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "import sys\n"
+            "from crosscap import rewrite\n"
+            "from crosscap.cli import main\n"
+            f"{corrupt}"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == f"internal check failed: {message}\n"
