@@ -230,12 +230,6 @@ class H1Matrix:
     def from_col_bitstrings(cls, genus: Genus, strings) -> "H1Matrix":
         return cls.from_columns(genus, [H1Vector.parse(genus, s) for s in strings])
 
-    def column(self, index: int) -> H1Vector:
-        """Image of x_index (1-based)."""
-        if not 1 <= index <= self.genus.g:
-            raise ValueError(f"column index {index} out of range 1..{self.genus.g}")
-        return H1Vector(self.genus, self.cols[index - 1])
-
     def apply(self, v: H1Vector) -> H1Vector:
         _require_same_genus(self, v)
         return H1Vector(self.genus, apply_mask(self.cols, v.bits))
@@ -267,9 +261,6 @@ class H1Matrix:
                 if (hi >> j) & 1:
                     inv_cols[j] |= 1 << i
         return H1Matrix(self.genus, tuple(inv_cols))
-
-    def __matmul__(self, other: "H1Matrix") -> "H1Matrix":
-        return compose(self, other)
 
     def to_col_bitstrings(self) -> list[str]:
         g = self.genus.g

@@ -668,14 +668,56 @@ def _swap_plan(current: list[int], targets: list[int]) -> list[int]:
 
 
 def _rearrange(red: _Reducer, idx: int, odd_targets, even_targets) -> None:
-    """Drive the support of tracked[idx] onto the target slots with swaps."""
+    """Drive the support of tracked[idx] onto the ascending target slots
+    with swaps."""
     support = _support(red.tracked[idx])
     odds = [i for i in support if i % 2]
     evens = [i for i in support if i % 2 == 0]
-    for j in _swap_plan(odds, sorted(odd_targets)):
+    for j in _swap_plan(odds, odd_targets):
         red.d(j)
-    for j in _swap_plan(evens, sorted(even_targets)):
+    for j in _swap_plan(evens, even_targets):
         red.d(j)
+
+
+def _parities(red: _Reducer, idx: int, residue: int, what: str) -> tuple[int, int]:
+    """Odd and even support counts of tracked[idx]; their difference is
+    invariant mod 4 under every move."""
+    bits = red.tracked[idx]
+    lo = (bits & _odd_mask(red.genus.g)).bit_count()
+    le = bits.bit_count() - lo
+    _check((lo - le) % 4 == residue, f"{what}: support parity broken")
+    return lo, le
+
+
+def _pair_slots(offset: int, n: int) -> tuple[list[int], list[int]]:
+    """Odd and even slots of n consecutive (odd, even) pairs from offset+1."""
+    return (
+        list(range(offset + 1, offset + 2 * n, 2)),
+        list(range(offset + 2, offset + 2 * n + 1, 2)),
+    )
+
+
+def _lift_evens(red: _Reducer, idx: int, offset: int, lo: int, le: int) -> None:
+    """Even-heavy support: park the odds from offset+5 and line the evens
+    up from offset+2; the triple move at offset+1 then turns the first two
+    evens into two odds."""
+    _rearrange(
+        red,
+        idx,
+        list(range(offset + 5, offset + 5 + 2 * lo, 2)),
+        list(range(offset + 2, offset + 2 + 2 * le, 2)),
+    )
+    red.e(offset + 1)
+
+
+def _collapse_block(red: _Reducer, idx: int, odds, evens, base: int, t: int) -> None:
+    """Lay the surplus out as t blocks of four odd slots from `base`, after
+    `odds`, and collapse the last block to two indices with two triple
+    moves."""
+    _rearrange(red, idx, odds + list(range(base, base + 8 * t, 2)), evens)
+    last = base + 8 * (t - 1)
+    red.e(last + 3)
+    red.e(last + 2)
 
 
 def _normalize_q2(red: _Reducer, idx: int) -> None:
@@ -686,93 +728,45 @@ def _normalize_q2(red: _Reducer, idx: int) -> None:
     a block of four odd slots with two triple moves, until only x1+x3 is
     left.
     """
-    g = red.genus.g
-    odd = _odd_mask(g)
-    for _ in range(6 * g + 6):
-        bits = red.tracked[idx]
-        lo = (bits & odd).bit_count()
-        le = bits.bit_count() - lo
-        _check((lo - le) % 4 == 2, "q=2 normal form: support parity broken")
+    for _ in range(6 * red.genus.g + 6):
+        lo, le = _parities(red, idx, 2, "q=2 normal form")
         if (lo, le) == (2, 0):
             _rearrange(red, idx, [1, 3], [])
             _check(red.tracked[idx] == 0b101, "q=2 normal form: x1+x3 not reached")
             return
         if le > lo:
-            # park the odd support clear of slots 1 and 3, line the evens up
-            # from 2; the triple move then turns x2+x4 into x1+x3
-            _rearrange(
-                red,
-                idx,
-                [5 + 2 * s for s in range(lo)],
-                [2 + 2 * s for s in range(le)],
-            )
-            red.e(1)
-        elif le > 0 and lo - le == 2:
-            # (x1+x3) then consecutive (even, odd) pairs from slot 4; the
-            # triple move erases x3+x4
-            _rearrange(
-                red,
-                idx,
-                [1, 3] + [2 * s + 3 for s in range(1, le + 1)],
-                [2 * s + 2 for s in range(1, le + 1)],
-            )
+            _lift_evens(red, idx, 0, lo, le)
+            continue
+        # (x1+x3) then consecutive (even, odd) pairs from slot 4
+        odds = list(range(1, 2 * le + 4, 2))
+        evens = list(range(4, 2 * le + 3, 2))
+        if lo - le == 2:
+            # the triple move erases x3+x4
+            _rearrange(red, idx, odds, evens)
             red.e(1)
         else:
-            # lo - le = 4t + 2, t >= 1: lay the surplus out as blocks of four
-            # odd slots and collapse the last block to two indices
-            t = (lo - le - 2) // 4
-            odd_targets = [1, 3] + [2 * s + 3 for s in range(1, le + 1)]
-            base = 2 * le + 5
-            for u in range(t):
-                start = base + 8 * u
-                odd_targets += [start, start + 2, start + 4, start + 6]
-            _rearrange(red, idx, odd_targets, [2 * s + 2 for s in range(1, le + 1)])
-            last = base + 8 * (t - 1)
-            red.e(last + 3)
-            red.e(last + 2)
+            # lo - le = 4t + 2, t >= 1
+            _collapse_block(red, idx, odds, evens, 2 * le + 5, (lo - le - 2) // 4)
     raise InternalCheckError("normal-form loop failed to terminate")
 
 
 def _normalize_q0_to_pairs(red: _Reducer, idx: int, offset: int) -> int:
     """Drive an isotropic class supported above `offset` to consecutive
     (odd, even) pairs starting at offset+1; returns the pair count."""
-    g = red.genus.g
-    odd = _odd_mask(g)
-    for _ in range(6 * g + 6):
-        bits = red.tracked[idx]
-        _check(not bits & ((1 << offset) - 1), "pair normal form: support below offset")
-        lo = (bits & odd).bit_count()
-        le = bits.bit_count() - lo
-        _check((lo - le) % 4 == 0, "pair normal form: support parity broken")
+    for _ in range(6 * red.genus.g + 6):
+        _check(
+            not red.tracked[idx] & ((1 << offset) - 1),
+            "pair normal form: support below offset",
+        )
+        lo, le = _parities(red, idx, 0, "pair normal form")
         if lo == le:
-            _rearrange(
-                red,
-                idx,
-                [offset + 2 * s + 1 for s in range(lo)],
-                [offset + 2 * s + 2 for s in range(lo)],
-            )
+            _rearrange(red, idx, *_pair_slots(offset, lo))
             return lo
         if le > lo:
-            _rearrange(
-                red,
-                idx,
-                [offset + 5 + 2 * s for s in range(lo)],
-                [offset + 2 + 2 * s for s in range(le)],
-            )
-            red.e(offset + 1)
+            _lift_evens(red, idx, offset, lo, le)
         else:
-            t = (lo - le) // 4
-            odd_targets = [offset + 2 * s + 1 for s in range(le)]
-            base = offset + 2 * le + 1
-            for u in range(t):
-                start = base + 8 * u
-                odd_targets += [start, start + 2, start + 4, start + 6]
-            _rearrange(
-                red, idx, odd_targets, [offset + 2 * s + 2 for s in range(le)]
-            )
-            last = base + 8 * (t - 1)
-            red.e(last + 3)
-            red.e(last + 2)
+            odds, evens = _pair_slots(offset, le)
+            _collapse_block(red, idx, odds, evens, offset + 2 * le + 1, (lo - le) // 4)
     raise InternalCheckError("pair normal-form loop failed to terminate")
 
 
@@ -916,12 +910,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
             note = "both classes reduce to the all-ones vector"
         else:
             i = g // 2 - m
-            _rearrange(
-                red,
-                1,
-                [2 * i + 1 + 2 * s for s in range(m)],
-                [2 * i + 2 + 2 * s for s in range(m)],
-            )
+            _rearrange(red, 1, *_pair_slots(2 * i, m))
             red.tracked[0] ^= red.tracked[1]
             tracked_pair = ("a+b", "b")
             _peel_pairs(red, 0, i)

@@ -38,7 +38,7 @@ from .f2core import (
     _require_genus_budget,
 )
 from .gmform import _q_mask
-from .words import MCGWord, _axis_bits, act, certify, parse_word
+from .words import MCGWord, _axes, _axis_bits, _fold, certify, parse_word
 
 
 class FalsificationError(RuntimeError):
@@ -456,14 +456,18 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
     checked = 0
     for inst in rule_instances(rule, genus):
         _check_window_local(inst, genus)
-        got = act(inst.word, inst.lhs_class(genus))
+        [got] = _fold(_axes(inst.word), [inst.lhs_bits])
         checked += 1
-        if got.bits != inst.rhs_bits:
+        if got != inst.rhs_bits:
             return RuleVerdict(
                 rule.rule_id,
                 False,
                 checked,
-                RuleFailure(inst.anchor, inst.rhs_class(genus).to_text(), got.to_text()),
+                RuleFailure(
+                    inst.anchor,
+                    inst.rhs_class(genus).to_text(),
+                    H1Vector(genus, got).to_text(),
+                ),
             )
     return RuleVerdict(rule.rule_id, True, checked)
 

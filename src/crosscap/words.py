@@ -54,10 +54,6 @@ class Letter:
     args: tuple
     power: int = 1
 
-    @property
-    def inverse(self) -> bool:
-        return self.power < 0
-
     def with_power(self, power: int) -> "Letter":
         return Letter(self.kind, self.args, power)
 

@@ -624,22 +624,39 @@ class TestReducerOracle:
 
     @pytest.mark.parametrize("g", range(3, 11))
     def test_every_q2_class(self, checked_moves, g):
-        genus = Genus(g)
-        for bits in range(1, 1 << g):
-            a = H1Vector(genus, bits)
-            if q_eval(a) == 2:
-                reduce_q2_vector(a)
+        for a in _q2_classes(g):
+            reduce_q2_vector(a)
         assert checked_moves or g == 3
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_every_isotropic_pair(self, checked_moves, g):
-        genus = Genus(g)
-        zeros = [v for v in (H1Vector(genus, b) for b in range(1, 1 << g)) if q_eval(v) == 0]
-        for a in zeros:
-            for b in zeros:
-                if q_eval(a + b) == 0:
-                    reduce_isotropic_pair(a, b)
+        for a, b in _isotropic_pairs(g):
+            reduce_isotropic_pair(a, b)
         assert checked_moves or g < 4
+
+    def test_every_oracle_reduction_pinned(self):
+        # the canonical JSON of each reduction above, in the same order
+        results = [reduce_q2_vector(a) for g in range(3, 11) for a in _q2_classes(g)]
+        results += [
+            reduce_isotropic_pair(a, b) for g in range(2, 9) for a, b in _isotropic_pairs(g)
+        ]
+        text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in results)
+        assert len(results) == 4213
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "a852c05e9c115b90c39c8b62eb087194d47bf91999200e1a1cc35da0e4d3071b"
+
+
+def _q2_classes(g):
+    genus = Genus(g)
+    return [a for a in (H1Vector(genus, b) for b in range(1, 1 << g)) if q_eval(a) == 2]
+
+
+def _isotropic_pairs(g):
+    """Every (a, b) of nonzero classes with q(a) = q(b) = q(a+b) = 0, a = b
+    included."""
+    genus = Genus(g)
+    zeros = [v for v in (H1Vector(genus, b) for b in range(1, 1 << g)) if q_eval(v) == 0]
+    return [(a, b) for a in zeros for b in zeros if q_eval(a + b) == 0]
 
 
 class TestInternalChecks:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import pathlib
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import crosscap
 from crosscap import rewrite
+from crosscap.cli import main
 from crosscap.f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
@@ -19,6 +21,7 @@ from crosscap.rewrite import (
     RSEQ_GENUS_CAP,
     AlphaTriple,
     RSequence,
+    RuleFailure,
     _alpha_shift,
     _check_window_local,
     _reduction_forest,
@@ -149,6 +152,42 @@ class TestRuleTables:
         assert entry["window"] == ["m", "p", "M"]
         assert entry["anchors"] == [1, 2, 3]
         assert "t_{d_i}" in entry["certificate"]
+
+
+class TestFalsifiedRule:
+    """A certificate that misses its rule gives a failure, not a pass."""
+
+    @pytest.fixture
+    def broken_ta1(self, monkeypatch):
+        # Y_{3,4} stays inside TA.1's window at anchor 3 and acts as the
+        # identity, so x3 is not carried to x4
+        instances = rewrite.rule_instances
+
+        def broken(rule, genus):
+            for inst in instances(rule, genus):
+                if rule.rule_id == "TA.1" and inst.anchor == 3:
+                    word = parse_word("Y_{3,4}", genus)
+                    inst = dataclasses.replace(inst, certificate="Y_{3,4}", word=word)
+                yield inst
+
+        monkeypatch.setattr(rewrite, "rule_instances", broken)
+
+    def test_verdict_names_the_failing_instance(self, broken_ta1):
+        verdict = verify_rule_consistency(rule_by_id("TA.1"), Genus(6))
+        assert not verdict.ok
+        assert verdict.instances_checked == 3
+        assert verdict.failure == RuleFailure(3, "x4", "x3")
+
+    def test_verify_lemma_46_exits_falsified(self, broken_ta1, capsys):
+        code = main(["verify-lemma", "4.6", "-g", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert payload["ok"] is False
+        entry = next(r for r in payload["detail"]["rules"] if r["id"] == "TA.1")
+        assert entry["ok"] is False
+        assert (entry["failing_anchor"], entry["expected"], entry["got"]) == (3, "x4", "x3")
+        assert "verification of 4.6 falsified" in captured.err
 
 
 class TestNormalForms:
