@@ -43,7 +43,6 @@ from .rewrite import (
     AlphaReduction,
     AlphaTriple,
     CertifiedPath,
-    CirclePredicates,
     ComponentsReport,
     FalsificationError,
     RSequence,
@@ -52,12 +51,9 @@ from .rewrite import (
     RuleVerdict,
     builtin_rule_tables,
     canonical_targets,
-    circle_predicates,
     classify_rseq_components,
     reduce_alpha,
     reduce_rseq,
-    rseq_decode,
-    rseq_encode,
     rule_schemas,
     rules_json,
     verify_rule_consistency,
@@ -69,12 +65,8 @@ from .words import (
     UnsupportedLetterError,
     WordParseError,
     act,
-    alpha_class,
-    curve_class,
     decide_extendable,
     induced_matrix,
-    is_homologically_trivial,
-    leg_class,
     parse_word,
 )
 

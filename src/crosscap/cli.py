@@ -64,12 +64,8 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             sys.stdout.write(line + "\n")
 
 
-def _genus(args) -> Genus:
-    return Genus(args.genus)
-
-
 def _cmd_eval_form(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     v = H1Vector.parse(genus, args.vector)
     value = q_eval(v)
     payload = {
@@ -83,7 +79,7 @@ def _cmd_eval_form(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     word = parse_word(args.word, genus)
     v = H1Vector.parse(genus, args.vector)
     image = act(word, v)
@@ -98,7 +94,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_extendable(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     verdict = decide_extendable(parse_word(args.word, genus))
     payload = verdict.to_json()
     if verdict.extendable:
@@ -110,7 +106,7 @@ def _cmd_extendable(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     word = parse_word(args.word, genus)
     target = induced_matrix(word)
     gens = standard_generators(genus)
@@ -135,7 +131,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     table = enumerate_orthogonal(genus)
     payload = table.to_json(include_elements=args.elements)
     _emit(payload, [f"order {table.order} (genus {genus.g})"], args.format)
@@ -159,7 +155,7 @@ def _cmd_reduce_rseq(args) -> int:
 
 
 def _cmd_reduce_alpha(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     red = reduce_alpha(genus, AlphaTriple(args.i, args.j, args.k))
     payload = {"genus": genus.g, **red.to_json()}
     lines = [
@@ -172,7 +168,7 @@ def _cmd_reduce_alpha(args) -> int:
 
 
 def _cmd_reduce_q2(args) -> int:
-    genus = _genus(args)
+    genus = Genus(args.genus)
     red = reduce_q2_vector(H1Vector.parse(genus, args.vector))
     payload = red.to_json()
     lines = [
@@ -310,7 +306,7 @@ def _cmd_verify_lemma(args) -> int:
             f"unknown lemma id {args.lemma!r}; choose from "
             f"{sorted(LEMMA_CLAIMS)} or {sorted(_CLAIM_TO_ID)}"
         )
-    genus = _genus(args)
+    genus = Genus(args.genus)
     if lemma == "4.4":
         ok, detail, lines = _verify_44(genus)
     elif lemma == "4.6":
@@ -329,7 +325,7 @@ def _cmd_verify_lemma(args) -> int:
         "detail": detail,
     }
     if not ok:
-        _emit(payload, ["FALSIFIED: " + (lines[0] if lines else "")], args.format)
+        _emit(payload, ["FALSIFIED: " + lines[0]], args.format)
         print(f"verification of {lemma} falsified", file=sys.stderr)
         return EXIT_FALSIFIED
     _emit(payload, [f"{lemma} ({LEMMA_CLAIMS[lemma]}) verified: " + lines[0]], args.format)

@@ -147,9 +147,6 @@ class H1Vector:
             return "0"
         return "+".join(f"x{i}" for i in self.support)
 
-    def to_bitstring(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.genus.g))
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -216,19 +213,6 @@ class H1Matrix:
     @classmethod
     def identity(cls, genus: Genus) -> "H1Matrix":
         return cls(genus, tuple(1 << j for j in range(genus.g)))
-
-    @classmethod
-    def from_columns(cls, genus: Genus, columns) -> "H1Matrix":
-        cols = []
-        for v in columns:
-            if v.genus != genus:
-                raise GenusMismatchError("column genus does not match matrix genus")
-            cols.append(v.bits)
-        return cls(genus, tuple(cols))
-
-    @classmethod
-    def from_col_bitstrings(cls, genus: Genus, strings) -> "H1Matrix":
-        return cls.from_columns(genus, [H1Vector.parse(genus, s) for s in strings])
 
     def apply(self, v: H1Vector) -> H1Vector:
         _require_same_genus(self, v)

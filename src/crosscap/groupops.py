@@ -266,10 +266,6 @@ class GroupTable:
         word = self.tree.word(key) if self.tree is not None else ()
         return GroupElementRecord(H1Matrix(self.genus, _unpack(key, self.genus.g)), word)
 
-    def record_for(self, m: H1Matrix) -> GroupElementRecord | None:
-        key = _pack(m.cols, self.genus.g)
-        return self._record(key) if key in self.elements else None
-
     def records(self):
         """Every element with its word, in discovery order."""
         for key in self.elements:

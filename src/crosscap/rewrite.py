@@ -82,10 +82,6 @@ class RSequence:
             raise ValueError("bit mask out of range for genus")
 
     @classmethod
-    def from_vector(cls, v: H1Vector) -> "RSequence":
-        return cls(v.genus, v.bits)
-
-    @classmethod
     def parse(cls, text: str) -> "RSequence":
         """Parse "[+ ⊖ ⊕]" or the compact ASCII form "pMP"."""
         s = text.strip()
@@ -123,41 +119,6 @@ class RSequence:
 
     def __str__(self) -> str:
         return self.display()
-
-
-def rseq_encode(v: H1Vector) -> RSequence:
-    """Symbol sequence of a class; inverse of rseq_decode."""
-    return RSequence.from_vector(v)
-
-
-def rseq_decode(s: RSequence) -> H1Vector:
-    """Class whose support is exactly the circled positions."""
-    return H1Vector(s.genus, s.bits)
-
-
-@dataclass(frozen=True)
-class CirclePredicates:
-    """Neighborhood and complement predicates read off the class."""
-
-    is_mcircle: bool
-    complement_orientable: bool
-    leg_eligible: bool
-
-    def to_json(self) -> dict:
-        return {
-            "is_mcircle": self.is_mcircle,
-            "complement_orientable": self.complement_orientable,
-            "leg_eligible": self.leg_eligible,
-        }
-
-
-def circle_predicates(s: RSequence) -> CirclePredicates:
-    """Odd support weight means a one-sided circle; full support means the
-    complement is orientable; slide legs need the first without the second."""
-    weight = s.bits.bit_count()
-    is_m = weight % 2 == 1
-    full = s.bits == (1 << s.genus.g) - 1
-    return CirclePredicates(is_m, full, is_m and not full)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +258,6 @@ class RuleInstance:
     lhs_bits: int
     rhs_bits: int
     window_bits: int
-
-    def lhs_class(self, genus: Genus) -> H1Vector:
-        return H1Vector(genus, self.lhs_bits)
-
-    def rhs_class(self, genus: Genus) -> H1Vector:
-        return H1Vector(genus, self.rhs_bits)
 
 
 def _pattern_bits(pattern: tuple[str, ...], anchor: int) -> int:
@@ -465,7 +420,7 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
                 checked,
                 RuleFailure(
                     inst.anchor,
-                    inst.rhs_class(genus).to_text(),
+                    H1Vector(genus, inst.rhs_bits).to_text(),
                     H1Vector(genus, got).to_text(),
                 ),
             )
@@ -486,9 +441,7 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
         supports = [(), (1,), (2,), (1, 2)]
     else:
         supports = [(), (1,), (2,), (1, 2), (1, 3), tuple(range(1, g + 1))]
-    return tuple(
-        RSequence.from_vector(H1Vector.from_indices(genus, s)) for s in supports
-    )
+    return tuple(RSequence(genus, H1Vector.from_indices(genus, s).bits) for s in supports)
 
 
 # reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:

@@ -10,7 +10,7 @@ identity.  Exponents are kept on the letter so certificates round-trip
 verbatim; homologically an inverse twist acts like the twist itself since
 all these transvections are involutions.
 
-Curve classes of the twisting circles in the standard basis:
+Curve classes of the twisting circles in the standard basis (`_axis_bits`):
 
     a_i -> x_i + x_{i+1}        c_i -> x_i + x_{i+1} + x_{i+2} + x_{i+3}
     d_i -> x_i + x_{i+2}        alpha_I -> sum of x_i over I
@@ -242,31 +242,6 @@ def _axis_bits(letter: Letter) -> int:
     return pattern << (letter.args[0] - 1) if pattern else 0
 
 
-def curve_class(letter: Letter, genus: Genus) -> H1Vector | None:
-    """Homology class of the twisting circle; None for Y letters."""
-    _validate_letter(letter, genus)
-    bits = _axis_bits(letter)
-    return H1Vector(genus, bits) if bits else None
-
-
-def alpha_class(genus: Genus, indices) -> H1Vector:
-    """Class of the circle through the listed crosscaps: sum of x_i over I."""
-    t = tuple(indices)
-    if tuple(sorted(set(t))) != t or not t:
-        raise ValueError("alpha index set must be nonempty and strictly ascending")
-    return H1Vector.from_indices(genus, t)
-
-
-def leg_class(letter: Letter, genus: Genus) -> H1Vector | None:
-    """Class of the one-sided leg circle of a Y letter; None for twists."""
-    _validate_letter(letter, genus)
-    if letter.kind == "y":
-        return H1Vector.basis(genus, letter.args[0])
-    if letter.kind == "ya":
-        return alpha_class(genus, letter.args[0])
-    return None
-
-
 def _axes(word: MCGWord) -> list[int]:
     """Axis masks of the word's odd-power twists, rightmost letter first.
 
@@ -343,11 +318,6 @@ def decide_extendable(word: MCGWord) -> ExtendabilityVerdict:
     m = induced_matrix(word)
     verdict: QPreservationVerdict = preserves_q(m)
     return ExtendabilityVerdict(word, m, verdict.preserves, verdict.witness)
-
-
-def is_homologically_trivial(word: MCGWord) -> bool:
-    """Whether the word acts as the identity on mod-2 homology."""
-    return induced_matrix(word).is_identity
 
 
 def witness_detail(verdict: ExtendabilityVerdict) -> str:

@@ -7,7 +7,6 @@ from itertools import product
 from crosscap.f2core import Genus
 from crosscap.gmform import q_table
 from crosscap.rewrite import rule_instances, rule_schemas
-from crosscap.words import curve_class
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -90,15 +89,22 @@ def window_positions(inst) -> tuple[int, ...]:
     return tuple(sorted(set(inst.anchor) | {lowered}))
 
 
-def leaves_window(inst, genus: Genus) -> bool:
+# offsets from i of the crosscaps each twisting circle passes through, as in
+# the README letter table
+_CIRCLE_OFFSETS = {"a": (0, 1), "c": (0, 1, 2, 3), "d": (0, 2)}
+
+
+def circle_support(letter) -> tuple[int, ...]:
+    """1-based support of the twisting circle's class; () for slides."""
+    offsets = _CIRCLE_OFFSETS.get(letter.kind, ())
+    return tuple(letter.args[0] + k for k in offsets)
+
+
+def leaves_window(inst) -> bool:
     """Slow oracle for the locality check: whether some twist letter of the
     instance's word has a curve class outside `window_positions`."""
     allowed = set(window_positions(inst))
-    for letter in inst.word.letters:
-        cls = curve_class(letter, genus)
-        if cls is not None and not set(cls.support) <= allowed:
-            return True
-    return False
+    return any(not set(circle_support(letter)) <= allowed for letter in inst.word.letters)
 
 
 def random_invertible_cols(rng, g: int) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import shlex
 from importlib import resources
 
 import jsonschema
@@ -177,6 +179,33 @@ def test_budget_refusal_pinned(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"budget exhausted: {message}\n"
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """Arguments of each `crosscap` line in the sh block under README's CLI heading."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("crosscap ")
+    ]
+
+
+def test_readme_cli_examples(capsys):
+    # every example runs and prints JSON, and the facts its comment states hold
+    payloads = {}
+    for argv in _readme_cli_examples():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        payloads[tuple(argv)] = json.loads(out)
+    assert len(payloads) == 10
+    assert payloads[("eval-form", "-g", "5", "x1+x3")]["value"] == 2
+    assert payloads[("extendable", "-g", "4", "t_{d_1}")]["extendable"] is True
+    negative = payloads[("extendable", "-g", "4", "t_{a_1}")]
+    assert negative["extendable"] is False and negative["witness"] == "x1"
+    assert payloads[("reduce-q2", "-g", "6", "x2+x4")]["end"] == "x1+x3"
 
 
 class TestVerifyLemma:

@@ -38,7 +38,6 @@ class TestVectorNotation:
         v = vec(5, "x1+x3+x4")
         assert v.support == (1, 3, 4)
         assert v.to_text() == "x1+x3+x4"
-        assert v.to_bitstring() == "10110"
 
     def test_bitstring_parse(self):
         v = vec(5, "10110")
@@ -202,7 +201,6 @@ class TestMatrix:
         t = transvection(vec(4, "x1+x2"))
         strings = t.to_col_bitstrings()
         assert strings == ["0100", "1000", "0010", "0001"]
-        assert H1Matrix.from_col_bitstrings(Genus(4), strings) == t
 
     def test_transvection_preserves_form_pairing(self):
         for g in range(2, 7):

@@ -403,7 +403,6 @@ class TestMembershipAcrossGenera:
                 others += [rec.matrix for rec in islice(enumerate_orthogonal(other).records(), 50)]
                 for m in others:
                     assert m not in table
-                    assert table.record_for(m) is None
             assert H1Matrix.identity(genus) in table
 
 
@@ -507,8 +506,7 @@ class TestQ2Reduction:
         pairs = standard_generators(genus)
         table = subgroup_closure([m for _, m in pairs], genus=genus)
         conjugator = induced_matrix(parse_word(red.word, genus))
-        record = table.record_for(conjugator)
-        assert record is not None  # the reduction word stays inside the group
+        assert conjugator in table  # the reduction word stays inside the group
 
 
 class TestPairReduction:

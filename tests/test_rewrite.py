@@ -28,20 +28,17 @@ from crosscap.rewrite import (
     _shift_certificate,
     builtin_rule_tables,
     canonical_targets,
-    circle_predicates,
     classify_rseq_components,
     instantiate,
     reduce_alpha,
     reduce_rseq,
-    rseq_decode,
-    rseq_encode,
     rule_by_id,
     rule_instances,
     rule_schemas,
     rules_json,
     verify_rule_consistency,
 )
-from crosscap.words import MCGWord, alpha_class, induced_matrix, parse_word
+from crosscap.words import MCGWord, induced_matrix, parse_word
 
 from helpers import leaves_window, sequence_graph, shift_steps, window_positions
 
@@ -52,19 +49,19 @@ def vec(g, text):
 
 class TestSequences:
     def test_reference_encoding(self):
-        s = rseq_encode(vec(7, "x2+x3+x6+x7"))
+        s = RSequence(Genus(7), vec(7, "x2+x3+x6+x7").bits)
         assert s.ascii() == "pMPmpMP"
         assert s.display() == "[+ ⊖ ⊕ - + ⊖ ⊕]"
 
     def test_zero_vector(self):
-        assert rseq_encode(vec(4, "0")).ascii() == "pmpm"
+        assert RSequence(Genus(4), 0).ascii() == "pmpm"
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_round_trip_exhaustive(self, g):
         genus = Genus(g)
         for bits in range(1 << g):
-            v = H1Vector(genus, bits)
-            assert rseq_decode(rseq_encode(v)) == v
+            s = RSequence(genus, bits)
+            assert RSequence.parse(s.ascii()) == s
 
     def test_parse_forms(self):
         assert RSequence.parse("[+ ⊖ ⊕]").ascii() == "pMP"
@@ -78,20 +75,6 @@ class TestSequences:
             RSequence.parse("[+ +]")
         with pytest.raises(ValueError):
             RSequence.parse("")
-
-
-class TestPredicates:
-    def test_one_sided_leg(self):
-        p = circle_predicates(RSequence.parse("Pmp"))
-        assert p.is_mcircle and not p.complement_orientable and p.leg_eligible
-
-    def test_full_support(self):
-        p = circle_predicates(RSequence.parse("PMP"))
-        assert p.is_mcircle and p.complement_orientable and not p.leg_eligible
-
-    def test_two_sided(self):
-        p = circle_predicates(RSequence.parse("pmpm"))
-        assert not p.is_mcircle and not p.leg_eligible
 
 
 class TestRuleTables:
@@ -117,16 +100,17 @@ class TestRuleTables:
         genus = Genus(3)
         inst = next(iter(rule_instances(rule_by_id("S3.1"), genus)))
         assert inst.anchor == 1
-        assert inst.lhs_class(genus) == vec(3, "x3")
-        assert inst.rhs_class(genus) == vec(3, "x1")
+        assert H1Vector(genus, inst.lhs_bits) == vec(3, "x3")
+        assert H1Vector(genus, inst.rhs_bits) == vec(3, "x1")
 
     def test_twist_case_11_class_map(self):
         genus = Genus(4)
         inst = next(iter(rule_instances(rule_by_id("TC.11"), genus)))
-        assert inst.lhs_class(genus) == vec(4, "x1+x2+x4")
-        assert inst.rhs_class(genus) == vec(4, "x3")
+        lhs, rhs = H1Vector(genus, inst.lhs_bits), H1Vector(genus, inst.rhs_bits)
+        assert lhs == vec(4, "x1+x2+x4")
+        assert rhs == vec(4, "x3")
         m = induced_matrix(parse_word(inst.certificate, genus))
-        assert m.apply(inst.lhs_class(genus)) == inst.rhs_class(genus)
+        assert m.apply(lhs) == rhs
 
     def test_noop_keeps_class(self):
         genus = Genus(4)
@@ -220,7 +204,7 @@ class TestNormalForms:
             path = reduce_rseq(RSequence(genus, bits))
             assert path.verified
             assert path.end.bits in canon
-            values = {q_eval(rseq_decode(s)) for s in path.states}
+            values = {q_eval(H1Vector(genus, s.bits)) for s in path.states}
             parities = {s.bits.bit_count() & 1 for s in path.states}
             assert len(values) == 1 and len(parities) == 1
 
@@ -363,11 +347,11 @@ class TestWindowLocality:
         genus = Genus(g)
         for n, inst in enumerate(builtin_rule_tables(genus)):
             assert inst.window_bits == H1Vector.from_indices(genus, window_positions(inst)).bits
-            assert not leaves_window(inst, genus)
+            assert not leaves_window(inst)
             _check_window_local(inst, genus)
             # one more twist letter, inside or outside the window by turns
             grown = _with_letter(inst, genus, f"t_{{a_{n % (g - 1) + 1}}}")
-            if leaves_window(grown, genus):
+            if leaves_window(grown):
                 with pytest.raises(InternalCheckError, match="leaves the window"):
                     _check_window_local(grown, genus)
             else:
@@ -435,7 +419,7 @@ class TestAlphaReduction:
     def test_terminal_table_matches_form(self):
         genus = Genus(6)
         for triple, label in ALPHA_TERMINALS.items():
-            value = q_eval(alpha_class(genus, triple))
+            value = q_eval(H1Vector.from_indices(genus, triple))
             assert value == (1 if label == "alpha_1" else 3)
 
     def test_statement_examples(self):

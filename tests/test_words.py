@@ -8,16 +8,12 @@ from crosscap.words import (
     UnsupportedLetterError,
     WordParseError,
     act,
-    alpha_class,
-    curve_class,
     decide_extendable,
     induced_matrix,
-    is_homologically_trivial,
-    leg_class,
     parse_word,
 )
 
-from helpers import random_word_text
+from helpers import circle_support, random_word_text
 
 
 def vec(g, text):
@@ -55,9 +51,9 @@ def product_of_transvections(word):
     """Oracle: compose one transvection matrix per odd-power twist."""
     acc = H1Matrix.identity(word.genus)
     for letter in word.letters:
-        axis = curve_class(letter, word.genus)
-        if axis is not None and letter.power % 2:
-            acc = compose(acc, transvection(axis))
+        support = circle_support(letter)
+        if support and letter.power % 2:
+            acc = compose(acc, transvection(H1Vector.from_indices(word.genus, support)))
     return acc
 
 
@@ -149,27 +145,6 @@ class TestGrammar:
             small * big
         with pytest.raises(GenusMismatchError):
             big.inverse() * small
-
-
-class TestCurveClasses:
-    def test_table(self):
-        g = Genus(6)
-        assert curve_class(Letter("d", (1,)), g) == vec(6, "x1+x3")
-        assert curve_class(Letter("a", (2,)), g) == vec(6, "x2+x3")
-        assert curve_class(Letter("c", (1,)), g) == vec(6, "x1+x2+x3+x4")
-        assert curve_class(Letter("y", (3, 1)), g) is None
-        assert curve_class(Letter("ya", ((1, 3, 4), (1, 3, 4, 5))), g) is None
-
-    def test_alpha_class(self):
-        assert alpha_class(Genus(6), (1, 3, 4)) == vec(6, "x1+x3+x4")
-        with pytest.raises(ValueError):
-            alpha_class(Genus(6), (3, 1))
-
-    def test_leg_class(self):
-        g = Genus(6)
-        assert leg_class(Letter("y", (3, 1)), g) == vec(6, "x3")
-        assert leg_class(Letter("ya", ((1, 3, 4), (1, 3, 4, 5))), g) == vec(6, "x1+x3+x4")
-        assert leg_class(Letter("a", (1,)), g) is None
 
 
 class TestInducedAction:
@@ -271,13 +246,3 @@ class TestExtendability:
         good = decide_extendable(parse_word("t_{d_1}", Genus(4))).to_json()
         assert "witness" not in good
 
-
-class TestHomologicalTriviality:
-    def test_slide_pair(self):
-        assert is_homologically_trivial(parse_word("Y_{1,2} Y_{2,1}", Genus(3)))
-
-    def test_single_twist(self):
-        assert not is_homologically_trivial(parse_word("t_{a_1}", Genus(3)))
-
-    def test_twist_square(self):
-        assert is_homologically_trivial(parse_word("t_{a_1} t_{a_1}", Genus(3)))
