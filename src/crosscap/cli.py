@@ -45,16 +45,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# stable claim names for the lemma identifiers accepted by verify-lemma
-LEMMA_CLAIMS = {
-    "4.4": "G-g-eq-r-circle",
-    "4.6": "product-Y-homeo",
-    "4.8": "gen-Og-os-red",
-    "4.10": "gamma2-short",
-    "thm4.1": "generator-pin",
-}
-_CLAIM_TO_ID = {v: k for k, v in LEMMA_CLAIMS.items()}
-
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
@@ -184,52 +174,48 @@ def _cmd_reduce_q2(args) -> int:
 # lemma verification workflows
 # ---------------------------------------------------------------------------
 
+# every workflow maps (genus, cap) to (ok, detail, line); the cap bounds only
+# the generation-check closure, so 4.4, 4.6 and 4.10 ignore it
 
-def _verify_44(genus: Genus) -> tuple[bool, dict, list[str]]:
+
+def _verify_44(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     report = classify_rseq_components(genus)
     # each reduction replays its certificate or raises
     for bits in range(1 << genus.g):
         reduce_rseq(RSequence(genus, bits))
     reduced = 1 << genus.g
     detail = {"sequences": reduced, "components": report.to_json()["components"]}
-    lines = [
-        f"all {reduced} sequences reduce to a normal form "
-        f"({len(report.components)} components)"
-    ]
-    return report.ok, detail, lines
+    broken = [c.representative for c in report.components if not c.ok]
+    if broken:
+        line = f"components of {', '.join(broken)} break an invariant"
+    else:
+        line = (
+            f"all {reduced} sequences reduce to a normal form "
+            f"({len(report.components)} components)"
+        )
+    return not broken, detail, line
 
 
-def _verify_46(genus: Genus) -> tuple[bool, dict, list[str]]:
-    verdicts = [
-        verify_rule_consistency(rule, genus)
+def _check_rules(genus: Genus, families: tuple[str, ...]) -> tuple[list[dict], list[str]]:
+    """Check every rule of the families: their verdict entries and the ids of
+    the rules that failed."""
+    rules = [
+        verify_rule_consistency(rule, genus).to_json()
         for rule in rule_schemas()
-        if rule.family in ("twist2", "twist4")
+        if rule.family in families
     ]
-    ok = all(v.ok for v in verdicts)
-    detail = {
-        "rules": [
-            {
-                "id": v.rule_id,
-                "instances": v.instances_checked,
-                "ok": v.ok,
-                **(
-                    {
-                        "failing_anchor": v.failure.anchor,
-                        "expected": v.failure.expected,
-                        "got": v.failure.got,
-                    }
-                    if v.failure
-                    else {}
-                ),
-            }
-            for v in verdicts
-        ],
-        "tables": rules_json(genus)["rules"],
-    }
-    total = sum(v.instances_checked for v in verdicts)
-    lines = [f"{len(verdicts)} twist cases, {total} instances, all consistent"
-             if ok else "FALSIFIED: twist case tables"]
-    return ok, detail, lines
+    return rules, [r["id"] for r in rules if not r["ok"]]
+
+
+def _verify_46(genus: Genus, cap: int) -> tuple[bool, dict, str]:
+    rules, failing = _check_rules(genus, ("twist2", "twist4"))
+    detail = {"rules": rules, "tables": rules_json(genus)["rules"]}
+    if failing:
+        line = f"twist cases {', '.join(failing)} inconsistent"
+    else:
+        instances = sum(r["instances"] for r in rules)
+        line = f"{len(rules)} twist cases, {instances} instances, all consistent"
+    return not failing, detail, line
 
 
 def _complete_generation(genus: Genus, cap: int) -> GenerationReport:
@@ -239,41 +225,31 @@ def _complete_generation(genus: Genus, cap: int) -> GenerationReport:
     return report
 
 
-def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
+def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     report = _complete_generation(genus, cap)
-    lines = [
+    line = (
         f"closure order {report.closure_order}, enumerated order "
         f"{report.enumerated_order}, equal: {report.equal} "
         f"(diameter {report.diameter})"
-    ]
-    return report.equal, report.to_json(), lines
+    )
+    return report.equal, report.to_json(), line
 
 
-def _verify_410(genus: Genus) -> tuple[bool, dict, list[str]]:
-    rule_verdicts = [
-        verify_rule_consistency(rule, genus)
-        for rule in rule_schemas()
-        if rule.family == "alpha"
-    ]
-    ok = all(v.ok for v in rule_verdicts)
+def _verify_410(genus: Genus, cap: int) -> tuple[bool, dict, str]:
+    rules, failing = _check_rules(genus, ("alpha",))
     counts: dict[str, int] = {}
     for t in combinations(range(1, genus.g + 1), 3):
         red = reduce_alpha(genus, AlphaTriple(*t))
         counts[str(red.terminal)] = counts.get(str(red.terminal), 0) + 1
     triples = sum(counts.values())
-    detail = {
-        "triples": triples,
-        "terminal_counts": counts,
-        "shift_rules": [
-            {"id": v.rule_id, "instances": v.instances_checked, "ok": v.ok}
-            for v in rule_verdicts
-        ],
-    }
-    lines = [f"all {triples} triples reach a listed terminal; shift rules consistent"]
-    return ok, detail, lines
+    detail = {"triples": triples, "terminal_counts": counts, "shift_rules": rules}
+    shifts = "shift rules consistent"
+    if failing:
+        shifts = f"shift rules {', '.join(failing)} inconsistent"
+    return not failing, detail, f"all {triples} triples reach a listed terminal; {shifts}"
 
 
-def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
+def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     g = genus.g
     words = []
     words += [f"Y_{{{i},{j}}}" for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
@@ -292,43 +268,48 @@ def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, list[str]]:
             "enumerated": generation.enumerated_order,
         },
     }
-    lines = [
-        f"{len(words)} generator words all extendable; homology image generates "
-        f"the full isometry group: {generation.equal}"
-    ]
-    return ok, detail, lines
+    if failing:
+        extendable = f"{len(failing)} of {len(words)} generator words not extendable"
+    else:
+        extendable = f"{len(words)} generator words all extendable"
+    line = (
+        f"{extendable}; homology image generates the full isometry group: "
+        f"{generation.equal}"
+    )
+    return ok, detail, line
+
+
+# the stable claim name and the workflow of each lemma id verify-lemma accepts
+_WORKFLOWS = {
+    "4.4": ("G-g-eq-r-circle", _verify_44),
+    "4.6": ("product-Y-homeo", _verify_46),
+    "4.8": ("gen-Og-os-red", _verify_48),
+    "4.10": ("gamma2-short", _verify_410),
+    "thm4.1": ("generator-pin", _verify_thm41),
+}
+LEMMA_CLAIMS = {lemma: claim for lemma, (claim, _) in _WORKFLOWS.items()}
+_CLAIM_TO_ID = {claim: lemma for lemma, claim in LEMMA_CLAIMS.items()}
 
 
 def _cmd_verify_lemma(args) -> int:
     lemma = _CLAIM_TO_ID.get(args.lemma, args.lemma)
-    if lemma not in LEMMA_CLAIMS:
+    if lemma not in _WORKFLOWS:
         raise ValueError(
             f"unknown lemma id {args.lemma!r}; choose from "
             f"{sorted(LEMMA_CLAIMS)} or {sorted(_CLAIM_TO_ID)}"
         )
+    claim, workflow = _WORKFLOWS[lemma]
     genus = Genus(args.genus)
-    if lemma == "4.4":
-        ok, detail, lines = _verify_44(genus)
-    elif lemma == "4.6":
-        ok, detail, lines = _verify_46(genus)
-    elif lemma == "4.8":
-        ok, detail, lines = _verify_48(genus, args.cap)
-    elif lemma == "4.10":
-        ok, detail, lines = _verify_410(genus)
-    else:
-        ok, detail, lines = _verify_thm41(genus, args.cap)
-    payload = {
-        "lemma": lemma,
-        "claim": LEMMA_CLAIMS[lemma],
-        "genus": genus.g,
-        "ok": ok,
-        "detail": detail,
-    }
+    try:
+        ok, detail, line = workflow(genus, args.cap)
+    except FalsificationError as exc:
+        ok, detail, line = False, {"falsified": str(exc)}, str(exc)
+    payload = {"lemma": lemma, "claim": claim, "genus": genus.g, "ok": ok, "detail": detail}
     if not ok:
-        _emit(payload, ["FALSIFIED: " + lines[0]], args.format)
+        _emit(payload, ["FALSIFIED: " + line], args.format)
         print(f"verification of {lemma} falsified", file=sys.stderr)
         return EXIT_FALSIFIED
-    _emit(payload, [f"{lemma} ({LEMMA_CLAIMS[lemma]}) verified: " + lines[0]], args.format)
+    _emit(payload, [f"{lemma} ({claim}) verified: {line}"], args.format)
     return EXIT_OK
 
 

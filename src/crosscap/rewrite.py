@@ -390,6 +390,14 @@ class RuleVerdict:
     def __bool__(self) -> bool:
         return self.ok
 
+    def to_json(self) -> dict:
+        entry = {"id": self.rule_id, "instances": self.instances_checked, "ok": self.ok}
+        if self.failure:
+            entry["failing_anchor"] = self.failure.anchor
+            entry["expected"] = self.failure.expected
+            entry["got"] = self.failure.got
+        return entry
+
 
 def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
     """Structural check: every transvection axis lies inside the window.

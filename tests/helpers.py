@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from importlib import resources
 from itertools import product
 
+import jsonschema
+
+from crosscap import rewrite
+from crosscap.cli import main
 from crosscap.f2core import Genus
 from crosscap.gmform import q_table
 from crosscap.rewrite import rule_instances, rule_schemas
+from crosscap.words import parse_word
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -174,3 +182,42 @@ def shift_steps(triple: tuple[int, int, int]) -> list[tuple[str, tuple, tuple]]:
             return steps
         steps.append((rule, (i, j, k), after))
         i, j, k = after
+
+
+def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:
+    """Give the instance of `rule_id` at `anchor` the certificate
+    `certificate` in place of its own, for the rest of the test."""
+    instances = rewrite.rule_instances
+
+    def broken(rule, genus):
+        for inst in instances(rule, genus):
+            if rule.rule_id == rule_id and inst.anchor == anchor:
+                word = parse_word(certificate, genus)
+                inst = dataclasses.replace(inst, certificate=certificate, word=word)
+            yield inst
+
+    monkeypatch.setattr(rewrite, "rule_instances", broken)
+
+
+def validate(payload: dict, schema_name: str) -> None:
+    text = resources.files("crosscap").joinpath(f"schemas/{schema_name}").read_text()
+    jsonschema.validate(payload, json.loads(text))
+
+
+def falsified(capsys, lemma: str, genus: int) -> tuple[dict, str]:
+    """Run a workflow that is falsified in both formats: each run exits 1
+    with one stderr line, the JSON report validates with `ok` false, and the
+    text output is one line with one FALSIFIED prefix.  Returns the report
+    and the text line without its prefix."""
+    outs = []
+    for fmt in ("json", "text"):
+        code = main(["verify-lemma", lemma, "-g", str(genus), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, f"verification of {lemma} falsified\n")
+        outs.append(captured.out)
+    payload, text = json.loads(outs[0]), outs[1]
+    validate(payload, "lemma.schema.json")
+    assert payload["ok"] is False
+    assert text.startswith("FALSIFIED: ") and text.count("FALSIFIED") == 1
+    assert text.count("\n") == 1 and text.endswith("\n")
+    return payload, text[len("FALSIFIED: "):-1]

@@ -2,25 +2,20 @@ import hashlib
 import json
 import pathlib
 import shlex
-from importlib import resources
 
-import jsonschema
 import pytest
 
-from crosscap import groupops
+from crosscap import cli, groupops, rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import H1Matrix
+
+from helpers import break_instance, falsified, validate
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def validate(payload: dict, schema_name: str) -> None:
-    text = resources.files("crosscap").joinpath(f"schemas/{schema_name}").read_text()
-    jsonschema.validate(payload, json.loads(text))
 
 
 class TestEvalAndAct:
@@ -234,6 +229,86 @@ class TestVerifyLemma:
         code, _, err = run(capsys, "verify-lemma", "9.9", "-g", "4")
         assert code == 2
         assert "unknown lemma" in err
+
+    @pytest.mark.parametrize(
+        "lemma,genus,line",
+        [
+            ("4.4", 6, "4.4 (G-g-eq-r-circle) verified: all 64 sequences reduce to a "
+             "normal form (6 components)"),
+            ("4.6", 6, "4.6 (product-Y-homeo) verified: 17 twist cases, 55 instances, "
+             "all consistent"),
+            ("4.8", 5, "4.8 (gen-Og-os-red) verified: closure order 72, enumerated order "
+             "72, equal: True (diameter 5)"),
+            ("4.10", 9, "4.10 (gamma2-short) verified: all 84 triples reach a listed "
+             "terminal; shift rules consistent"),
+            ("thm4.1", 5, "thm4.1 (generator-pin) verified: 31 generator words all "
+             "extendable; homology image generates the full isometry group: True"),
+        ],
+    )
+    def test_verified_text_line(self, capsys, lemma, genus, line):
+        code, out, err = run(capsys, "verify-lemma", lemma, "-g", str(genus), "--format", "text")
+        assert (code, out, err) == (0, line + "\n", "")
+
+
+class TestFalsifiedReport:
+    """A falsified workflow prints its lemma's report and a line naming what
+    failed, both when it returns a failed verdict and when a reduction
+    raises FalsificationError inside it.  The 4.6 and 4.8 cases sit next to
+    their mutations in test_rewrite.py and test_groupops.py."""
+
+    @pytest.fixture
+    def fresh_forests(self):
+        # the sequence forest is cached per genus: rebuild it on both sides
+        rewrite._reduction_forest.cache_clear()
+        yield
+        rewrite._reduction_forest.cache_clear()
+
+    def test_44_dropped_normal_form(self, capsys, monkeypatch, fresh_forests):
+        targets = rewrite.canonical_targets
+        monkeypatch.setattr(rewrite, "canonical_targets", lambda genus: targets(genus)[:-1])
+        payload, line = falsified(capsys, "4.4", 4)
+        assert line == "sequence PMPM lies in a component without a normal form"
+        assert payload["detail"] == {"falsified": line}
+
+    def test_44_broken_invariant(self, capsys, monkeypatch):
+        # a form that reads only x1 changes along the moves that change x1
+        monkeypatch.setattr(rewrite, "_q_mask", lambda bits, odd: bits & 1)
+        payload, line = falsified(capsys, "4.4", 4)
+        broken = [c["representative"] for c in payload["detail"]["components"] if not c["ok"]]
+        assert broken
+        assert line == f"components of {', '.join(broken)} break an invariant"
+
+    def test_410_failed_shift_rule(self, capsys, monkeypatch):
+        # Y_{3,4} stays inside AL.1's window at (3, 4, 5) and acts as the identity
+        break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
+        payload, line = falsified(capsys, "4.10", 6)
+        assert line == "all 20 triples reach a listed terminal; shift rules AL.1 inconsistent"
+        assert payload["detail"]["shift_rules"][0] == {
+            "id": "AL.1",
+            "instances": 1,
+            "ok": False,
+            "failing_anchor": [3, 4, 5],
+            "expected": "x1+x4+x5",
+            "got": "x3+x4+x5",
+        }
+
+    def test_410_dropped_terminal(self, capsys, monkeypatch):
+        monkeypatch.delitem(rewrite.ALPHA_TERMINALS, (1, 2, 3))
+        payload, line = falsified(capsys, "4.10", 5)
+        assert line == "triple (1, 2, 3) stopped at (1, 2, 3), which is not a listed terminal"
+        assert payload["detail"] == {"falsified": line}
+
+    def test_thm41_non_extendable_generator(self, capsys, monkeypatch):
+        gens = cli.standard_generators
+        monkeypatch.setattr(
+            cli, "standard_generators", lambda genus: [*gens(genus), ("t_{a_1}", None)]
+        )
+        payload, line = falsified(capsys, "thm4.1", 4)
+        assert payload["detail"]["non_extendable_generators"] == ["t_{a_1}"]
+        assert line == (
+            "1 of 20 generator words not extendable; homology image generates "
+            "the full isometry group: True"
+        )
 
 
 class TestReductions:

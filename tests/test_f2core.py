@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import crosscap
 from crosscap.f2core import (
     Genus,
     GenusMismatchError,
@@ -209,3 +212,15 @@ class TestMatrix:
                 if bits.bit_count() % 2:
                     continue
                 assert preserves_intersection_form(transvection(H1Vector(genus, bits)))
+
+
+def test_no_assert_statement_in_package():
+    # internal checks raise through f2core._check, so python -O keeps them
+    package = pathlib.Path(crosscap.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

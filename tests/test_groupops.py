@@ -43,7 +43,7 @@ from crosscap.groupops import (
 )
 from crosscap.words import act, induced_matrix, parse_word
 
-from helpers import brute_orthogonal_cols, random_invertible_cols
+from helpers import brute_orthogonal_cols, falsified, random_invertible_cols
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_orders.json").read_text()
@@ -202,8 +202,9 @@ class TestGeneration:
         report = verify_generation(genus)
         assert (report.closure_order, report.closure_complete) == (2, True)
         assert not report.equal
-        assert main(["verify-lemma", "4.8", "-g", "3"]) == 1
-        assert json.loads(capsys.readouterr().out)["detail"]["equal"] is False
+        payload, line = falsified(capsys, "4.8", 3)
+        assert payload["detail"]["equal"] is False
+        assert line == "closure order 2, enumerated order 2, equal: False (diameter 1)"
 
     @pytest.mark.parametrize("g,order", [(5, 12), (6, 36), (7, 144), (8, 576)])
     def test_dropping_every_triple_is_falsified(self, g, order, monkeypatch, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import pathlib
 import random
@@ -12,7 +11,6 @@ import pytest
 
 import crosscap
 from crosscap import rewrite
-from crosscap.cli import main
 from crosscap.f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
@@ -40,7 +38,14 @@ from crosscap.rewrite import (
 )
 from crosscap.words import MCGWord, induced_matrix, parse_word
 
-from helpers import leaves_window, sequence_graph, shift_steps, window_positions
+from helpers import (
+    break_instance,
+    falsified,
+    leaves_window,
+    sequence_graph,
+    shift_steps,
+    window_positions,
+)
 
 
 def vec(g, text):
@@ -145,16 +150,7 @@ class TestFalsifiedRule:
     def broken_ta1(self, monkeypatch):
         # Y_{3,4} stays inside TA.1's window at anchor 3 and acts as the
         # identity, so x3 is not carried to x4
-        instances = rewrite.rule_instances
-
-        def broken(rule, genus):
-            for inst in instances(rule, genus):
-                if rule.rule_id == "TA.1" and inst.anchor == 3:
-                    word = parse_word("Y_{3,4}", genus)
-                    inst = dataclasses.replace(inst, certificate="Y_{3,4}", word=word)
-                yield inst
-
-        monkeypatch.setattr(rewrite, "rule_instances", broken)
+        break_instance(monkeypatch, "TA.1", 3, "Y_{3,4}")
 
     def test_verdict_names_the_failing_instance(self, broken_ta1):
         verdict = verify_rule_consistency(rule_by_id("TA.1"), Genus(6))
@@ -163,15 +159,11 @@ class TestFalsifiedRule:
         assert verdict.failure == RuleFailure(3, "x4", "x3")
 
     def test_verify_lemma_46_exits_falsified(self, broken_ta1, capsys):
-        code = main(["verify-lemma", "4.6", "-g", "6"])
-        captured = capsys.readouterr()
-        assert code == 1
-        payload = json.loads(captured.out)
-        assert payload["ok"] is False
+        payload, line = falsified(capsys, "4.6", 6)
+        assert line == "twist cases TA.1 inconsistent"
         entry = next(r for r in payload["detail"]["rules"] if r["id"] == "TA.1")
         assert entry["ok"] is False
         assert (entry["failing_anchor"], entry["expected"], entry["got"]) == (3, "x4", "x3")
-        assert "verification of 4.6 falsified" in captured.err
 
 
 class TestNormalForms:
