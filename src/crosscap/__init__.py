@@ -4,6 +4,7 @@ group enumeration and factorization, and certified circle rewriting."""
 
 from .f2core import (
     BudgetExceededError,
+    FalsificationError,
     Genus,
     GenusMismatchError,
     H1Matrix,
@@ -44,7 +45,6 @@ from .rewrite import (
     AlphaTriple,
     CertifiedPath,
     ComponentsReport,
-    FalsificationError,
     RSequence,
     RewriteRule,
     RuleInstance,

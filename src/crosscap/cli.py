@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
-verified, 1 falsified verification (witness on stdout), 2 usage error,
-3 search budget exhausted, 4 internal check failed (a defect in crosscap,
-reported on one stderr line).  JSON output is canonical (sorted keys) and
-is byte-identical for identical inputs.  All computation is serial;
-`--workers` accepts only 1.
+A command writes its report to stdout, or nothing, then returns or raises.
+`main` alone maps the exception to an exit code and one stderr line
+`<prefix>: <message>`: 1 falsified, 2 error (usage), 3 budget exhausted,
+4 internal check failed (a defect in crosscap).  JSON output is canonical
+(sorted keys) and byte-identical for identical inputs.  All computation is
+serial; `--workers` accepts only 1.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import json
 import sys
 from itertools import combinations
 
-from .f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
+from .f2core import BudgetExceededError, FalsificationError, Genus, H1Vector, InternalCheckError
 from .gmform import q_eval, z4_str
 from .groupops import (
     DEFAULT_NODE_CAP,
-    GenerationReport,
     enumerate_orthogonal,
     factorize,
     reduce_q2_vector,
@@ -28,7 +27,6 @@ from .groupops import (
 )
 from .rewrite import (
     AlphaTriple,
-    FalsificationError,
     RSequence,
     classify_rseq_components,
     reduce_alpha,
@@ -54,7 +52,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             sys.stdout.write(line + "\n")
 
 
-def _cmd_eval_form(args) -> int:
+def _cmd_eval_form(args) -> None:
     genus = Genus(args.genus)
     v = H1Vector.parse(genus, args.vector)
     value = q_eval(v)
@@ -65,10 +63,9 @@ def _cmd_eval_form(args) -> int:
         "display": z4_str(value, signed=args.signed),
     }
     _emit(payload, [f"q({v.to_text()}) = {z4_str(value, signed=args.signed)}"], args.format)
-    return EXIT_OK
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args) -> None:
     genus = Genus(args.genus)
     word = parse_word(args.word, genus)
     v = H1Vector.parse(genus, args.vector)
@@ -80,10 +77,9 @@ def _cmd_act(args) -> int:
         "image": image.to_text(),
     }
     _emit(payload, [f"{v.to_text()} -> {image.to_text()}"], args.format)
-    return EXIT_OK
 
 
-def _cmd_extendable(args) -> int:
+def _cmd_extendable(args) -> None:
     genus = Genus(args.genus)
     verdict = decide_extendable(parse_word(args.word, genus))
     payload = verdict.to_json()
@@ -92,10 +88,9 @@ def _cmd_extendable(args) -> int:
     else:
         lines = [f"extendable: no ({witness_detail(verdict)})"]
     _emit(payload, lines, args.format)
-    return EXIT_OK
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> None:
     genus = Genus(args.genus)
     word = parse_word(args.word, genus)
     target = induced_matrix(word)
@@ -108,27 +103,26 @@ def _cmd_factorize(args) -> int:
     )
     payload = {"genus": genus.g, "input": word.spell(), **result.to_json()}
     if result.status == "budget_exhausted":
-        print("factorization budget exhausted; nothing is claimed", file=sys.stderr)
         _emit(payload, ["budget exhausted"], args.format)
-        return EXIT_BUDGET
+        raise BudgetExceededError(
+            f"factorization reached its cap of {args.cap} elements; nothing is claimed"
+        )
     if result.found:
         text = " ".join(result.word_labels) if result.word_labels else "(empty word)"
         lines = [f"found: {text} (length {len(result.word)})"]
     else:
         lines = ["not a member of the generated subgroup (search closed)"]
     _emit(payload, lines, args.format)
-    return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
     genus = Genus(args.genus)
     table = enumerate_orthogonal(genus)
     payload = table.to_json(include_elements=args.elements)
     _emit(payload, [f"order {table.order} (genus {genus.g})"], args.format)
-    return EXIT_OK
 
 
-def _cmd_reduce_rseq(args) -> int:
+def _cmd_reduce_rseq(args) -> None:
     s = RSequence.parse(args.sequence)
     if args.genus is not None and args.genus != s.genus.g:
         raise ValueError(
@@ -141,10 +135,9 @@ def _cmd_reduce_rseq(args) -> int:
         f"word: {path.word or '(empty)'}",
     ]
     _emit(payload, lines, args.format)
-    return EXIT_OK
 
 
-def _cmd_reduce_alpha(args) -> int:
+def _cmd_reduce_alpha(args) -> None:
     genus = Genus(args.genus)
     red = reduce_alpha(genus, AlphaTriple(args.i, args.j, args.k))
     payload = {"genus": genus.g, **red.to_json()}
@@ -154,10 +147,9 @@ def _cmd_reduce_alpha(args) -> int:
         f"word: {red.word or '(empty)'}",
     ]
     _emit(payload, lines, args.format)
-    return EXIT_OK
 
 
-def _cmd_reduce_q2(args) -> int:
+def _cmd_reduce_q2(args) -> None:
     genus = Genus(args.genus)
     red = reduce_q2_vector(H1Vector.parse(genus, args.vector))
     payload = red.to_json()
@@ -167,7 +159,6 @@ def _cmd_reduce_q2(args) -> int:
         f"word: {red.word or '(empty)'}",
     ]
     _emit(payload, lines, args.format)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +209,8 @@ def _verify_46(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     return not failing, detail, line
 
 
-def _complete_generation(genus: Genus, cap: int) -> GenerationReport:
-    report = verify_generation(genus, cap=cap)
-    if not report.closure_complete:
-        raise BudgetExceededError("closure hit the node cap; raise --cap")
-    return report
-
-
 def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, str]:
-    report = _complete_generation(genus, cap)
+    report = verify_generation(genus, cap=cap)
     line = (
         f"closure order {report.closure_order}, enumerated order "
         f"{report.enumerated_order}, equal: {report.equal} "
@@ -257,7 +241,7 @@ def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     words += [f"t_{{c_{i}}}^{{2}}" for i in range(1, g - 2)]
     words += [label for label, _ in standard_generators(genus)]
     failing = [w for w in words if not decide_extendable(parse_word(w, genus)).extendable]
-    generation = _complete_generation(genus, cap)
+    generation = verify_generation(genus, cap=cap)
     ok = not failing and generation.equal
     detail = {
         "generator_words": len(words),
@@ -291,7 +275,7 @@ LEMMA_CLAIMS = {lemma: claim for lemma, (claim, _) in _WORKFLOWS.items()}
 _CLAIM_TO_ID = {claim: lemma for lemma, claim in LEMMA_CLAIMS.items()}
 
 
-def _cmd_verify_lemma(args) -> int:
+def _cmd_verify_lemma(args) -> None:
     lemma = _CLAIM_TO_ID.get(args.lemma, args.lemma)
     if lemma not in _WORKFLOWS:
         raise ValueError(
@@ -307,10 +291,8 @@ def _cmd_verify_lemma(args) -> int:
     payload = {"lemma": lemma, "claim": claim, "genus": genus.g, "ok": ok, "detail": detail}
     if not ok:
         _emit(payload, ["FALSIFIED: " + line], args.format)
-        print(f"verification of {lemma} falsified", file=sys.stderr)
-        return EXIT_FALSIFIED
+        raise FalsificationError(f"{lemma} ({claim}): {line}")
     _emit(payload, [f"{lemma} ({claim}) verified: {line}"], args.format)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code and stderr prefix of each outcome a command raises; no input
+# reaches an unguarded lookup, so a KeyError is a defect in crosscap
+_OUTCOMES = {
+    FalsificationError: (EXIT_FALSIFIED, "falsified"),
+    ValueError: (EXIT_USAGE, "error"),
+    BudgetExceededError: (EXIT_BUDGET, "budget exhausted"),
+    InternalCheckError: (EXIT_INTERNAL, "internal check failed"),
+    KeyError: (EXIT_INTERNAL, "internal check failed"),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -410,20 +403,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except FalsificationError as exc:
-        sys.stdout.write(json.dumps({"falsified": str(exc)}, sort_keys=True) + "\n")
-        print(f"falsified: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args.func(args)
+    except tuple(_OUTCOMES) as exc:
+        code, prefix = next(_OUTCOMES[t] for t in type(exc).__mro__ if t in _OUTCOMES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

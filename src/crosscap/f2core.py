@@ -29,6 +29,10 @@ class BudgetExceededError(RuntimeError):
     """An operation was asked to exceed its documented search budget."""
 
 
+class FalsificationError(RuntimeError):
+    """A machine check contradicted a classification claim."""
+
+
 def _require_genus_budget(what: str, g: int, cap: int) -> None:
     """Refuse an exponential search above its genus budget, before any work."""
     if g > cap:

@@ -36,6 +36,7 @@ from itertools import islice
 from math import comb, prod
 
 from .f2core import (
+    BudgetExceededError,
     Genus,
     GenusMismatchError,
     H1Matrix,
@@ -474,7 +475,9 @@ def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationRe
     """Prove that the standard generating set generates O(q), by counting.
 
     When every generator passes `preserves_q` the closure lies in O(q), and
-    a complete closure of order prod(level_counts) is then all of it.
+    a complete closure of order prod(level_counts) is then all of it.  A
+    closure cut off at `cap` nodes proves nothing and raises
+    BudgetExceededError.
     """
     g = genus.g
     _require_genus_budget("generation check", g, ENUMERATION_GENUS_CAP)
@@ -485,6 +488,8 @@ def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationRe
         labels=[label for label, _ in gens],
         genus=genus,
     )
+    if not closure.complete:
+        raise BudgetExceededError("closure hit the node cap; raise --cap")
     _check(closure.verify_certificates(limit=4096), "closure certificate failed to replay")
     order = prod(level_counts(genus))
     isometries = all(preserves_q(m) for _, m in gens)
@@ -493,7 +498,7 @@ def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationRe
         labels=closure.labels,
         closure_order=closure.order,
         enumerated_order=order,
-        equal=closure.complete and isometries and closure.order == order,
+        equal=isometries and closure.order == order,
         diameter=closure.diameter,
         closure_complete=closure.complete,
     )

@@ -31,6 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .f2core import (
+    FalsificationError,
     Genus,
     H1Vector,
     InternalCheckError,
@@ -39,10 +40,6 @@ from .f2core import (
 )
 from .gmform import _q_mask
 from .words import MCGWord, _axes, _axis_bits, _fold, certify, parse_word
-
-
-class FalsificationError(RuntimeError):
-    """A machine check contradicted a classification claim."""
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def _validate_letter(letter: Letter, genus: Genus) -> None:
     if kind in ("a", "c", "d"):
         top = {"a": g - 1, "c": g - 3, "d": g - 2}[kind]
         i = args[0]
+        if top < 1:
+            raise ValueError(f"{letter.spell()}: no {kind}-twist exists at genus {g}")
         if not 1 <= i <= top:
             raise ValueError(
                 f"{letter.spell()}: index {i} out of range 1..{top} at genus {g}"

@@ -10,7 +10,7 @@ from itertools import product
 import jsonschema
 
 from crosscap import rewrite
-from crosscap.cli import main
+from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import Genus
 from crosscap.gmform import q_table
 from crosscap.rewrite import rule_instances, rule_schemas
@@ -206,18 +206,23 @@ def validate(payload: dict, schema_name: str) -> None:
 
 def falsified(capsys, lemma: str, genus: int) -> tuple[dict, str]:
     """Run a workflow that is falsified in both formats: each run exits 1
-    with one stderr line, the JSON report validates with `ok` false, and the
-    text output is one line with one FALSIFIED prefix.  Returns the report
-    and the text line without its prefix."""
-    outs = []
+    with one stderr line naming the lemma, its claim and what failed, the
+    JSON report validates with `ok` false, and the text output is one line
+    with one FALSIFIED prefix.  Returns the report and the text line
+    without its prefix."""
+    outs, errs = [], []
     for fmt in ("json", "text"):
         code = main(["verify-lemma", lemma, "-g", str(genus), "--format", fmt])
         captured = capsys.readouterr()
-        assert (code, captured.err) == (1, f"verification of {lemma} falsified\n")
+        assert code == 1
         outs.append(captured.out)
+        errs.append(captured.err)
     payload, text = json.loads(outs[0]), outs[1]
     validate(payload, "lemma.schema.json")
     assert payload["ok"] is False
     assert text.startswith("FALSIFIED: ") and text.count("FALSIFIED") == 1
     assert text.count("\n") == 1 and text.endswith("\n")
-    return payload, text[len("FALSIFIED: "):-1]
+    line = text[len("FALSIFIED: "):-1]
+    expected = f"falsified: {lemma} ({LEMMA_CLAIMS[lemma]}): {line}\n"
+    assert errs == [expected, expected]
+    return payload, line

@@ -18,6 +18,44 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def fresh_forests():
+    # the sequence forest is cached per genus: rebuild it on both sides
+    rewrite._reduction_forest.cache_clear()
+    yield
+    rewrite._reduction_forest.cache_clear()
+
+
+def _drop_normal_form(monkeypatch):
+    targets = rewrite.canonical_targets
+    monkeypatch.setattr(rewrite, "canonical_targets", lambda genus: targets(genus)[:-1])
+
+
+def _drop_terminal(monkeypatch):
+    monkeypatch.delitem(rewrite.ALPHA_TERMINALS, (1, 2, 3))
+
+
+def _break_al1(monkeypatch):
+    # Y_{3,4} stays inside AL.1's window at (3, 4, 5) and acts as the identity
+    break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
+
+
+def _replay_to_identity(monkeypatch):
+    monkeypatch.setattr(
+        groupops, "_replay", lambda genus, gens, word: H1Matrix.identity(genus)
+    )
+
+
+def _drop_label(monkeypatch):
+    table = groupops._label_table
+    dropped = groupops.triple_label(1)
+    monkeypatch.setattr(
+        groupops,
+        "_label_table",
+        lambda genus: {k: v for k, v in table(genus).items() if k != dropped},
+    )
+
+
 class TestEvalAndAct:
     def test_eval_json(self, capsys):
         code, out, _ = run(capsys, "eval-form", "-g", "5", "x1+x3")
@@ -112,9 +150,7 @@ class TestFactorize:
         assert "genus <= 16" in err
 
     def test_failed_replay_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            groupops, "_replay", lambda genus, gens, word: H1Matrix.identity(genus)
-        )
+        _replay_to_identity(monkeypatch)
         code, out, err = run(capsys, "factorize", "-g", "4", "t_{d_1}")
         assert code == 4
         assert out == ""
@@ -165,6 +201,10 @@ BUDGET_REFUSALS = [
     (
         ("verify-lemma", "4.8", "-g", "7", "--cap", "100"),
         "closure hit the node cap; raise --cap",
+    ),
+    (
+        ("factorize", "-g", "6", "t_{d_1} t_{d_3}", "--cap", "3"),
+        "factorization reached its cap of 3 elements; nothing is claimed",
     ),
 ]
 
@@ -256,16 +296,8 @@ class TestFalsifiedReport:
     raises FalsificationError inside it.  The 4.6 and 4.8 cases sit next to
     their mutations in test_rewrite.py and test_groupops.py."""
 
-    @pytest.fixture
-    def fresh_forests(self):
-        # the sequence forest is cached per genus: rebuild it on both sides
-        rewrite._reduction_forest.cache_clear()
-        yield
-        rewrite._reduction_forest.cache_clear()
-
     def test_44_dropped_normal_form(self, capsys, monkeypatch, fresh_forests):
-        targets = rewrite.canonical_targets
-        monkeypatch.setattr(rewrite, "canonical_targets", lambda genus: targets(genus)[:-1])
+        _drop_normal_form(monkeypatch)
         payload, line = falsified(capsys, "4.4", 4)
         assert line == "sequence PMPM lies in a component without a normal form"
         assert payload["detail"] == {"falsified": line}
@@ -279,8 +311,7 @@ class TestFalsifiedReport:
         assert line == f"components of {', '.join(broken)} break an invariant"
 
     def test_410_failed_shift_rule(self, capsys, monkeypatch):
-        # Y_{3,4} stays inside AL.1's window at (3, 4, 5) and acts as the identity
-        break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
+        _break_al1(monkeypatch)
         payload, line = falsified(capsys, "4.10", 6)
         assert line == "all 20 triples reach a listed terminal; shift rules AL.1 inconsistent"
         assert payload["detail"]["shift_rules"][0] == {
@@ -293,7 +324,7 @@ class TestFalsifiedReport:
         }
 
     def test_410_dropped_terminal(self, capsys, monkeypatch):
-        monkeypatch.delitem(rewrite.ALPHA_TERMINALS, (1, 2, 3))
+        _drop_terminal(monkeypatch)
         payload, line = falsified(capsys, "4.10", 5)
         assert line == "triple (1, 2, 3) stopped at (1, 2, 3), which is not a listed terminal"
         assert payload["detail"] == {"falsified": line}
@@ -505,3 +536,77 @@ class TestCliContract:
         _, one, _ = run(capsys, "verify-lemma", "4.6", "-g", "6")
         _, two, _ = run(capsys, "verify-lemma", "4.6", "-g", "6")
         assert one == two
+
+
+# the schema of each command's report
+SCHEMAS = {
+    "eval-form": "eval",
+    "act": "act",
+    "extendable": "extendable",
+    "factorize": "factorize",
+    "enumerate": "table",
+    "verify-lemma": "lemma",
+    "reduce-rseq": "path",
+    "reduce-alpha": "alpha",
+    "reduce-q2": "vector_reduction",
+}
+# the stderr prefix of each non-zero exit code
+PREFIXES = {1: "falsified: ", 2: "error: ", 3: "budget exhausted: ", 4: "internal check failed: "}
+# every exit code each command can reach: (argv, exit code, mutation or None)
+OUTCOMES = [
+    (("eval-form", "-g", "5", "x1+x3"), 0, None),
+    (("act", "-g", "4", "t_{a_1}", "x1"), 0, None),
+    (("extendable", "-g", "4", "t_{a_1}"), 0, None),
+    (("factorize", "-g", "4", "t_{a_1}^{2} t_{d_2}"), 0, None),
+    (("enumerate", "-g", "3", "--elements"), 0, None),
+    (("verify-lemma", "4.6", "-g", "5"), 0, None),
+    (("reduce-rseq", "pmP"), 0, None),
+    (("reduce-alpha", "-g", "9", "3", "5", "7"), 0, None),
+    (("reduce-q2", "-g", "6", "x2+x4"), 0, None),
+    (("verify-lemma", "4.10", "-g", "6"), 1, _break_al1),
+    (("reduce-rseq", "PMPM"), 1, _drop_normal_form),
+    (("reduce-alpha", "-g", "5", "1", "2", "3"), 1, _drop_terminal),
+    (("eval-form", "-g", "3", "zzz"), 2, None),
+    (("act", "-g", "4", "t_{a_1}", "x9"), 2, None),
+    (("extendable", "-g", "2", "t_{c_1}"), 2, None),
+    (("factorize", "-g", "6", "t_{b_2}"), 2, None),
+    (("enumerate", "-g", "0"), 2, None),
+    (("verify-lemma", "9.9", "-g", "4"), 2, None),
+    (("reduce-rseq", "pmP", "-g", "5"), 2, None),
+    (("reduce-alpha", "-g", "5", "3", "2", "1"), 2, None),
+    (("reduce-q2", "-g", "6", "x1+x2"), 2, None),
+    (("enumerate", "-g", "9"), 3, None),
+    (("verify-lemma", "4.8", "-g", "7", "--cap", "100"), 3, None),
+    (CAPPED_FACTORIZE_G9, 3, None),
+    (("factorize", "-g", "17", "t_{d_1}"), 3, None),
+    (("reduce-rseq", "pm" * 9 + "p"), 3, None),
+    (("factorize", "-g", "4", "t_{d_1}"), 4, _replay_to_identity),
+    (("reduce-q2", "-g", "6", "x2+x4"), 4, _drop_label),
+]
+
+
+class TestOutcomeContract:
+    """Every command reaches each of its exit codes the same way: a report
+    on stdout or nothing, text that is never JSON, and on a non-zero exit
+    exactly one stderr line with that code's prefix."""
+
+    @pytest.mark.usefixtures("fresh_forests")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv,code,mutation", OUTCOMES, ids=[f"{a[0]}-{c}" for a, c, _ in OUTCOMES]
+    )
+    def test_outcome(self, capsys, monkeypatch, argv, code, mutation, fmt):
+        if mutation is not None:
+            mutation(monkeypatch)
+        got, out, err = run(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert out or code != 0
+        if fmt == "text":
+            assert not any(line.startswith("{") for line in out.splitlines())
+        elif out:
+            validate(json.loads(out), f"{SCHEMAS[argv[0]]}.schema.json")
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith(PREFIXES[code])
+            assert err.count("\n") == 1 and err.endswith("\n")

@@ -223,6 +223,11 @@ class TestGeneration:
         with pytest.raises(BudgetExceededError):
             verify_generation(Genus(9))
 
+    def test_capped_closure_is_budget_exhausted(self):
+        # a closure cut off at its cap proves nothing, so it gives no verdict
+        with pytest.raises(BudgetExceededError, match="^closure hit the node cap; raise --cap$"):
+            verify_generation(Genus(7), cap=100)
+
 
 def non_involutive_set():
     """A 3-cycle of the basis (x1 -> x2 -> x3 -> x1) and t_{d_1} at genus 3."""

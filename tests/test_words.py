@@ -104,6 +104,10 @@ class TestGrammar:
             parse_word("Y_{2,2}", Genus(5))
         with pytest.raises(ValueError):
             parse_word("Y_{1,6}", Genus(5))
+        with pytest.raises(ValueError, match=r"^t_\{c_1\}: no c-twist exists at genus 2$"):
+            parse_word("t_{c_1}", Genus(2))
+        with pytest.raises(ValueError, match=r"^t_\{d_1\}: no d-twist exists at genus 2$"):
+            parse_word("t_{d_1}", Genus(2))
 
     def test_alpha_letter_validation(self):
         with pytest.raises(ValueError):
