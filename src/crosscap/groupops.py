@@ -51,7 +51,7 @@ from .f2core import (
     transvection,
 )
 from .gmform import _q_mask, basis_value, preserves_q, q_eval
-from .words import MCGWord, _axes, _fold, certify, parse_word
+from .words import MCGWord, _fold, certify, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
@@ -421,8 +421,7 @@ def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...], H1Ma
     table = {}
     for label in labels:
         word = parse_word(label, genus)
-        axes = tuple(_axes(word))
-        table[label] = (word, axes, H1Matrix(genus, tuple(_fold(axes, basis))))
+        table[label] = (word, word.axes, H1Matrix(genus, tuple(_fold(word.axes, basis))))
     return table
 
 
@@ -430,7 +429,8 @@ def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...], H1Ma
 class GenerationReport:
     """The generation check.  `enumerated_order` keeps its name, so the
     output stays byte-identical, but carries |O(q)| as `level_counts`
-    proves it; no enumeration is made."""
+    proves it; no enumeration is made.  A report is only built for a
+    complete closure, so its JSON says `complete` true."""
 
     genus: int
     labels: tuple[str, ...]
@@ -438,7 +438,6 @@ class GenerationReport:
     enumerated_order: int
     equal: bool
     diameter: int
-    closure_complete: bool
 
     def to_json(self) -> dict:
         return {
@@ -448,7 +447,7 @@ class GenerationReport:
             "enumerated_order": self.enumerated_order,
             "equal": self.equal,
             "diameter": self.diameter,
-            "complete": self.closure_complete,
+            "complete": True,
         }
 
 
@@ -500,7 +499,6 @@ def verify_generation(genus: Genus, cap: int = DEFAULT_NODE_CAP) -> GenerationRe
         enumerated_order=order,
         equal=isometries and closure.order == order,
         diameter=closure.diameter,
-        closure_complete=closure.complete,
     )
 
 
@@ -624,9 +622,9 @@ class _Reducer:
     def vector(self, idx: int) -> H1Vector:
         return H1Vector(self.genus, self.tracked[idx])
 
-    def word(self, sources: list[int], what: str) -> MCGWord:
-        """The moves as one word, replayed from the source masks onto the
-        tracked masks."""
+    def word(self, sources: list[int], what: str) -> str:
+        """The text of the moves as one word, replayed from the source masks
+        onto the tracked masks."""
         steps = [self._table[label][0] for label in self.moves]
         return certify(self.genus, steps, sources, self.tracked, what)
 
@@ -810,7 +808,7 @@ def reduce_q2_vector(a: H1Vector) -> VectorReduction:
     red = _Reducer(a.genus, [a])
     _normalize_q2(red, 0)
     word = red.word([a.bits], "q=2 reduction failed to replay")
-    return VectorReduction(a, red.vector(0), tuple(red.moves), word.spell(), True)
+    return VectorReduction(a, red.vector(0), tuple(red.moves), word, True)
 
 
 def full_support_factorization(genus: Genus) -> tuple[H1Matrix, H1Matrix]:
@@ -960,7 +958,7 @@ def reduce_isotropic_pair(a: H1Vector, b: H1Vector) -> PairReduction:
         branch=branch,
         tracked_pair=tracked_pair,
         moves=tuple(red.moves),
-        word=word.spell(),
+        word=word,
         final_pair=end_pair,
         identity_applicable=identity_applicable,
         identity_holds=identity_holds,

@@ -39,7 +39,7 @@ from .f2core import (
     _require_genus_budget,
 )
 from .gmform import _q_mask
-from .words import MCGWord, _axes, _axis_bits, _fold, certify, parse_word
+from .words import MCGWord, _axis_bits, _fold, certify, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
     checked = 0
     for inst in rule_instances(rule, genus):
         _check_window_local(inst, genus)
-        [got] = _fold(_axes(inst.word), [inst.lhs_bits])
+        [got] = _fold(inst.word.axes, [inst.lhs_bits])
         checked += 1
         if got != inst.rhs_bits:
             return RuleVerdict(
@@ -577,7 +577,7 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
         end=RSequence(s.genus, cur),
         steps=tuple(steps),
         states=tuple(RSequence(s.genus, b) for b in states),
-        word=word.spell(),
+        word=word,
         verified=True,
     )
 
@@ -740,6 +740,6 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
         terminal=cur,
         label=ALPHA_TERMINALS[cur],
         steps=tuple(steps),
-        word=word.spell(),
+        word=word,
         verified=True,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, _check, _require_same_genus
 from .gmform import QPreservationVerdict, preserves_q, q_eval, z4_str
@@ -181,7 +182,12 @@ def _validate_letter(letter: Letter, genus: Genus) -> None:
 
 @dataclass(frozen=True)
 class MCGWord:
-    """A validated word; the rightmost letter acts first."""
+    """A validated word; the rightmost letter acts first.
+
+    Its text, axes and inverse are computed from its letters once, on first
+    use, and kept on the word; its fields stay immutable, so equality,
+    hashing and sharing are those of the letters.
+    """
 
     genus: Genus
     letters: tuple[Letter, ...] = field(default_factory=tuple)
@@ -190,11 +196,26 @@ class MCGWord:
         for letter in self.letters:
             _validate_letter(letter, self.genus)
 
-    def spell(self) -> str:
+    @cached_property
+    def text(self) -> str:
         return " ".join(letter.spell() for letter in self.letters)
 
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """Axis masks of the word's odd-power twists, rightmost letter first.
+
+        Transvections are involutions, so only odd powers act, and Y letters
+        act as the identity.
+        """
+        return tuple(
+            a for l in reversed(self.letters) if l.power % 2 and (a := _axis_bits(l))
+        )
+
+    def spell(self) -> str:
+        return self.text
+
     def __str__(self) -> str:
-        return self.spell()
+        return self.text
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -208,10 +229,17 @@ class MCGWord:
         return word
 
     def inverse(self) -> "MCGWord":
-        return MCGWord._joined(
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "MCGWord":
+        inverse = MCGWord._joined(
             self.genus,
             tuple(l.with_power(-l.power) for l in reversed(self.letters)),
         )
+        # the inverse's inverse is this word
+        inverse.__dict__["_inverse"] = self
+        return inverse
 
     @classmethod
     def product(cls, genus: Genus, words) -> "MCGWord":
@@ -221,17 +249,20 @@ class MCGWord:
         genus is checked, since a letter valid at one genus may be invalid
         at a smaller one.
         """
-        letters = []
-        for word in words:
-            if word.genus.g != genus.g:
-                raise GenusMismatchError(
-                    f"cannot join a word over genus {word.genus.g} into genus {genus.g}"
-                )
-            letters += word.letters
-        return cls._joined(genus, tuple(letters))
+        words = tuple(words)
+        _require_genus(genus, words)
+        return cls._joined(genus, tuple(l for word in words for l in word.letters))
 
     def __mul__(self, other: "MCGWord") -> "MCGWord":
         return MCGWord.product(self.genus, (self, other))
+
+
+def _require_genus(genus: Genus, words) -> None:
+    for word in words:
+        if word.genus.g != genus.g:
+            raise GenusMismatchError(
+                f"cannot join a word over genus {word.genus.g} into genus {genus.g}"
+            )
 
 
 # support of each twisting circle's class, shifted to start at x_i
@@ -242,15 +273,6 @@ def _axis_bits(letter: Letter) -> int:
     """Mask of the twisting circle's class for a validated letter; 0 for Y."""
     pattern = _AXIS_PATTERN.get(letter.kind)
     return pattern << (letter.args[0] - 1) if pattern else 0
-
-
-def _axes(word: MCGWord) -> list[int]:
-    """Axis masks of the word's odd-power twists, rightmost letter first.
-
-    Transvections are involutions, so only odd powers act, and Y letters act
-    as the identity.
-    """
-    return [a for l in reversed(word.letters) if l.power % 2 and (a := _axis_bits(l))]
 
 
 def _fold(axes, masks) -> list[int]:
@@ -265,25 +287,26 @@ def _fold(axes, masks) -> list[int]:
     return out
 
 
-def certify(genus: Genus, steps, sources, targets, what: str) -> MCGWord:
-    """A reduction's certificate: its list of step words joined into one
-    word, the first step acting first.  The word's own axes must carry the
-    list of source class masks onto the list of target masks, or
-    InternalCheckError(what) is raised."""
-    word = MCGWord.product(genus, reversed(steps))
-    _check(_fold(_axes(word), sources) == targets, what)
-    return word
+def certify(genus: Genus, steps, sources, targets, what: str) -> str:
+    """A reduction's certificate: the text of its list of step words joined
+    into one word, the first step acting first (rightmost).  The steps' own
+    axes, taken in step order, must carry the list of source class masks
+    onto the list of target masks, or InternalCheckError(what) is raised."""
+    _require_genus(genus, steps)
+    axes = [a for step in steps for a in step.axes]
+    _check(_fold(axes, sources) == targets, what)
+    return " ".join(step.text for step in reversed(steps))
 
 
 def act(word: MCGWord, v: H1Vector) -> H1Vector:
     """Image of a class under the word's homology action."""
     _require_same_genus(word, v)
-    return H1Vector(v.genus, _fold(_axes(word), [v.bits])[0])
+    return H1Vector(v.genus, _fold(word.axes, [v.bits])[0])
 
 
 def induced_matrix(word: MCGWord) -> H1Matrix:
     """Matrix of the word's homology action; column j is the image of x_{j+1}."""
-    cols = _fold(_axes(word), [1 << j for j in range(word.genus.g)])
+    cols = _fold(word.axes, [1 << j for j in range(word.genus.g)])
     return H1Matrix(word.genus, tuple(cols))
 
 

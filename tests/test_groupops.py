@@ -200,7 +200,7 @@ class TestGeneration:
         assert not preserves_q(t) and math.prod(level_counts(genus)) == 2
         monkeypatch.setattr(groupops, "standard_generators", lambda genus: [("t", t)])
         report = verify_generation(genus)
-        assert (report.closure_order, report.closure_complete) == (2, True)
+        assert (report.closure_order, report.to_json()["complete"]) == (2, True)
         assert not report.equal
         payload, line = falsified(capsys, "4.8", 3)
         assert payload["detail"]["equal"] is False
@@ -568,6 +568,37 @@ class TestPairReduction:
         text = json.dumps(red.to_json(), indent=2, sort_keys=True)
         digest = hashlib.sha256((text + "\n").encode()).hexdigest()
         assert digest == "092f9cf086733dbd28026c84930992f31a656db507a27c11f05afdfbfcc13d4e"
+
+    @pytest.mark.parametrize(
+        "a,b,branch,moves,digest",
+        [
+            # a generic pair whose reduction swaps in the third class a+b
+            (
+                "x7+x20+x33+x58",
+                "x7+x11+x20+x45+x50+x61+x62+x64",
+                "generic",
+                189,
+                "806e7f6fd8c71624564681b7bcf2868f13e8bc185a98c725389577253286c7fa",
+            ),
+            # a pair spanning the all-ones class, given as b = a + w below
+            (
+                "x2+x9+x40+x63",
+                None,
+                "full_support",
+                54,
+                "61e6423eac14a145714323b7dc8b6e96d2dd093f8cc5c316c6745e3230cb6958",
+            ),
+        ],
+        ids=["generic", "full_support"],
+    )
+    def test_compact_json_bytes_pinned_g64(self, a, b, branch, moves, digest):
+        genus = Genus(64)
+        a = vec(64, a)
+        b = vec(64, b) if b else a + H1Vector.from_indices(genus, range(1, 65))
+        red = reduce_isotropic_pair(a, b)
+        assert (red.branch, len(red.moves)) == (branch, moves)
+        text = json.dumps(red.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,21 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap.f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, compose, preserves_intersection_form, transvection
+from crosscap.gmform import q_eval
+from crosscap.groupops import reduce_isotropic_pair, reduce_q2_vector
+from crosscap.rewrite import AlphaTriple, RSequence, reduce_alpha, reduce_rseq
 from crosscap.words import (
     Letter,
     MCGWord,
     UnsupportedLetterError,
     WordParseError,
+    _axis_bits,
     act,
+    certify,
     decide_extendable,
     induced_matrix,
     parse_word,
@@ -149,6 +157,9 @@ class TestGrammar:
             small * big
         with pytest.raises(GenusMismatchError):
             big.inverse() * small
+        # a certificate's steps are refused the same way, before any replay
+        with pytest.raises(GenusMismatchError):
+            certify(Genus(12), [small, big], [0], [0], "unused")
 
 
 class TestInducedAction:
@@ -250,3 +261,117 @@ class TestExtendability:
         good = decide_extendable(parse_word("t_{d_1}", Genus(4))).to_json()
         assert "witness" not in good
 
+
+
+def _letter_axes(word):
+    """Oracle: the axes of the word's odd-power twists, rightmost letter
+    first, recomputed letter by letter."""
+    return [a for l in reversed(word.letters) if l.power % 2 and (a := _axis_bits(l))]
+
+
+class TestWordMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(words())
+    def test_text_and_axes_match_letters(self, word):
+        assert word.text == " ".join(l.spell() for l in word.letters)
+        assert word.spell() == word.text == str(word)
+        assert list(word.axes) == _letter_axes(word)
+        inverse = word.inverse()
+        assert list(inverse.axes) == _letter_axes(inverse)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words())
+    def test_inverse_is_kept(self, word):
+        inverse = word.inverse()
+        assert word.inverse() is inverse
+        assert inverse.inverse() == word
+        assert inverse.letters == tuple(
+            l.with_power(-l.power) for l in reversed(word.letters)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(words())
+    def test_filled_memo_keeps_equality_and_hash(self, word):
+        word.text, word.axes, word.inverse()
+        fresh = parse_word(" ".join(l.spell() for l in word.letters), word.genus)
+        assert fresh == word and hash(fresh) == hash(word)
+        assert word.inverse() == fresh.inverse()
+        assert hash(word.inverse()) == hash(fresh.inverse())
+
+
+def _replays(genus, text, sources, targets):
+    """Oracle for a reduction's certificate: the text parses at the genus,
+    spells back letter by letter to itself, and its axes, recomputed from
+    the parsed letters, carry the source masks onto the target masks."""
+    word = parse_word(text, genus)
+    assert " ".join(l.spell() for l in word.letters) == text
+    axes = _letter_axes(word)
+    images = []
+    for c in sources:
+        for a in axes:
+            if (c & a).bit_count() & 1:
+                c ^= a
+        images.append(c)
+    assert images == targets
+
+
+def _mask(indices):
+    return sum(1 << (t - 1) for t in indices)
+
+
+def _seeded_class(rng, genus, value):
+    """A random nonzero class with form value `value` at the genus."""
+    while True:
+        v = H1Vector(genus, rng.randrange(1, 1 << genus.g))
+        if q_eval(v) == value:
+            return v
+
+
+_SEEDED_GENERA = (6, 7, 8, 9, 12, 16, 17, 24, 32, 47, 64)
+
+
+class TestCertificateOracle:
+    """Each reduction's word, from memoized step texts and replayed on
+    memoized step axes, against a fresh parse replayed letter by letter."""
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_every_sequence(self, g):
+        genus = Genus(g)
+        for bits in range(1 << g):
+            path = reduce_rseq(RSequence(genus, bits))
+            _replays(genus, path.word, [bits], [path.end.bits])
+
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_every_triple(self, g):
+        genus = Genus(g)
+        for t in combinations(range(1, g + 1), 3):
+            red = reduce_alpha(genus, AlphaTriple(*t))
+            _replays(genus, red.word, [_mask(t)], [_mask(red.terminal)])
+
+    @pytest.mark.parametrize("g", _SEEDED_GENERA)
+    def test_seeded_q2_classes(self, g):
+        genus = Genus(g)
+        rng = random.Random(1700 + g)
+        for _ in range(20):
+            a = _seeded_class(rng, genus, 2)
+            red = reduce_q2_vector(a)
+            _replays(genus, red.word, [a.bits], [red.end.bits])
+
+    @pytest.mark.parametrize("g", _SEEDED_GENERA)
+    def test_seeded_isotropic_pairs(self, g):
+        genus = Genus(g)
+        rng = random.Random(1800 + g)
+        w = H1Vector.from_indices(genus, range(1, g + 1))
+        branches = set()
+        for k in range(40):
+            a = _seeded_class(rng, genus, 0)
+            # every other pair spans w: the full-support branch at even genus
+            b = a + w if k % 2 else _seeded_class(rng, genus, 0)
+            if b.is_zero() or q_eval(b) or q_eval(a + b):
+                continue
+            red = reduce_isotropic_pair(a, b)
+            branches.add(red.branch)
+            named = {"a": a, "b": b, "a+b": a + b}
+            sources = [named[name].bits for name in red.tracked_pair]
+            _replays(genus, red.word, sources, [v.bits for v in red.final_pair])
+        assert "generic" in branches and ("full_support" in branches or g % 2)
