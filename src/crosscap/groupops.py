@@ -8,7 +8,8 @@ Four kinds of work live here:
   generation check: a complete closure of isometries whose order meets the
   counting bound `level_counts` (enumeration stays the tests' oracle);
 * bidirectional meet-in-the-middle factorization of a matrix over a labeled
-  generating set;
+  generating set, whose forward wave is one breadth-first tree per set,
+  shared by every search over it;
 * the constructive normal-form reductions: any class of form value 2 is
   driven to x1+x3, and any isotropic pair to [x1+x2, x3+x4] or to an
   explicitly flagged full-support configuration.
@@ -19,9 +20,9 @@ the signed letter that reached it, and undoing that letter's move recomputes
 the parent.  Matrices and words are built only when an element leaves this
 module.  Each signed letter is compiled into a few shift-and-multiply terms
 on the packed int, one compile step per generating set (`_moves`, a small
-bounded cache).  The standard generating set is one table per genus
-(`_label_table`): each standard label's parsed word, twist axes and
-matrix.  The reductions take their moves from its axes; a reducer tracks
+bounded cache, which also keeps the set's forward tree).  The standard
+generating set is one table per genus (`_label_table`): each standard
+label's parsed word, twist axes and matrix.  The reductions take their moves from its axes; a reducer tracks
 plain class masks and builds classes only for its result.
 
 Certificates and reduction words always replay: the product of the recorded
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import comb, prod
+from threading import Lock
 
 from .f2core import (
     BudgetExceededError,
@@ -178,45 +180,93 @@ def _packed_move(m: H1Matrix, left: bool):
     return move
 
 
+class _ForwardTree(_SearchTree):
+    """The forward wave of every factorization over one generating set: the
+    breadth-first tree from the identity by left moves.
+
+    It only gains whole levels, one at a time under `lock`, and only when a
+    search first needs one; what it holds never changes.  `position` maps
+    each key to its discovery index and `ends[k]` counts the keys of depth
+    at most k, so level k is the positions ends[k-1] .. ends[k]-1.  A new
+    level is indexed before `ends` counts it, at positions past every
+    counted one, so a search reading the levels it was shown never sees
+    part of another; a level that does not fit is rolled back instead.
+    """
+
+    def __init__(self, g: int, moves: dict):
+        root = _pack([1 << j for j in range(g)], g)
+        super().__init__(root, moves)
+        self.position = {root: 0}
+        self.ends = [1]
+        self.lock = Lock()
+
+    def reveal(self, k: int, room: int) -> bool:
+        """Whether level k, at most one past the deepest level held, has at
+        most `room` keys; grows it when missing and it fits."""
+        ends = self.ends
+        if k == len(ends):
+            with self.lock:
+                if k == len(ends) and not self._extend(room):
+                    return False
+        return ends[k] - ends[k - 1] <= room
+
+    def _extend(self, room: int) -> bool:
+        """Add the next level whole, or leave the tree as it was when the
+        level has more than `room` keys or its growth raises.  A level
+        counts once `ends` does; until then its keys are the last ones
+        inserted, so popping them undoes it."""
+        index, ends, frontier = self.index, self.ends, self.frontier
+        depth = len(ends)
+        try:
+            if _grow(self, room):
+                self.position.update(zip(self.frontier, count(ends[-1])))
+                ends.append(len(index))
+        finally:
+            if len(ends) == depth:
+                while len(index) > ends[-1]:
+                    self.position.pop(index.popitem()[0], None)
+                self.frontier = frontier
+        return len(ends) > depth
+
+
 @lru_cache(maxsize=4)
-def _moves(generators: tuple[H1Matrix, ...]):
-    """Compile a generating set, in order, into its signed alphabet as
-    forward moves X -> a X and backward moves X -> X a^-1, two dicts from
-    signed letter to move.  Letter k is generator k and -k its inverse; an
-    inverse equal to the generator itself (an involution) is not listed
-    twice.  Each generator is inverted once.  The last four sets compiled
-    stay cached, so repeated searches over one set skip this step."""
+def _moves(generators: tuple[H1Matrix, ...], g: int):
+    """Compile a generating set of genus g, in order, into its signed
+    alphabet: the forward tree of its factorizations, whose moves are the
+    forward moves X -> a X, and the backward moves X -> X a^-1, each a dict
+    from signed letter to move.  Letter k is generator k and -k its inverse;
+    an inverse equal to the generator itself (an involution) is not listed
+    twice.  Each generator is inverted once.  The genus is part of the key,
+    as the empty set's tree is rooted at the identity of one genus.  The
+    last four sets compiled stay cached, with their trees, so repeated
+    searches over one set skip this step and share the forward wave."""
     letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
     letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
     forward = {signed: _packed_move(m, True) for signed, m, _ in letters}
     backward = {signed: _packed_move(inv, False) for signed, _, inv in letters}
-    return forward, backward
+    return _ForwardTree(g, forward), backward
 
 
-def _grow(tree: _SearchTree, room: int, other=None) -> list | None:
+def _grow(tree: _SearchTree, room: int) -> bool:
     """Add the next breadth-first level to `tree`: children of the frontier
     in discovery order, moves in listed order, unseen children only, at most
-    `room` of them.  Returns the inserted children that `other` also holds
-    (the meets of a bidirectional search), or None, leaving the level
-    partial, when one more insertion was needed.
+    `room` of them.  Returns False, leaving the level partial, when one more
+    insertion was needed.
     """
     index, moves = tree.index, tuple(tree.moves.items())
     frontier, tree.frontier = tree.frontier, []
     new = tree.frontier
-    meets = []
     for key in frontier:
         for signed, move in moves:
             child = move(key)
             if child in index:
                 continue
             if room <= 0:
-                return None
+                return False
             room -= 1
             index[child] = signed
             new.append(child)
-            if other is not None and child in other:
-                meets.append(child)
-    return meets
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +419,15 @@ def subgroup_closure(
             raise GenusMismatchError("generators must share one genus")
     labels = _labels(labels, len(gens))
 
-    moves, _ = _moves(tuple(gens))
-    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), moves)
+    forward, _ = _moves(tuple(gens), genus.g)
+    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), forward.moves)
     diameter = 0
     complete = True
     while tree.frontier:
         grown = _grow(tree, cap - len(tree.index))
         if tree.frontier:
             diameter += 1
-        if grown is None:
+        if not grown:
             complete = False
             break
     return GroupTable(
@@ -544,12 +594,24 @@ def factorize(
     Bidirectional search: one wave grows from the identity by left
     multiplication, the other from the target by right multiplication with
     letter inverses; a common element splices the two half-words.  Levels
-    alternate strictly and every meet found while completing a level is
-    collected, so the reported word has minimal length and is deterministic.
+    alternate strictly and every meet of a level is collected, so the
+    reported word has minimal length and is deterministic.
+
+    The forward wave does not depend on the target, so it is not regrown:
+    the search reveals the levels of the generating set's shared forward
+    tree one at a time, growing the tree by a whole level only when no
+    earlier search needed that level.  Revealing level k meets the backward
+    elements at forward depth k, in forward discovery order; a backward
+    level meets the forward elements of the levels revealed so far.  The
+    result, `explored` included, is that of a search with a private forward
+    wave.
+
     The cap bounds the elements of both waves together, their two starting
-    elements included, at each insertion; an insertion past it ends the
-    search as "budget_exhausted", never as non-membership.  Non-membership
-    is only claimed when a whole side closed, so the cap must be at least 2.
+    elements included, revealed forward levels counted whole; a level past
+    it ends the search as "budget_exhausted" with `explored` equal to the
+    cap, never as non-membership, and is not kept in the shared tree.
+    Non-membership is only claimed when a whole side closed, so the cap
+    must be at least 2.
 
     Budgeted: genus above FACTORIZE_GENUS_CAP raises BudgetExceededError
     before any letter is compiled.
@@ -566,27 +628,39 @@ def factorize(
             raise GenusMismatchError("generators must share the target's genus")
     labels = _labels(labels, len(gens))
 
-    fwd_moves, bwd_moves = _moves(tuple(gens))
+    fwd, bwd_moves = _moves(tuple(gens), genus.g)
+    position, ends = fwd.position, fwd.ends
     goal = _pack(target.cols, genus.g)
-    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), fwd_moves)
     bwd = _SearchTree(goal, bwd_moves)
-    meets = [goal] if goal in fwd.index else []
+    meets = [goal] if position.get(goal) == 0 else []
+    depth = 0  # forward levels revealed to this search
     forward = True
     while not meets:
-        explored = len(fwd.index) + len(bwd.index)
-        side, other = (fwd, bwd) if forward else (bwd, fwd)
-        if not side.frontier:
-            return FactorizationResult("not_member", None, None, explored)
-        meets = _grow(side, cap - explored, other.index)
-        if meets is None:
-            return FactorizationResult(
-                "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
+        explored = ends[depth] + len(bwd.index)
+        if forward:
+            if depth and ends[depth] == ends[depth - 1]:
+                # the last level revealed was empty: the forward side closed
+                return FactorizationResult("not_member", None, None, explored)
+            if not fwd.reveal(depth + 1, cap - explored):
+                return FactorizationResult("budget_exhausted", None, None, cap)
+            depth += 1
+            lo, hi = ends[depth - 1], ends[depth]
+            hits = sorted(
+                (p, key) for key in bwd.index if lo <= (p := position.get(key, -1)) < hi
             )
+            meets = [key for _, key in hits]
+        else:
+            if not bwd.frontier:
+                return FactorizationResult("not_member", None, None, explored)
+            if not _grow(bwd, cap - explored):
+                return FactorizationResult("budget_exhausted", None, None, cap)
+            # hi ends the forward levels revealed so far
+            meets = [key for key in bwd.frontier if position.get(key, hi) < hi]
         forward = not forward
     word = min((fwd.word(c) + bwd.word(c) for c in meets), key=len)
     _check(_replay(genus, gens, word) == target, "factorization word failed to replay")
     return FactorizationResult(
-        "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)
+        "found", word, _spell(labels, word), ends[depth] + len(bwd.index)
     )
 
 

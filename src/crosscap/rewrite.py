@@ -296,11 +296,12 @@ def _mask(indices) -> int:
 
 # room for every slot n at every genus up to 64: the sum of g-2 over g is 1953
 @lru_cache(maxsize=2048)
-def _shift_certificate(genus: Genus, n: int) -> tuple[str, MCGWord]:
-    """The index-shift certificate at slot n and its word.  The three shift
-    rules share one template, so a word depends only on the genus and n."""
+def _shift_certificate(g: int, n: int) -> tuple[str, MCGWord]:
+    """The index-shift certificate at slot n and its word at genus g.  The
+    three shift rules share one template, so a word depends only on the
+    genus and n.  Keyed by the plain int, so a lookup hashes no Genus."""
     certificate = instantiate(_SHIFT_CERT, n=n)
-    return certificate, parse_word(certificate, genus)
+    return certificate, parse_word(certificate, Genus(g))
 
 
 def _alpha_instance(
@@ -308,7 +309,7 @@ def _alpha_instance(
 ) -> RuleInstance:
     shifted, slot = _alpha_shift(_SHIFT_RULES.index(rule) + 1, triple)
     lhs, rhs = _mask(triple), _mask(shifted)
-    certificate, word = _shift_certificate(genus, slot)
+    certificate, word = _shift_certificate(genus.g, slot)
     return RuleInstance(
         rule=rule,
         anchor=triple,
@@ -725,7 +726,7 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     for p, rule in enumerate(_SHIFT_RULES, 1):
         while (shift := _alpha_shift(p, cur)) is not None:
             shifted, slot = shift
-            certificate, word = _shift_certificate(genus, slot)
+            certificate, word = _shift_certificate(genus.g, slot)
             steps.append(AlphaStep(rule.rule_id, cur, shifted, certificate))
             step_words.append(word)
             cur = shifted

@@ -11,8 +11,19 @@ import jsonschema
 
 from crosscap import rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
-from crosscap.f2core import Genus
+from crosscap.f2core import Genus, H1Matrix
 from crosscap.gmform import q_table
+from crosscap.groupops import (
+    DEFAULT_NODE_CAP,
+    FactorizationResult,
+    _SearchTree,
+    _grow,
+    _labels,
+    _moves,
+    _pack,
+    _replay,
+    _spell,
+)
 from crosscap.rewrite import rule_instances, rule_schemas
 from crosscap.words import parse_word
 
@@ -197,6 +208,38 @@ def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:
             yield inst
 
     monkeypatch.setattr(rewrite, "rule_instances", broken)
+
+
+def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
+    """Slow oracle for `factorize`: the bidirectional search with a private
+    forward tree, regrown from the identity on every call.  Levels
+    alternate strictly, the forward one first, and every meet of a level is
+    collected; the cap counts both trees at each insertion."""
+    gens = list(generators)
+    genus = target.genus
+    labels = _labels(labels, len(gens))
+    shared, bwd_moves = _moves(tuple(gens), genus.g)
+    goal = _pack(target.cols, genus.g)
+    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), shared.moves)
+    bwd = _SearchTree(goal, bwd_moves)
+    meets = [goal] if goal in fwd.index else []
+    forward = True
+    while not meets:
+        explored = len(fwd.index) + len(bwd.index)
+        side, other = (fwd, bwd) if forward else (bwd, fwd)
+        if not side.frontier:
+            return FactorizationResult("not_member", None, None, explored)
+        if not _grow(side, cap - explored):
+            return FactorizationResult(
+                "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
+            )
+        meets = [key for key in side.frontier if key in other.index]
+        forward = not forward
+    word = min((fwd.word(c) + bwd.word(c) for c in meets), key=len)
+    assert _replay(genus, gens, word) == target
+    return FactorizationResult(
+        "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)
+    )
 
 
 def validate(payload: dict, schema_name: str) -> None:

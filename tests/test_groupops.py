@@ -6,7 +6,8 @@ import pathlib
 import random
 import subprocess
 import sys
-from itertools import islice
+import threading
+from itertools import islice, product
 
 import pytest
 
@@ -43,7 +44,12 @@ from crosscap.groupops import (
 )
 from crosscap.words import act, induced_matrix, parse_word
 
-from helpers import brute_orthogonal_cols, falsified, random_invertible_cols
+from helpers import (
+    brute_orthogonal_cols,
+    factorize_oracle,
+    falsified,
+    random_invertible_cols,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_orders.json").read_text()
@@ -235,28 +241,32 @@ def non_involutive_set():
     return [H1Matrix(genus, (0b010, 0b100, 0b001)), transvection(vec(3, "x1+x3"))]
 
 
+def _standard(g):
+    """The standard generating set of genus g: its matrices and labels."""
+    pairs = standard_generators(Genus(g))
+    return [m for _, m in pairs], [label for label, _ in pairs]
+
+
 class TestFactorize:
-    def _gens(self, g):
-        pairs = standard_generators(Genus(g))
-        return [m for _, m in pairs], [label for label, _ in pairs]
 
     def test_identity(self):
-        mats, labels = self._gens(4)
+        mats, labels = _standard(4)
         result = factorize(H1Matrix.identity(Genus(4)), mats, labels=labels)
         assert result.found and result.word == ()
 
     def test_generator_is_single_letter(self):
-        mats, labels = self._gens(4)
+        mats, labels = _standard(4)
         result = factorize(transvection(vec(4, "x1+x3")), mats, labels=labels)
         assert result.found
         assert result.word_labels == ("t_{d_1}",)
 
     def test_replay_and_shortest_on_whole_group(self):
         genus = Genus(5)
-        mats, labels = self._gens(5)
+        mats, labels = _standard(5)
         table = subgroup_closure(mats, labels=labels, genus=genus)
         for record in table.records():
             result = factorize(record.matrix, mats, labels=labels)
+            assert result == factorize_oracle(record.matrix, mats, labels=labels)
             assert result.found
             assert len(result.word) == len(record.word)  # closure words are shortest
             acc = H1Matrix.identity(genus)
@@ -266,13 +276,13 @@ class TestFactorize:
             assert acc == record.matrix
 
     def test_label_count_checked(self):
-        mats, _ = self._gens(4)
+        mats, _ = _standard(4)
         with pytest.raises(ValueError, match="one label per generator required"):
             factorize(H1Matrix.identity(Genus(4)), mats, labels=["x"])
 
     def test_cap_below_two_rejected(self):
         # both starting elements count, so a cap of 1 could never be honoured
-        mats, labels = self._gens(4)
+        mats, labels = _standard(4)
         identity = H1Matrix.identity(Genus(4))
         for cap in (1, 0, -3):
             with pytest.raises(ValueError, match="at least 2"):
@@ -298,13 +308,13 @@ class TestFactorize:
         assert result.status == "not_member"
 
     def test_budget_exhaustion_distinct(self):
-        mats, labels = self._gens(6)
+        mats, labels = _standard(6)
         target = transvection(vec(6, "x2+x6"))
         result = factorize(target, mats, labels=labels, cap=4)
         assert result.status == "budget_exhausted"
 
     def test_cap_bounds_explored(self):
-        mats, labels = self._gens(8)
+        mats, labels = _standard(8)
         target = induced_matrix(parse_word(
             "t_{d_1} t_{d_4} t_{d_6} t_{a_2} t_{a_4} t_{c_2} t_{d_3} t_{a_4} "
             "t_{a_6} t_{c_4} t_{d_5} t_{d_2}",
@@ -336,6 +346,165 @@ class TestFactorize:
                 m = gens[abs(signed) - 1]
                 acc = compose(acc, m if signed > 0 else m.inverse())
             assert acc == record.matrix
+
+
+def _products(g, count):
+    """`count` seeded products of 3 to 8 standard generators at genus g."""
+    rng = random.Random(f"products:{g}")
+    mats, _ = _standard(g)
+    out = []
+    for _ in range(count):
+        acc = H1Matrix.identity(Genus(g))
+        for _ in range(rng.randint(3, 8)):
+            acc = compose(acc, rng.choice(mats))
+        out.append(acc)
+    return out
+
+
+def _whole_levels(tree):
+    """Whether the shared forward tree holds whole levels only: every key it
+    indexes is counted by its last level end."""
+    return len(tree.index) == len(tree.position) == tree.ends[-1]
+
+
+_CAP_CASES = {
+    # a not_member proof over the standard set
+    "g5-non-member": lambda: (*_standard(5), transvection(vec(5, "x1+x2"))),
+    "g6-product": lambda: (
+        *_standard(6),
+        induced_matrix(parse_word(
+            "t_{d_1} t_{a_2} t_{a_4} t_{c_2} t_{d_3} t_{d_4} t_{a_1} t_{a_3} t_{c_1}",
+            Genus(6),
+        )),
+    ),
+    # a non-member over the non-involutive set, whose alphabet holds a
+    # formal inverse
+    "g3-non-involutive": lambda: (
+        non_involutive_set(), ["r", "s"], H1Matrix(Genus(3), (0b111, 0b110, 0b101))
+    ),
+}
+
+
+class TestSharedForwardTree:
+    """`factorize` reads one shared forward tree per generating set; the
+    oracle regrows a private one on every call.  Results must be equal in
+    status, word, labels and explored count, however far the shared tree
+    has grown before."""
+
+    @staticmethod
+    def _same(targets, gens, labels=None, cap=groupops.DEFAULT_NODE_CAP):
+        for target in targets:
+            got = factorize(target, gens, labels=labels, cap=cap)
+            assert got == factorize_oracle(target, gens, labels=labels, cap=cap)
+
+    def test_non_involutive_set_members_and_non_members(self):
+        # every invertible matrix of genus 3: the closure's members and the
+        # rest, each a not_member proof
+        genus = Genus(3)
+        gens = non_involutive_set()
+        targets = [
+            H1Matrix(genus, cols)
+            for cols in product(range(1, 8), repeat=3)
+            if len(set(cols)) == 3 and cols[0] ^ cols[1] != cols[2]
+        ]
+        assert len(targets) == 168
+        statuses = {factorize_oracle(t, gens).status for t in targets}
+        assert statuses == {"found", "not_member"}
+        _moves.cache_clear()
+        self._same(targets, gens, ["r", "s"])
+
+    @pytest.mark.parametrize("g", [8, 9])
+    def test_products_fresh_and_after_deep_search(self, g):
+        mats, labels = _standard(g)
+        targets = _products(g, 200)
+        _moves.cache_clear()
+        self._same(targets, mats, labels)
+        # a capped non-member search reveals level 5, deeper than any of the
+        # products needs (4), so their searches read past their own depth
+        deep = factorize(transvection(vec(g, "x1+x2")), mats, cap=60000)
+        assert deep.status == "budget_exhausted"
+        tree, _ = _moves(tuple(mats), g)
+        assert len(tree.ends) > 5 and _whole_levels(tree)
+        self._same(targets, mats, labels)
+
+    @pytest.mark.parametrize("case", sorted(_CAP_CASES))
+    def test_every_cap_leaves_whole_levels(self, case):
+        gens, labels, target = _CAP_CASES[case]()
+        g = target.genus.g
+        full = factorize_oracle(target, gens, labels)
+        assert full.explored > 10
+        for cap in range(2, full.explored + 2):
+            capped = factorize_oracle(target, gens, labels, cap=cap)
+            _moves.cache_clear()
+            assert factorize(target, gens, labels, cap=cap) == capped
+            assert _whole_levels(_moves(tuple(gens), g)[0])
+            assert factorize(target, gens, labels) == full
+            # and over a tree that already holds every level the cap meets
+            assert factorize(target, gens, labels, cap=cap) == capped
+
+    def test_interrupted_growth_leaves_whole_levels(self):
+        # a move that raises partway through a level, as an interrupt would
+        mats, labels = _standard(6)
+        target = transvection(vec(6, "x1+x2"))
+        _moves.cache_clear()
+        tree, _ = _moves(tuple(mats), 6)
+        moves, calls = tree.moves, []
+
+        def failing(x):
+            calls.append(x)
+            if len(calls) == 200:
+                raise RuntimeError("interrupted")
+            return moves[1](x)
+
+        tree.moves = {**moves, 1: failing}
+        with pytest.raises(RuntimeError, match="interrupted"):
+            factorize(target, mats, labels)
+        tree.moves = moves
+        assert len(tree.ends) > 2 and _whole_levels(tree)
+        assert len(tree.frontier) == tree.ends[-1] - tree.ends[-2]
+        assert factorize(target, mats, labels) == factorize_oracle(target, mats, labels)
+
+    def test_two_threads_on_one_fresh_set(self):
+        mats, labels = _standard(8)
+        targets = _products(8, 60)
+        want = [factorize_oracle(t, mats, labels) for t in targets]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(slot, order):
+            start.wait()
+            got[slot] = {k: factorize(targets[k], mats, labels) for k in order}
+
+        switch = sys.getswitchinterval()
+        _moves.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(0, range(len(targets)))),
+                threading.Thread(target=run, args=(1, reversed(range(len(targets))))),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(switch)
+        for results in got:
+            assert [results[k] for k in range(len(targets))] == want
+        assert _whole_levels(_moves(tuple(mats), 8)[0])
+
+    def test_empty_set_at_genus_3_then_5(self):
+        # the empty set is one tuple at every genus, but its tree is rooted
+        # at the identity of the genus asked for
+        _moves.cache_clear()
+        for g in (3, 5):
+            genus = Genus(g)
+            identity = factorize(H1Matrix.identity(genus), [])
+            assert (identity.status, identity.word, identity.explored) == ("found", (), 2)
+            other = factorize(transvection(vec(g, "x1+x3")), [])
+            assert (other.status, other.explored) == ("not_member", 2)
+            for target in (H1Matrix.identity(genus), transvection(vec(g, "x1+x3"))):
+                assert factorize(target, []) == factorize_oracle(target, [])
 
 
 class TestMoves:
@@ -769,9 +938,10 @@ class TestInternalChecks:
             "from crosscap.f2core import Genus\n"
             "from crosscap.groupops import factorize, standard_generators, verify_generation\n"
             "compiled = groupops._moves\n"
-            "def broken(generators):\n"
-            "    forward, backward = compiled(generators)\n"
-            "    return {**forward, 1: forward[2]}, backward\n"
+            "def broken(generators, g):\n"
+            "    forward, backward = compiled(generators, g)\n"
+            "    moves = {**forward.moves, 1: forward.moves[2]}\n"
+            "    return groupops._ForwardTree(g, moves), backward\n"
             "groupops._moves = broken\n"
             "genus = Genus(6)\n"
             "gens = [m for _, m in standard_generators(genus)]\n"
@@ -822,9 +992,10 @@ class TestInternalChecks:
             "from crosscap.f2core import Genus, H1Matrix, transvection, H1Vector\n"
             "from crosscap.groupops import factorize, subgroup_closure\n"
             "compiled = groupops._moves\n"
-            "def broken(generators):\n"
-            "    forward, backward = compiled(generators)\n"
-            f"    return {{**forward, -1: {undo}}}, backward\n"
+            "def broken(generators, g):\n"
+            "    forward, backward = compiled(generators, g)\n"
+            f"    moves = {{**forward.moves, -1: {undo}}}\n"
+            "    return groupops._ForwardTree(g, moves), backward\n"
             "groupops._moves = broken\n"
             "genus = Genus(3)\n"
             "gens = [H1Matrix(genus, (0b010, 0b100, 0b001)),\n"

@@ -290,7 +290,7 @@ class TestNormalForms:
                     continue
                 for n in range(3, g + 1):
                     text = instantiate(rule.certificate, n=n)
-                    certificate, word = _shift_certificate(genus, n)
+                    certificate, word = _shift_certificate(g, n)
                     assert certificate == text
                     assert word.spell() == text
                     assert word == parse_word(text, genus)
