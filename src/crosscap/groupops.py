@@ -17,7 +17,9 @@ Four kinds of work live here:
 Closure, enumeration and both factorization waves key every element by one
 packed int, column j in bit block j (`_pack`); a search tree maps each to
 the signed letter that reached it, and undoing that letter's move recomputes
-the parent.  Matrices and words are built only when an element leaves this
+the parent.  Every tree gains levels only through `_SearchTree.grow`, which
+adds the next level whole or not at all, so a tree cut off by its cap holds
+whole levels.  Matrices and words are built only when an element leaves this
 module.  Each signed letter is compiled into a few shift-and-multiply terms
 on the packed int, one compile step per generating set (`_moves`, a small
 bounded cache, which also keeps the set's forward tree).  The standard
@@ -111,13 +113,39 @@ class _SearchTree:
     `index` maps each reached key, in discovery order, to the signed letter
     whose move reached it (the root to 0).  Undoing that move, by the
     opposite letter's move or, for an involution, its own, gives the parent;
-    a word is read off up to the root, first letter first.
+    a word is read off up to the root, first letter first.  The tree gains
+    levels only through `grow`, which adds a level whole or not at all, so
+    `frontier` is always the deepest whole level.
     """
 
     def __init__(self, root: int, moves: dict):
         self.index = {root: 0}
         self.frontier = [root]
         self.moves = moves
+
+    def grow(self, room: int) -> bool:
+        """Add the next level whole: children of the frontier in discovery
+        order, moves in listed order, unseen children only.  When the level
+        has more than `room` keys, or a move raises, the keys added are
+        removed and `index` and `frontier` stay as they were; returns
+        whether the level was added."""
+        index, moves, new = self.index, tuple(self.moves.items()), []
+        try:
+            for key in self.frontier:
+                for signed, move in moves:
+                    child = move(key)
+                    if child in index:
+                        continue
+                    if len(new) >= room:
+                        return False
+                    index[child] = signed
+                    new.append(child)
+            self.frontier = new
+            return True
+        finally:
+            if self.frontier is not new:
+                for key in new:
+                    del index[key]
 
     def word(self, key: int) -> tuple[int, ...]:
         out = []
@@ -188,9 +216,8 @@ class _ForwardTree(_SearchTree):
     search first needs one; what it holds never changes.  `position` maps
     each key to its discovery index and `ends[k]` counts the keys of depth
     at most k, so level k is the positions ends[k-1] .. ends[k]-1.  A new
-    level is indexed before `ends` counts it, at positions past every
-    counted one, so a search reading the levels it was shown never sees
-    part of another; a level that does not fit is rolled back instead.
+    level is indexed in `position` before `ends` counts it, so a search
+    reading the levels it was shown never sees part of another.
     """
 
     def __init__(self, g: int, moves: dict):
@@ -206,27 +233,12 @@ class _ForwardTree(_SearchTree):
         ends = self.ends
         if k == len(ends):
             with self.lock:
-                if k == len(ends) and not self._extend(room):
-                    return False
+                if k == len(ends):
+                    if not self.grow(room):
+                        return False
+                    self.position.update(zip(self.frontier, count(ends[-1])))
+                    ends.append(len(self.index))
         return ends[k] - ends[k - 1] <= room
-
-    def _extend(self, room: int) -> bool:
-        """Add the next level whole, or leave the tree as it was when the
-        level has more than `room` keys or its growth raises.  A level
-        counts once `ends` does; until then its keys are the last ones
-        inserted, so popping them undoes it."""
-        index, ends, frontier = self.index, self.ends, self.frontier
-        depth = len(ends)
-        try:
-            if _grow(self, room):
-                self.position.update(zip(self.frontier, count(ends[-1])))
-                ends.append(len(index))
-        finally:
-            if len(ends) == depth:
-                while len(index) > ends[-1]:
-                    self.position.pop(index.popitem()[0], None)
-                self.frontier = frontier
-        return len(ends) > depth
 
 
 @lru_cache(maxsize=4)
@@ -245,28 +257,6 @@ def _moves(generators: tuple[H1Matrix, ...], g: int):
     forward = {signed: _packed_move(m, True) for signed, m, _ in letters}
     backward = {signed: _packed_move(inv, False) for signed, _, inv in letters}
     return _ForwardTree(g, forward), backward
-
-
-def _grow(tree: _SearchTree, room: int) -> bool:
-    """Add the next breadth-first level to `tree`: children of the frontier
-    in discovery order, moves in listed order, unseen children only, at most
-    `room` of them.  Returns False, leaving the level partial, when one more
-    insertion was needed.
-    """
-    index, moves = tree.index, tuple(tree.moves.items())
-    frontier, tree.frontier = tree.frontier, []
-    new = tree.frontier
-    for key in frontier:
-        for signed, move in moves:
-            child = move(key)
-            if child in index:
-                continue
-            if room <= 0:
-                return False
-            room -= 1
-            index[child] = signed
-            new.append(child)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +396,13 @@ def subgroup_closure(
     their inverses, with shortest-word certificates.
 
     Expansion order is fixed (frontier in discovery order, letters in listed
-    order), so certificates are reproducible.  If the element count would
-    exceed `cap` the partial table is returned with complete=False.
+    order), so certificates are reproducible.  The table holds whole levels
+    only: when the next level would take the element count past `cap`, the
+    levels before it are returned with complete=False, and `diameter`
+    counts the whole levels held.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, since the identity counts; got {cap}")
     gens = list(generators)
     if genus is None:
         if not gens:
@@ -424,12 +418,11 @@ def subgroup_closure(
     diameter = 0
     complete = True
     while tree.frontier:
-        grown = _grow(tree, cap - len(tree.index))
-        if tree.frontier:
-            diameter += 1
-        if not grown:
+        if not tree.grow(cap - len(tree.index)):
             complete = False
             break
+        if tree.frontier:
+            diameter += 1
     return GroupTable(
         genus, labels, tuple(gens), tree.index, complete, diameter, tree=tree
     )
@@ -652,7 +645,7 @@ def factorize(
         else:
             if not bwd.frontier:
                 return FactorizationResult("not_member", None, None, explored)
-            if not _grow(bwd, cap - explored):
+            if not bwd.grow(cap - explored):
                 return FactorizationResult("budget_exhausted", None, None, cap)
             # hi ends the forward levels revealed so far
             meets = [key for key in bwd.frontier if position.get(key, hi) < hi]

@@ -238,19 +238,17 @@ def instantiate(template: str, **bindings: int) -> str:
             return m.group(0)
         return str(bindings[name] + int(m.group(2) or 0))
 
-    out = _IDX_EXPR.sub(repl, template)
-    # collapse braces left by nested index expressions: t_{d_{3}} -> t_{d_3}
-    return re.sub(r"_\{([a-d])_\{(\d+)\}\}", r"_{\1_\2}", out)
+    return _IDX_EXPR.sub(repl, template)
 
 
 @dataclass(frozen=True)
 class RuleInstance:
-    """One rule pinned to a position, with its certificate text and word.
-    The window and both sides are class masks: bit k - 1 is x_k."""
+    """One rule pinned to a position, with its certificate word; the
+    certificate text is the word's spelling, `word.text`.  The window and
+    both sides are class masks: bit k - 1 is x_k."""
 
     rule: RewriteRule
     anchor: int | tuple[int, int, int]
-    certificate: str
     word: MCGWord
     lhs_bits: int
     rhs_bits: int
@@ -267,12 +265,10 @@ def _pattern_bits(pattern: tuple[str, ...], anchor: int) -> int:
 
 def _window_instance(rule: RewriteRule, anchor: int, genus: Genus) -> RuleInstance:
     span = len(rule.window)
-    certificate = instantiate(rule.certificate, i=anchor)
     return RuleInstance(
         rule=rule,
         anchor=anchor,
-        certificate=certificate,
-        word=parse_word(certificate, genus),
+        word=parse_word(instantiate(rule.certificate, i=anchor), genus),
         lhs_bits=_pattern_bits(rule.window, anchor),
         rhs_bits=_pattern_bits(rule.replacement, anchor),
         window_bits=((1 << span) - 1) << (anchor - 1),
@@ -296,12 +292,11 @@ def _mask(indices) -> int:
 
 # room for every slot n at every genus up to 64: the sum of g-2 over g is 1953
 @lru_cache(maxsize=2048)
-def _shift_certificate(g: int, n: int) -> tuple[str, MCGWord]:
-    """The index-shift certificate at slot n and its word at genus g.  The
-    three shift rules share one template, so a word depends only on the
-    genus and n.  Keyed by the plain int, so a lookup hashes no Genus."""
-    certificate = instantiate(_SHIFT_CERT, n=n)
-    return certificate, parse_word(certificate, Genus(g))
+def _shift_certificate(g: int, n: int) -> MCGWord:
+    """The index-shift certificate word at slot n and genus g.  The three
+    shift rules share one template, so a word depends only on the genus
+    and n.  Keyed by the plain int, so a lookup hashes no Genus."""
+    return parse_word(instantiate(_SHIFT_CERT, n=n), Genus(g))
 
 
 def _alpha_instance(
@@ -309,12 +304,10 @@ def _alpha_instance(
 ) -> RuleInstance:
     shifted, slot = _alpha_shift(_SHIFT_RULES.index(rule) + 1, triple)
     lhs, rhs = _mask(triple), _mask(shifted)
-    certificate, word = _shift_certificate(genus.g, slot)
     return RuleInstance(
         rule=rule,
         anchor=triple,
-        certificate=certificate,
-        word=word,
+        word=_shift_certificate(genus.g, slot),
         lhs_bits=lhs,
         rhs_bits=rhs,
         window_bits=lhs | rhs,
@@ -726,8 +719,8 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     for p, rule in enumerate(_SHIFT_RULES, 1):
         while (shift := _alpha_shift(p, cur)) is not None:
             shifted, slot = shift
-            certificate, word = _shift_certificate(genus.g, slot)
-            steps.append(AlphaStep(rule.rule_id, cur, shifted, certificate))
+            word = _shift_certificate(genus.g, slot)
+            steps.append(AlphaStep(rule.rule_id, cur, shifted, word.text))
             step_words.append(word)
             cur = shifted
     if cur not in ALPHA_TERMINALS:

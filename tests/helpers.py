@@ -17,7 +17,6 @@ from crosscap.groupops import (
     DEFAULT_NODE_CAP,
     FactorizationResult,
     _SearchTree,
-    _grow,
     _labels,
     _moves,
     _pack,
@@ -203,11 +202,31 @@ def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:
     def broken(rule, genus):
         for inst in instances(rule, genus):
             if rule.rule_id == rule_id and inst.anchor == anchor:
-                word = parse_word(certificate, genus)
-                inst = dataclasses.replace(inst, certificate=certificate, word=word)
+                inst = dataclasses.replace(inst, word=parse_word(certificate, genus))
             yield inst
 
     monkeypatch.setattr(rewrite, "rule_instances", broken)
+
+
+def _grow_partial(tree: _SearchTree, room: int) -> bool:
+    """Add the next breadth-first level to `tree`, one child at a time:
+    children of the frontier in discovery order, moves in listed order,
+    unseen children only, at most `room` of them.  Returns False, leaving
+    the level partial, when one more insertion was needed.  The oracle's
+    own growth step, apart from `_SearchTree.grow`, which it checks."""
+    index, moves = tree.index, tuple(tree.moves.items())
+    frontier, tree.frontier = tree.frontier, []
+    for key in frontier:
+        for signed, move in moves:
+            child = move(key)
+            if child in index:
+                continue
+            if room <= 0:
+                return False
+            room -= 1
+            index[child] = signed
+            tree.frontier.append(child)
+    return True
 
 
 def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
@@ -229,7 +248,7 @@ def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
         side, other = (fwd, bwd) if forward else (bwd, fwd)
         if not side.frontier:
             return FactorizationResult("not_member", None, None, explored)
-        if not _grow(side, cap - explored):
+        if not _grow_partial(side, cap - explored):
             return FactorizationResult(
                 "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
             )

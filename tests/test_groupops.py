@@ -27,6 +27,7 @@ from crosscap.gmform import preserves_q, q_eval, q_table
 from crosscap.groupops import (
     FACTORIZE_GENUS_CAP,
     _Reducer,
+    _SearchTree,
     _moves,
     _pack,
     _packed_move,
@@ -113,6 +114,39 @@ class TestClosure:
         table = subgroup_closure(gens, cap=10)
         assert not table.complete
         assert table.order <= 10
+
+    def test_cap_below_one_rejected(self):
+        # the identity counts, so no table fits a cap below 1
+        gens = [m for _, m in standard_generators(Genus(5))]
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                subgroup_closure(gens, cap=cap)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            subgroup_closure([], cap=0, genus=Genus(3))
+        assert subgroup_closure([], cap=1, genus=Genus(3)).complete
+
+    def test_every_cap_holds_whole_levels(self):
+        # a capped closure is the complete closure's first d levels, for the
+        # largest d whose levels fit the cap: same keys, same order, same
+        # letters, and words that replay
+        genus = Genus(5)
+        gens = [m for _, m in standard_generators(genus)]
+        full = subgroup_closure(gens, genus=genus)
+        assert full.complete and full.order == 72
+        depths = [len(rec.word) for rec in full.records()]
+        assert depths == sorted(depths)
+        ends = [sum(depth <= d for depth in depths) for d in range(full.diameter + 1)]
+        items = list(full.elements.items())
+        for cap in range(1, 74):
+            table = subgroup_closure(gens, cap=cap, genus=genus)
+            d = max(k for k, end in enumerate(ends) if end <= cap)
+            assert table.diameter == d
+            assert list(table.elements.items()) == items[: ends[d]]
+            assert table.complete == (cap >= 72)
+            assert table.verify_certificates()
+        # the partial level of a cap past level 1 is not kept
+        table = subgroup_closure(gens, cap=7, genus=genus)
+        assert (table.order, table.diameter) == (6, 1)
 
     def test_all_ones_fixed_by_whole_closure(self):
         # every generator axis has even weight, so the full-support class is
@@ -505,6 +539,62 @@ class TestSharedForwardTree:
             assert (other.status, other.explored) == ("not_member", 2)
             for target in (H1Matrix.identity(genus), transvection(vec(g, "x1+x3"))):
                 assert factorize(target, []) == factorize_oracle(target, [])
+
+
+class TestGrowWholeLevels:
+    """`_SearchTree.grow` adds the next level whole, or leaves `index` and
+    `frontier` as they were."""
+
+    @staticmethod
+    def _tree(levels):
+        # a private tree over the genus-6 standard moves, grown `levels` deep
+        mats, _ = _standard(6)
+        moves = _moves(tuple(mats), 6)[0].moves
+        tree = _SearchTree(_pack(H1Matrix.identity(Genus(6)).cols, 6), moves)
+        for _ in range(levels):
+            assert tree.grow(groupops.DEFAULT_NODE_CAP)
+        return tree
+
+    @staticmethod
+    def _state(tree):
+        return list(tree.index.items()), list(tree.frontier)
+
+    def test_room_too_small_leaves_tree(self):
+        whole = self._tree(3)
+        tree = self._tree(2)
+        before = self._state(tree)
+        size = len(whole.frontier)
+        assert size > 1
+        for room in (size - 1, 1, 0, -3):
+            assert not tree.grow(room)
+            assert self._state(tree) == before
+        # a level of exactly `room` keys fits
+        assert tree.grow(size)
+        assert self._state(tree) == self._state(whole)
+
+    def test_raising_move_leaves_tree(self):
+        whole = self._tree(3)
+        tree = self._tree(2)
+        before = self._state(tree)
+        moves, calls, reached = tree.moves, [], []
+
+        # move 1 runs once per frontier key: raise halfway through the level
+        def failing(x):
+            calls.append(x)
+            if len(calls) == len(tree.frontier) // 2:
+                reached.append(len(tree.index))
+                raise RuntimeError("interrupted")
+            return moves[1](x)
+
+        tree.moves = {**moves, 1: failing}
+        with pytest.raises(RuntimeError, match="interrupted"):
+            tree.grow(groupops.DEFAULT_NODE_CAP)
+        # the move raised after the level had gained keys
+        assert reached[0] > len(before[0])
+        tree.moves = moves
+        assert self._state(tree) == before
+        assert tree.grow(groupops.DEFAULT_NODE_CAP)
+        assert self._state(tree) == self._state(whole)
 
 
 class TestMoves:

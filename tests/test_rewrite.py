@@ -114,7 +114,7 @@ class TestRuleTables:
         lhs, rhs = H1Vector(genus, inst.lhs_bits), H1Vector(genus, inst.rhs_bits)
         assert lhs == vec(4, "x1+x2+x4")
         assert rhs == vec(4, "x3")
-        m = induced_matrix(parse_word(inst.certificate, genus))
+        m = induced_matrix(inst.word)
         assert m.apply(lhs) == rhs
 
     def test_noop_keeps_class(self):
@@ -131,8 +131,11 @@ class TestRuleTables:
             assert verdict.ok, verdict
 
     def test_instantiate_nested_braces(self):
-        assert instantiate("t_{d_{n-2}}", n=5) == "t_{d_3}"
-        assert instantiate("Y_{i+3,i+1} t_{a_{i+2}}", i=2) == "Y_{5,3} t_{a_4}"
+        # nested index expressions keep their braces; the spelled word drops them
+        assert instantiate("t_{d_{n-2}}", n=5) == "t_{d_{3}}"
+        assert parse_word(instantiate("t_{d_{n-2}}", n=5), Genus(5)).text == "t_{d_3}"
+        text = instantiate("Y_{i+3,i+1} t_{a_{i+2}}", i=2)
+        assert parse_word(text, Genus(5)).text == "Y_{5,3} t_{a_4}"
 
     def test_rules_json_shape(self):
         payload = rules_json(Genus(5))
@@ -278,8 +281,7 @@ class TestNormalForms:
         for g in (6, 12, 24):
             genus = Genus(g)
             for inst in builtin_rule_tables(genus):
-                assert inst.word.spell() == inst.certificate
-                assert parse_word(inst.certificate, genus) == inst.word
+                assert parse_word(inst.word.text, genus) == inst.word
 
     def test_cached_shift_words_spell_as_instantiated(self):
         # all three shift rules share one template; every slot n of it
@@ -290,10 +292,7 @@ class TestNormalForms:
                     continue
                 for n in range(3, g + 1):
                     text = instantiate(rule.certificate, n=n)
-                    certificate, word = _shift_certificate(g, n)
-                    assert certificate == text
-                    assert word.spell() == text
-                    assert word == parse_word(text, genus)
+                    assert _shift_certificate(g, n) == parse_word(text, genus)
 
     def test_every_cache_bounded(self):
         from crosscap import f2core, gmform, groupops, rewrite, words
@@ -482,12 +481,11 @@ class TestCertificateReplay:
                 ["reduce-rseq", "pMpMpm"],
                 "path certificate failed to replay",
             ),
-            # each shift keeps its certificate text but gets the word of the
-            # next slot
+            # each shift gets the word of the next slot
             (
                 "original = rewrite._shift_certificate\n"
                 "def next_slot(genus, n):\n"
-                "    return original(genus, n)[0], original(genus, n + 1)[1]\n"
+                "    return original(genus, n + 1)\n"
                 "rewrite._shift_certificate = next_slot\n",
                 ["reduce-alpha", "-g", "8", "3", "5", "7"],
                 "index-shift certificate failed to replay",
