@@ -28,7 +28,10 @@ label's parsed word, twist axes and matrix.  The reductions take their moves fro
 plain class masks and builds classes only for its result.
 
 Certificates and reduction words always replay: the product of the recorded
-generators is re-applied and compared before a result is returned.
+generators is re-applied and compared before a result is returned.  A
+closure's certificates are checked edge by edge (`verify_certificates`):
+each element's parent, by the one undo step of its tree, must be checked
+before it, so no word is replayed from the root.
 """
 
 from __future__ import annotations
@@ -147,6 +150,11 @@ class _SearchTree:
                 for key in new:
                     del index[key]
 
+    def parent(self, key: int, signed: int) -> int:
+        """The key that `signed` moved to `key`: the opposite letter's move,
+        or for an involution its own, applied to `key`."""
+        return self.moves.get(-signed, self.moves[signed])(key)
+
     def word(self, key: int) -> tuple[int, ...]:
         out = []
         # a key at depth d is d undo steps from the root
@@ -156,7 +164,7 @@ class _SearchTree:
             if not signed:
                 return tuple(out)
             out.append(signed)
-            key = self.moves.get(-signed, self.moves[signed])(key)
+            key = self.parent(key, signed)
         raise InternalCheckError("search tree: undoing moves never reached the root")
 
 
@@ -316,11 +324,35 @@ class GroupTable:
         return list(_spell(self.labels, word))
 
     def verify_certificates(self, limit: int | None = None) -> bool:
-        """Replay every stored word (or the first `limit`) against its matrix."""
-        return all(
-            _replay(self.genus, self.generators, rec.word) == rec.matrix
-            for rec in islice(self.records(), limit)
-        )
+        """Check the stored words (or the first `limit`) edge by edge.
+
+        In discovery order: the root must be the identity, and undoing any
+        other element's letter must give an element checked before it,
+        whose columns the letter's generator carries onto the element's.
+        Apart from the packed moves that found the parent, that step is
+        `apply_mask` on columns, so by induction every word replays to its
+        matrix, and a tree whose undo walk loops fails.  An enumerated
+        table has no tree and raises ValueError.
+        """
+        if self.tree is None:
+            raise ValueError("an enumerated table has no certificates to check")
+        g = self.genus.g
+        cols = {k: m.cols for k, m in enumerate(self.generators, start=1)}
+        cols.update({-k: m.inverse().cols for k, m in enumerate(self.generators, start=1)})
+        identity = _pack([1 << j for j in range(g)], g)
+        checked = set()
+        for key, signed in islice(self.elements.items(), limit):
+            if signed:
+                parent = self.tree.parent(key, signed)
+                if parent not in checked:
+                    return False
+                step = cols[signed]
+                if _pack([apply_mask(step, c) for c in _unpack(parent, g)], g) != key:
+                    return False
+            elif key != identity:
+                return False
+            checked.add(key)
+        return True
 
     def to_json(self, include_elements: bool = False) -> dict:
         out = {
@@ -451,6 +483,12 @@ def standard_generators(genus: Genus) -> list[tuple[str, H1Matrix]]:
     fresh list.
     """
     return [(label, matrix) for label, (_, _, matrix) in _label_table(genus).items()]
+
+
+# every standard label at every genus, by its index i, so that a reducer's
+# move looks its label up instead of formatting it
+_TWO_INDEX_LABELS = {i: two_index_label(i) for i in range(1, MAX_GENUS - 1)}
+_TRIPLE_LABELS = {i: triple_label(i) for i in range(1, MAX_GENUS - 2)}
 
 
 @lru_cache(maxsize=MAX_GENUS)
@@ -665,9 +703,10 @@ def factorize(
 class _Reducer:
     """Applies standard generators to tracked class masks, recording the moves.
 
-    Each move folds the cached axes of its label over the masks.  Moves are
-    recorded in application order; `certify` joins their label words with
-    the first move rightmost, matching word composition order.
+    A run of moves folds the cached axes of its labels over the masks in
+    one pass.  Moves are recorded in application order; `certify` joins
+    their label words with the first move rightmost, matching word
+    composition order.
     """
 
     def __init__(self, genus: Genus, tracked: list[H1Vector]):
@@ -677,14 +716,19 @@ class _Reducer:
         self._table = _label_table(genus)
 
     def d(self, i: int) -> None:
-        self._apply(two_index_label(i))
+        self._apply((_TWO_INDEX_LABELS[i],))
+
+    def swaps(self, plan: list[int]) -> None:
+        """The two-index moves of a swap plan, in order."""
+        self._apply([_TWO_INDEX_LABELS[j] for j in plan])
 
     def e(self, i: int) -> None:
-        self._apply(triple_label(i))
+        self._apply((_TRIPLE_LABELS[i],))
 
-    def _apply(self, label: str) -> None:
-        self.tracked = _fold(self._table[label][1], self.tracked)
-        self.moves.append(label)
+    def _apply(self, labels) -> None:
+        table = self._table
+        self.tracked = _fold([a for label in labels for a in table[label][1]], self.tracked)
+        self.moves.extend(labels)
 
     def vector(self, idx: int) -> H1Vector:
         return H1Vector(self.genus, self.tracked[idx])
@@ -739,10 +783,8 @@ def _rearrange(red: _Reducer, idx: int, odd_targets, even_targets) -> None:
     support = _support(red.tracked[idx])
     odds = [i for i in support if i % 2]
     evens = [i for i in support if i % 2 == 0]
-    for j in _swap_plan(odds, odd_targets):
-        red.d(j)
-    for j in _swap_plan(evens, even_targets):
-        red.d(j)
+    # a swap moves one parity class only, so both plans read the same support
+    red.swaps(_swap_plan(odds, odd_targets) + _swap_plan(evens, even_targets))
 
 
 def _parities(red: _Reducer, idx: int, residue: int, what: str) -> tuple[int, int]:

@@ -35,6 +35,7 @@ from .f2core import (
     Genus,
     H1Vector,
     InternalCheckError,
+    _check,
     _odd_mask,
     _require_genus_budget,
 )
@@ -444,8 +445,8 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 
 
 # reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:
-# its first call at genus 18 takes about 3.1 s and 38 MB peak RSS in a fresh
-# process on a 2-core host (Python 3.11.7)
+# its first call at genus 18 (`crosscap reduce-rseq` in a fresh process)
+# takes 1.7-1.8 s wall and 39 MB peak RSS on a 2-core host (Python 3.11.7)
 RSEQ_GENUS_CAP = 18
 # classify_rseq_components walks the components of all 2^g sequences
 COMPONENTS_GENUS_CAP = 12
@@ -537,6 +538,55 @@ class CertifiedPath:
         }
 
 
+def _forest_step(instances, cur: int, idx: int) -> tuple[str, int, MCGWord]:
+    """The step from sequence `cur` back to its forest parent by instance
+    `idx`: its direction, the parent and the step word.  The step runs
+    forward when cur shows the instance's lhs, and its word is then the
+    certificate, else the certificate's inverse."""
+    inst = instances[idx]
+    parent = cur ^ inst.lhs_bits ^ inst.rhs_bits
+    if cur & inst.window_bits == inst.lhs_bits:
+        return "fwd", parent, inst.word
+    return "rev", parent, inst.word.inverse()
+
+
+def _missing_normal_form(s: RSequence) -> FalsificationError:
+    """The outcome for a sequence whose component holds no normal form."""
+    return FalsificationError(
+        f"sequence {s.ascii()} lies in a component without a normal form"
+    )
+
+
+def check_reduction_forest(genus: Genus) -> None:
+    """Check that every sequence of the genus reduces to a normal form, with
+    a certificate that replays, one forest edge at a time.
+
+    The smallest sequence outside the forest raises FalsificationError, as
+    `reduce_rseq` would for it.  Then, in discovery order, each root must
+    be a normal form, and each other sequence's step (`_forest_step`) must
+    lead to a sequence checked before it, onto which its step word's axes
+    fold the sequence.  By induction every path `reduce_rseq` reads
+    replays to its normal form, and a forest that loops fails; a failure
+    raises InternalCheckError.  Budgeted like `reduce_rseq`.
+    """
+    g = genus.g
+    _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
+    instances, forest = _reduction_forest(g)
+    missing = next((bits for bits in range(1 << g) if bits not in forest), None)
+    if missing is not None:
+        raise _missing_normal_form(RSequence(genus, missing))
+    roots = {target.bits for target in canonical_targets(genus)}
+    checked = set()
+    for cur, idx in forest.items():
+        if idx is None:
+            ok = cur in roots
+        else:
+            _, parent, word = _forest_step(instances, cur, idx)
+            ok = parent in checked and _fold(word.axes, [cur]) == [parent]
+        _check(ok, "path certificate failed to replay")
+        checked.add(cur)
+
+
 def reduce_rseq(s: RSequence) -> CertifiedPath:
     """Shortest rule path from s to a normal form, replay-verified.
 
@@ -550,19 +600,15 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
     instances, forest = _reduction_forest(g)
     if s.bits not in forest:
-        raise FalsificationError(
-            f"sequence {s.ascii()} lies in a component without a normal form"
-        )
+        raise _missing_normal_form(s)
     steps = []
     states = [s.bits]
     step_words: list[MCGWord] = []
     cur = s.bits
     while (idx := forest[cur]) is not None:
         inst = instances[idx]
-        # the step back to the parent runs forward when cur shows the lhs
-        direction = "fwd" if cur & inst.window_bits == inst.lhs_bits else "rev"
-        cur ^= inst.lhs_bits ^ inst.rhs_bits
-        step_words.append(inst.word if direction == "fwd" else inst.word.inverse())
+        direction, cur, word = _forest_step(instances, cur, idx)
+        step_words.append(word)
         steps.append(PathStep(inst.rule.rule_id, inst.anchor, direction))
         states.append(cur)
     word = certify(s.genus, step_words, [s.bits], [cur], "path certificate failed to replay")

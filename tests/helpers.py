@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from importlib import resources
-from itertools import product
+from itertools import islice, product
 
 import jsonschema
 
@@ -206,6 +206,16 @@ def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:
             yield inst
 
     monkeypatch.setattr(rewrite, "rule_instances", broken)
+
+
+def replay_certificates(table, limit=None) -> bool:
+    """Slow oracle for `GroupTable.verify_certificates`: read each stored
+    word (or the first `limit`) off the tree up to the root and replay it
+    from the identity against its matrix, one record at a time."""
+    return all(
+        _replay(table.genus, table.generators, rec.word) == rec.matrix
+        for rec in islice(table.records(), limit)
+    )
 
 
 def _grow_partial(tree: _SearchTree, room: int) -> bool:

@@ -40,6 +40,11 @@ def _break_al1(monkeypatch):
     break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
 
 
+def _break_s46(monkeypatch):
+    # pMpMpm reaches its normal form by S4.6 at 1; t_{d_1} fixes x2+x4
+    break_instance(monkeypatch, "S4.6", 1, "t_{d_1}")
+
+
 def _replay_to_identity(monkeypatch):
     monkeypatch.setattr(
         groupops, "_replay", lambda genus, gens, word: H1Matrix.identity(genus)
@@ -582,6 +587,7 @@ OUTCOMES = [
     (("reduce-rseq", "pm" * 9 + "p"), 3, None),
     (("factorize", "-g", "4", "t_{d_1}"), 4, _replay_to_identity),
     (("reduce-q2", "-g", "6", "x2+x4"), 4, _drop_label),
+    (("verify-lemma", "4.4", "-g", "6"), 4, _break_s46),
 ]
 
 
@@ -610,3 +616,11 @@ class TestOutcomeContract:
         else:
             assert err.startswith(PREFIXES[code])
             assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.usefixtures("fresh_forests")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_corrupted_step_word_fails_edge_check(self, capsys, monkeypatch, fmt):
+        _break_s46(monkeypatch)
+        got, out, err = run(capsys, "verify-lemma", "4.4", "-g", "6", "--format", fmt)
+        assert (got, out) == (4, "")
+        assert err == "internal check failed: path certificate failed to replay\n"

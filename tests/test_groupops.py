@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from crosscap.f2core import (
     Genus,
     H1Matrix,
     H1Vector,
+    InternalCheckError,
     compose,
     transvection,
 )
@@ -50,6 +52,7 @@ from helpers import (
     factorize_oracle,
     falsified,
     random_invertible_cols,
+    replay_certificates,
 )
 
 GOLDEN = json.loads(
@@ -279,6 +282,95 @@ def _standard(g):
     """The standard generating set of genus g: its matrices and labels."""
     pairs = standard_generators(Genus(g))
     return [m for _, m in pairs], [label for label, _ in pairs]
+
+
+class TestEdgeCertificates:
+    """`verify_certificates` checks each tree edge once, in discovery order;
+    `replay_certificates` replays every word from the root."""
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_agrees_with_replay_on_standard_closures(self, g):
+        mats, labels = _standard(g)
+        table = subgroup_closure(mats, labels=labels, genus=Genus(g))
+        # replaying all 40320 words at genus 7 is slow; the edge check is not
+        limit = 4096 if g == 7 else None
+        assert table.verify_certificates(limit) is replay_certificates(table, limit) is True
+        assert table.verify_certificates() is True
+
+    @pytest.mark.parametrize("cap", [1, 2, 50, 500])
+    def test_agrees_with_replay_on_capped_closures(self, cap):
+        mats, labels = _standard(6)
+        table = subgroup_closure(mats, cap=cap, labels=labels, genus=Genus(6))
+        assert not table.complete
+        assert table.verify_certificates() is replay_certificates(table) is True
+
+    def test_agrees_with_replay_on_non_involutive_set(self):
+        # letter -1 is listed, so undoing letter 1 runs the inverse's move
+        table = subgroup_closure(non_involutive_set(), labels=["r", "s"])
+        assert -1 in table.elements.values()
+        for limit in (None, 1, 5):
+            assert table.verify_certificates(limit) is replay_certificates(table, limit) is True
+
+    def test_letters_naming_other_generators_fail(self):
+        # the tree was grown by t_{d_1} first; the table says letter 1 is t_{d_2}
+        mats, labels = _standard(5)
+        table = subgroup_closure(mats, labels=labels, genus=Genus(5))
+        swapped = dataclasses.replace(table, generators=(mats[1], mats[0], *mats[2:]))
+        assert swapped.verify_certificates() is replay_certificates(swapped) is False
+        assert swapped.verify_certificates(limit=2) is False
+        assert swapped.verify_certificates(limit=1) is True  # the root alone
+
+    def test_wrong_letter_fails(self):
+        # a level-1 element given another generator's letter: undoing it
+        # lands on a level-2 element, which is not checked yet
+        mats, labels = _standard(5)
+        table = subgroup_closure(mats, labels=labels, genus=Genus(5))
+        first = next(key for key, signed in table.elements.items() if signed == 1)
+        table.elements[first] = 2
+        assert table.verify_certificates() is False
+
+    def test_loop_fails(self):
+        # two elements whose letters undo to each other: the walk from the
+        # root never reaches them, and the replay never reaches the root
+        mats, labels = _standard(5)
+        table = subgroup_closure(mats, labels=labels, genus=Genus(5))
+        a = next(key for key, signed in table.elements.items() if signed == 1)
+        b = next(
+            key for key, signed in table.elements.items()
+            if signed == 2 and table.tree.parent(key, 2) == a
+        )
+        table.elements[a] = 2
+        assert table.tree.parent(a, 2) == b
+        assert table.verify_certificates() is False
+        with pytest.raises(InternalCheckError, match="never reached the root"):
+            replay_certificates(table)
+
+    def test_second_root_fails(self):
+        mats, labels = _standard(5)
+        table = subgroup_closure(mats, labels=labels, genus=Genus(5))
+        last = next(reversed(table.elements))
+        table.elements[last] = 0
+        assert table.verify_certificates() is False
+        assert table.verify_certificates(limit=len(table.elements) - 1) is True
+
+    @pytest.mark.parametrize("limit", [None, 1, 8])
+    def test_enumerated_table_has_no_certificates(self, limit):
+        table = enumerate_orthogonal(Genus(4))
+        assert table.order == 8
+        with pytest.raises(ValueError, match="no certificates"):
+            table.verify_certificates(limit)
+
+    def test_generation_checks_first_4096(self, monkeypatch):
+        limits = []
+        check = groupops.GroupTable.verify_certificates
+
+        def recorded(table, limit=None):
+            limits.append(limit)
+            return check(table, limit)
+
+        monkeypatch.setattr(groupops.GroupTable, "verify_certificates", recorded)
+        assert verify_generation(Genus(6)).equal
+        assert limits == [4096]
 
 
 class TestFactorize:
@@ -904,14 +996,17 @@ class TestReducerOracle:
         moves = []
         apply = _Reducer._apply
 
-        def checked(red, label):
-            before = [H1Vector(red.genus, bits) for bits in red.tracked]
-            apply(red, label)
-            key = (red.genus, label)
-            if key not in parsed:
-                parsed[key] = parse_word(label, red.genus)
-            assert red.tracked == [act(parsed[key], v).bits for v in before]
-            moves.append(label)
+        def checked(red, labels):
+            # a call applies a run of moves: fold each label through `act`
+            classes = [H1Vector(red.genus, bits) for bits in red.tracked]
+            apply(red, labels)
+            for label in labels:
+                key = (red.genus, label)
+                if key not in parsed:
+                    parsed[key] = parse_word(label, red.genus)
+                classes = [act(parsed[key], v) for v in classes]
+            assert red.tracked == [v.bits for v in classes]
+            moves.extend(labels)
 
         monkeypatch.setattr(_Reducer, "_apply", checked)
         return moves
@@ -1020,8 +1115,8 @@ class TestInternalChecks:
     def test_broken_packed_move_fails_replay_under_optimize(self, call, message):
         # letter 1's forward move applies generator 2, an involution, so the
         # undo walk still finds each parent: the search reaches its targets
-        # but records letter 1; only `_replay`, which composes column tuples,
-        # sees it
+        # but records letter 1; only a check on column tuples (`_replay`, or
+        # the edge check's `apply_mask` step) sees it
         src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap import groupops\n"

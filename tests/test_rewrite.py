@@ -11,7 +11,13 @@ import pytest
 
 import crosscap
 from crosscap import rewrite
-from crosscap.f2core import BudgetExceededError, Genus, H1Vector, InternalCheckError
+from crosscap.f2core import (
+    BudgetExceededError,
+    FalsificationError,
+    Genus,
+    H1Vector,
+    InternalCheckError,
+)
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
     ALPHA_TERMINALS,
@@ -26,6 +32,7 @@ from crosscap.rewrite import (
     _shift_certificate,
     builtin_rule_tables,
     canonical_targets,
+    check_reduction_forest,
     classify_rseq_components,
     instantiate,
     reduce_alpha,
@@ -466,6 +473,131 @@ class TestAlphaReduction:
                 assert [_alpha_shift(p, red.terminal) for p in (1, 2, 3)] == [None] * 3
 
 
+_REPLAY_FAILED = "path certificate failed to replay"
+
+
+def _edge_check_fails(genus) -> bool:
+    try:
+        check_reduction_forest(genus)
+    except InternalCheckError as exc:
+        assert str(exc) == _REPLAY_FAILED
+        return True
+    return False
+
+
+def _some_path_fails(genus) -> bool:
+    try:
+        for bits in range(1 << genus.g):
+            reduce_rseq(RSequence(genus, bits))
+    except InternalCheckError as exc:
+        assert str(exc) == _REPLAY_FAILED
+        return True
+    return False
+
+
+class TestForestCheck:
+    """`check_reduction_forest` checks each forest edge once, in discovery
+    order; `reduce_rseq`, which replays a sequence's whole path, is its
+    oracle."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_forests(self):
+        _reduction_forest.cache_clear()
+        yield
+        _reduction_forest.cache_clear()
+
+    def _mutate(self, monkeypatch, g, mutate):
+        """Serve a copy of the genus-g forest changed by `mutate`."""
+        instances, forest = _reduction_forest(g)
+        forest = dict(forest)
+        mutate(instances, forest)
+        monkeypatch.setattr(rewrite, "_reduction_forest", lambda g: (instances, forest))
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_agrees_with_reduce_rseq(self, g):
+        genus = Genus(g)
+        assert not _edge_check_fails(genus)
+        assert not _some_path_fails(genus)
+
+    def test_broken_step_word_agrees_with_reduce_rseq(self, monkeypatch):
+        # each live instance in turn gets a word acting as the identity: the
+        # edge check fails exactly when some sequence's path replay fails
+        genus = Genus(6)
+        instances, moves = rewrite._shuffle_moves(6)
+        failed = 0
+        for idx, *_ in moves:
+            inst = instances[idx]
+            with monkeypatch.context() as m:
+                break_instance(m, inst.rule.rule_id, inst.anchor, "Y_{1,2}")
+                _reduction_forest.cache_clear()
+                edge = _edge_check_fails(genus)
+                assert edge == _some_path_fails(genus)
+            failed += edge
+        assert failed > 0
+
+    def test_wrong_step_word_fails(self, monkeypatch):
+        # pMpMpm reaches its normal form by S4.6 at 1; t_{d_1} fixes x2+x4
+        break_instance(monkeypatch, "S4.6", 1, "t_{d_1}")
+        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
+            check_reduction_forest(Genus(6))
+
+    def test_wrong_letter_fails(self, monkeypatch):
+        # a step naming an instance whose window shows neither of its sides
+        def wrong(instances, forest):
+            cur = next(bits for bits, idx in forest.items() if idx is not None)
+            forest[cur] = next(
+                i for i, inst in enumerate(instances)
+                if cur & inst.window_bits not in (inst.lhs_bits, inst.rhs_bits)
+            )
+
+        self._mutate(monkeypatch, 6, wrong)
+        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
+            check_reduction_forest(Genus(6))
+
+    def test_parent_not_reached_earlier_fails(self, monkeypatch):
+        # a sequence two steps from its root and its parent undo the same
+        # move, each back to the other: the parent's step leads to a later
+        # sequence, so the two form a loop
+        def loop(instances, forest):
+            for cur, idx in forest.items():
+                if idx is None:
+                    continue
+                _, parent, _ = rewrite._forest_step(instances, cur, idx)
+                if forest[parent] is not None:
+                    forest[parent] = idx
+                    return
+            raise AssertionError("no sequence two steps from its root")
+
+        self._mutate(monkeypatch, 6, loop)
+        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
+            check_reduction_forest(Genus(6))
+
+    def test_root_outside_normal_forms_fails(self, monkeypatch):
+        def extra_root(instances, forest):
+            forest[next(reversed(forest))] = None
+
+        self._mutate(monkeypatch, 6, extra_root)
+        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
+            check_reduction_forest(Genus(6))
+
+    def test_smallest_unreduced_sequence_is_falsified(self, monkeypatch):
+        # the message reduce_rseq gives for the first sequence it cannot reduce
+        targets = rewrite.canonical_targets
+        monkeypatch.setattr(rewrite, "canonical_targets", lambda genus: targets(genus)[:-1])
+        genus = Genus(6)
+        with pytest.raises(FalsificationError) as edge:
+            check_reduction_forest(genus)
+        with pytest.raises(FalsificationError) as path:
+            for bits in range(1 << 6):
+                reduce_rseq(RSequence(genus, bits))
+        assert str(edge.value) == str(path.value)
+        assert str(edge.value) == "sequence PMPMPM lies in a component without a normal form"
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            check_reduction_forest(Genus(RSEQ_GENUS_CAP + 1))
+
+
 class TestCertificateReplay:
     @pytest.mark.parametrize(
         "corrupt,argv,message",
@@ -490,8 +622,17 @@ class TestCertificateReplay:
                 ["reduce-alpha", "-g", "8", "3", "5", "7"],
                 "index-shift certificate failed to replay",
             ),
+            # the same word on the same edge, met by the forest's edge check
+            (
+                "import dataclasses\n"
+                "instances, forest = rewrite._reduction_forest(6)\n"
+                "idx = forest[rewrite.RSequence.parse('pMpMpm').bits]\n"
+                "instances[idx] = dataclasses.replace(instances[idx], word=instances[0].word)\n",
+                ["verify-lemma", "4.4", "-g", "6"],
+                "path certificate failed to replay",
+            ),
         ],
-        ids=["reduce-rseq", "reduce-alpha"],
+        ids=["reduce-rseq", "reduce-alpha", "verify-lemma-4.4"],
     )
     def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, message):
         src = pathlib.Path(crosscap.__file__).parent.parent
