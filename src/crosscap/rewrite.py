@@ -26,6 +26,7 @@ pairs to 0 with every axis and passes through untouched.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -444,18 +445,20 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
     return tuple(RSequence(genus, H1Vector.from_indices(genus, s).bits) for s in supports)
 
 
-# reduce_rseq builds and caches a breadth-first forest on all 2^g sequences:
-# its first call at genus 18 (`crosscap reduce-rseq` in a fresh process)
-# takes 1.7-1.8 s wall and 39 MB peak RSS on a 2-core host (Python 3.11.7)
+# reduce_rseq and the 4.4 check build and cache a breadth-first forest on all
+# 2^g sequences: its first call at genus 18 (`crosscap reduce-rseq` in a fresh
+# process) takes 1.7-1.8 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
 RSEQ_GENUS_CAP = 18
-# classify_rseq_components walks the components of all 2^g sequences
-COMPONENTS_GENUS_CAP = 12
+
+
+def _live(inst: RuleInstance) -> bool:
+    """A shuffle move: the pattern's plus signs (p, P) sit at odd positions."""
+    return all((s in "pP") == (inst.anchor + k) % 2 for k, s in enumerate(inst.rule.window))
 
 
 def _shuffle_moves(g: int):
     """The shuffle-rule instances, and the live moves among them as
-    (instance index, window mask, lhs bits, rhs bits) in instance order: the
-    instances whose pattern's sign parity fits their anchor."""
+    (instance index, window mask, lhs bits, rhs bits) in instance order."""
     genus = Genus(g)
     instances = [
         inst
@@ -463,44 +466,33 @@ def _shuffle_moves(g: int):
         if rule.family in ("swap3", "swap4")
         for inst in rule_instances(rule, genus)
     ]
-    moves = []
-    for idx, inst in enumerate(instances):
-        window = inst.rule.window
-        # the pattern's plus signs (p, P) must sit at odd positions
-        if all((sym in "pP") == (inst.anchor + k) % 2 for k, sym in enumerate(window)):
-            moves.append((idx, inst.window_bits, inst.lhs_bits, inst.rhs_bits))
+    moves = [
+        (i, x.window_bits, x.lhs_bits, x.rhs_bits) for i, x in enumerate(instances) if _live(x)
+    ]
     return instances, moves
-
-
-def _spread(reached: dict, sources, moves) -> list[int]:
-    """Breadth-first search of the sequence graph from `sources`: a move links
-    u to u ^ lhs ^ rhs when u's window shows either side.  Sources join
-    `reached` as None, each new sequence as the instance index of the move
-    that reached it.  Returns the members in discovery order."""
-    members = list(sources)
-    reached.update(dict.fromkeys(members))
-    # the loop visits the members it appends, level after level
-    for u in members:
-        for idx, wmask, lhs, rhs in moves:
-            window = u & wmask
-            if window == lhs or window == rhs:
-                v = u ^ lhs ^ rhs
-                if v not in reached:
-                    reached[v] = idx
-                    members.append(v)
-    return members
 
 
 # the forests of the last four genera stay cached: at genus 15-18 together
 # about 480 k entries, each a shared small int
 @lru_cache(maxsize=4)
 def _reduction_forest(g: int):
-    """Multi-source BFS forest from the normal forms over the sequence graph:
-    each normal form maps to None, each other sequence to the instance index
-    of the move that reached it, whose undoing gives its parent."""
+    """Multi-source breadth-first forest from the normal forms over the
+    sequence graph, where a move links u to u ^ lhs ^ rhs when u's window
+    shows either side.  Each normal form maps to None, each other sequence to
+    the instance index of the move that reached it, whose undoing gives its
+    parent; the dict keeps the discovery order."""
     instances, moves = _shuffle_moves(g)
-    forest: dict[int, int | None] = {}
-    _spread(forest, [target.bits for target in canonical_targets(Genus(g))], moves)
+    members = [target.bits for target in canonical_targets(Genus(g))]
+    forest: dict[int, int | None] = dict.fromkeys(members)
+    # the loop visits the members it appends, level after level
+    for u in members:
+        for idx, wmask, lhs, rhs in moves:
+            window = u & wmask
+            if window == lhs or window == rhs:
+                v = u ^ lhs ^ rhs
+                if v not in forest:
+                    forest[v] = idx
+                    members.append(v)
     return instances, forest
 
 
@@ -557,34 +549,39 @@ def _missing_normal_form(s: RSequence) -> FalsificationError:
     )
 
 
-def check_reduction_forest(genus: Genus) -> None:
+def check_reduction_forest(genus: Genus) -> list[int]:
     """Check that every sequence of the genus reduces to a normal form, with
-    a certificate that replays, one forest edge at a time.
+    a certificate that replays, one forest edge at a time, and return each
+    sequence's tree root, indexed by its mask.
 
     The smallest sequence outside the forest raises FalsificationError, as
     `reduce_rseq` would for it.  Then, in discovery order, each root must
     be a normal form, and each other sequence's step (`_forest_step`) must
-    lead to a sequence checked before it, onto which its step word's axes
-    fold the sequence.  By induction every path `reduce_rseq` reads
-    replays to its normal form, and a forest that loops fails; a failure
-    raises InternalCheckError.  Budgeted like `reduce_rseq`.
+    lead to a sequence checked before it, whose root it takes, onto which
+    its step word's axes fold the sequence.  By induction every path
+    `reduce_rseq` reads replays to its normal form, and a forest that loops
+    fails; a failure raises InternalCheckError.  Budgeted like
+    `reduce_rseq`.
     """
     g = genus.g
     _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
     instances, forest = _reduction_forest(g)
-    missing = next((bits for bits in range(1 << g) if bits not in forest), None)
-    if missing is not None:
+    # the forest's keys are sequences of the genus: it misses one when short
+    if len(forest) < 1 << g:
+        missing = next(bits for bits in range(1 << g) if bits not in forest)
         raise _missing_normal_form(RSequence(genus, missing))
-    roots = {target.bits for target in canonical_targets(genus)}
-    checked = set()
+    normal = {target.bits for target in canonical_targets(genus)}
+    roots: list[int | None] = [None] * (1 << g)
     for cur, idx in forest.items():
         if idx is None:
-            ok = cur in roots
+            root, ok = cur, cur in normal
         else:
             _, parent, word = _forest_step(instances, cur, idx)
-            ok = parent in checked and _fold(word.axes, [cur]) == [parent]
+            root = roots[parent]
+            ok = root is not None and _fold(word.axes, [cur]) == [parent]
         _check(ok, "path certificate failed to replay")
-        checked.add(cur)
+        roots[cur] = root
+    return roots
 
 
 def reduce_rseq(s: RSequence) -> CertifiedPath:
@@ -657,41 +654,45 @@ class ComponentsReport:
 
 
 def classify_rseq_components(genus: Genus) -> ComponentsReport:
-    """Connected components of the sequence graph, with the invariants that
-    must be constant on each (form value, support parity) and the assertion
-    that every component contains a normal form."""
+    """Components of the sequence graph: the trees of the forest that
+    `check_reduction_forest` checks (raising as it does), by smallest member,
+    each with its root as its normal form.  Form value and support parity
+    must be constant on each tree.  If they are, no live move joins two
+    trees, by two checks whose failure is a defect (InternalCheckError): q
+    is additive over disjoint supports, so a move keeps q when q(lhs) =
+    q(rhs); and the roots with a live move (all but 0 and w) differ in q."""
     g = genus.g
-    _require_genus_budget("component classification", g, COMPONENTS_GENUS_CAP)
-    _, moves = _shuffle_moves(g)
-    canon = {s.bits for s in canonical_targets(genus)}
+    roots = check_reduction_forest(genus)
     odd = _odd_mask(g)
-    reached: dict[int, int | None] = {}
-    summaries = []
-    all_ok = True
-    for start in range(1 << g):
-        if start in reached:
-            continue
-        members = _spread(reached, [start], moves)
-        q_values = {_q_mask(b, odd) for b in members}
-        parities = {b.bit_count() & 1 for b in members}
-        canonical_members = tuple(
-            RSequence(genus, b).ascii() for b in sorted(canon & set(members))
+    normal = [target.bits for target in canonical_targets(genus)]
+    invariants = {root: (_q_mask(root, odd), root.bit_count() & 1) for root in normal}
+    broken = {
+        root
+        for bits, root in enumerate(roots)
+        if (_q_mask(bits, odd), bits.bit_count() & 1) != invariants[root]
+    }
+    if not broken:
+        live = [inst for inst in _reduction_forest(g)[0] if _live(inst)]
+        for inst in live:
+            what = f"live move {inst.rule.rule_id} at {inst.anchor} changes the form value"
+            _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)
+        moving = [
+            r for r in normal if any(r & i.window_bits in (i.lhs_bits, i.rhs_bits) for i in live)
+        ]
+        values = {invariants[root][0] for root in moving}
+        _check(len(values) == len(moving), "normal forms with live moves share a form value")
+    size, smallest = Counter(roots), {root: roots.index(root) for root in normal}
+    summaries = tuple(
+        ComponentSummary(
+            size[root],
+            RSequence(genus, smallest[root]).ascii(),
+            (RSequence(genus, root).ascii(),),
+            *invariants[root],
+            ok=root not in broken,
         )
-        comp_ok = (
-            len(q_values) == 1 and len(parities) == 1 and len(canonical_members) >= 1
-        )
-        all_ok = all_ok and comp_ok
-        summaries.append(
-            ComponentSummary(
-                size=len(members),
-                representative=RSequence(genus, min(members)).ascii(),
-                canonical_members=canonical_members,
-                form_value=next(iter(q_values)),
-                support_parity=next(iter(parities)),
-                ok=comp_ok,
-            )
-        )
-    return ComponentsReport(genus=g, components=tuple(summaries), ok=all_ok)
+        for root in sorted(normal, key=smallest.__getitem__)
+    )
+    return ComponentsReport(genus=g, components=summaries, ok=not broken)
 
 
 # ---------------------------------------------------------------------------

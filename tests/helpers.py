@@ -208,6 +208,17 @@ def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:
     monkeypatch.setattr(rewrite, "rule_instances", broken)
 
 
+def add_normal_form(monkeypatch) -> None:
+    """List x3 as one more normal form, for the rest of the test: it shares
+    q = 1 with the normal form x1, and both have a live move."""
+    targets = rewrite.canonical_targets
+
+    def extra(genus):
+        return targets(genus) + (rewrite.RSequence(genus, 0b100),)
+
+    monkeypatch.setattr(rewrite, "canonical_targets", extra)
+
+
 def replay_certificates(table, limit=None) -> bool:
     """Slow oracle for `GroupTable.verify_certificates`: read each stored
     word (or the first `limit`) off the tree up to the root and replay it

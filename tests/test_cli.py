@@ -9,7 +9,7 @@ from crosscap import cli, groupops, rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import H1Matrix
 
-from helpers import break_instance, falsified, validate
+from helpers import add_normal_form, break_instance, falsified, validate
 
 
 def run(capsys, *argv):
@@ -200,8 +200,8 @@ BUDGET_REFUSALS = [
         "sequence reduction is budgeted for genus <= 18, got 19",
     ),
     (
-        ("verify-lemma", "4.4", "-g", "13"),
-        "component classification is budgeted for genus <= 12, got 13",
+        ("verify-lemma", "4.4", "-g", "19"),
+        "sequence reduction is budgeted for genus <= 18, got 19",
     ),
     (
         ("verify-lemma", "4.8", "-g", "7", "--cap", "100"),
@@ -588,6 +588,7 @@ OUTCOMES = [
     (("factorize", "-g", "4", "t_{d_1}"), 4, _replay_to_identity),
     (("reduce-q2", "-g", "6", "x2+x4"), 4, _drop_label),
     (("verify-lemma", "4.4", "-g", "6"), 4, _break_s46),
+    (("verify-lemma", "4.4", "-g", "5"), 4, add_normal_form),
 ]
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,7 +22,6 @@ from crosscap.f2core import (
 from crosscap.gmform import q_eval
 from crosscap.rewrite import (
     ALPHA_TERMINALS,
-    COMPONENTS_GENUS_CAP,
     RSEQ_GENUS_CAP,
     AlphaTriple,
     RSequence,
@@ -46,6 +46,7 @@ from crosscap.rewrite import (
 from crosscap.words import MCGWord, induced_matrix, parse_word
 
 from helpers import (
+    add_normal_form,
     break_instance,
     falsified,
     leaves_window,
@@ -221,10 +222,36 @@ class TestNormalForms:
         assert report.ok
         assert sum(c.size for c in report.components) == 1 << g
 
-    def test_components_budget(self):
-        assert COMPONENTS_GENUS_CAP == 12
-        with pytest.raises(BudgetExceededError):
-            classify_rseq_components(Genus(COMPONENTS_GENUS_CAP + 1))
+    def test_components_budget(self, monkeypatch):
+        # the components are the reduction forest's trees, under its budget
+        def refuse(g):
+            raise AssertionError("the budget must refuse before any move is built")
+
+        monkeypatch.setattr(rewrite, "_shuffle_moves", refuse)
+        before = _reduction_forest.cache_info().currsize
+        message = "^sequence reduction is budgeted for genus <= 18, got 19$"
+        with pytest.raises(BudgetExceededError, match=message):
+            classify_rseq_components(Genus(RSEQ_GENUS_CAP + 1))
+        assert _reduction_forest.cache_info().currsize == before
+
+    @pytest.mark.parametrize("g", range(1, 17))
+    def test_component_sizes_closed_form(self, g):
+        # count the masks by q = l_odd - l_even (mod 4): a of the ceil(g/2)
+        # odd positions and b of the floor(g/2) even ones circled; 0 (q = 0)
+        # and w (q = g mod 2) are components of their own
+        odd, even = (g + 1) // 2, g // 2
+        counts = [0] * 4
+        for a in range(odd + 1):
+            for b in range(even + 1):
+                counts[(a - b) % 4] += comb(odd, a) * comb(even, b)
+        counts[0] -= 1
+        counts[g % 2] -= 1
+        expected = [(1, 0), (1, g % 2)] + [(n, q) for q, n in enumerate(counts) if n]
+        report = classify_rseq_components(Genus(g))
+        assert report.ok
+        assert sorted((c.size, c.form_value) for c in report.components) == sorted(expected)
+        if g == 12:
+            assert counts == [1054, 1024, 992, 1024]
 
     def test_reduction_budget_builds_nothing(self, monkeypatch):
         assert RSEQ_GENUS_CAP == 18
@@ -240,7 +267,7 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_neighbours_match_adjacency_oracle(self, g):
-        # the neighbours `_spread` reads off the rule masks, against the
+        # the neighbours `_reduction_forest` reads off the rule masks, against the
         # explicit adjacency lists: a breadth-first search over the lists
         # reaches the same sequences in the same order through the same
         # instances as the forest
@@ -474,6 +501,14 @@ class TestAlphaReduction:
 
 
 _REPLAY_FAILED = "path certificate failed to replay"
+_MOVE_CHANGES_Q = "live move S3.1 at 2 changes the form value"
+_SHARED_Q = "normal forms with live moves share a form value"
+
+
+def _add_move_changing_q(instances, forest):
+    """One more live move: S3.1 at 2, which moves x4 to x2, moving x4 to x3."""
+    [inst] = [i for i in instances if (i.rule.rule_id, i.anchor) == ("S3.1", 2)]
+    instances.append(dataclasses.replace(inst, rhs_bits=0b100))
 
 
 def _edge_check_fails(genus) -> bool:
@@ -507,9 +542,9 @@ class TestForestCheck:
         _reduction_forest.cache_clear()
 
     def _mutate(self, monkeypatch, g, mutate):
-        """Serve a copy of the genus-g forest changed by `mutate`."""
+        """Serve a copy of the genus-g instances and forest changed by `mutate`."""
         instances, forest = _reduction_forest(g)
-        forest = dict(forest)
+        instances, forest = list(instances), dict(forest)
         mutate(instances, forest)
         monkeypatch.setattr(rewrite, "_reduction_forest", lambda g: (instances, forest))
 
@@ -596,6 +631,76 @@ class TestForestCheck:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             check_reduction_forest(Genus(RSEQ_GENUS_CAP + 1))
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_roots_follow_parents(self, g):
+        # each sequence's root is the normal form its reduction ends at
+        genus = Genus(g)
+        roots = check_reduction_forest(genus)
+        assert roots == [reduce_rseq(RSequence(genus, b)).end.bits for b in range(1 << g)]
+
+    def test_move_changing_q_fails(self, monkeypatch):
+        # no forest edge uses the extra move, so every tree keeps its q, but
+        # the move joins x4, in the tree of x2, to x3, in the tree of x1
+        self._mutate(monkeypatch, 6, _add_move_changing_q)
+        with pytest.raises(InternalCheckError, match=f"^{_MOVE_CHANGES_Q}$"):
+            classify_rseq_components(Genus(6))
+
+    def test_normal_forms_sharing_q_fail(self, monkeypatch):
+        add_normal_form(monkeypatch)
+        with pytest.raises(InternalCheckError, match=f"^{_SHARED_Q}$"):
+            classify_rseq_components(Genus(5))
+
+
+class TestTreesAreComponents:
+    """A broken separation check is a defect in crosscap: `verify-lemma 4.4`
+    exits 4 with the check's line, also under `python -O`."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    @pytest.mark.parametrize(
+        "corrupt,g,message",
+        [
+            # the move of `_add_move_changing_q`, served with the forest
+            (
+                "import dataclasses\n"
+                "instances, forest = rewrite._reduction_forest(6)\n"
+                "[inst] = [i for i in instances if (i.rule.rule_id, i.anchor) == ('S3.1', 2)]\n"
+                "extra = instances + [dataclasses.replace(inst, rhs_bits=0b100)]\n"
+                "rewrite._reduction_forest = lambda g: (extra, forest)\n",
+                6,
+                _MOVE_CHANGES_Q,
+            ),
+            # the normal form of `add_normal_form`
+            (
+                "targets = rewrite.canonical_targets\n"
+                "def extra(genus):\n"
+                "    return targets(genus) + (rewrite.RSequence(genus, 0b100),)\n"
+                "rewrite.canonical_targets = extra\n",
+                5,
+                _SHARED_Q,
+            ),
+        ],
+        ids=["move-changes-q", "normal-forms-share-q"],
+    )
+    def test_exit_4(self, flags, corrupt, g, message):
+        src = pathlib.Path(crosscap.__file__).parent.parent
+        code = (
+            "import sys\n"
+            "from crosscap import rewrite\n"
+            "from crosscap.cli import main\n"
+            f"{corrupt}"
+            f"sys.exit(main(['verify-lemma', '4.4', '-g', '{g}']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == f"internal check failed: {message}\n"
 
 
 class TestCertificateReplay:
