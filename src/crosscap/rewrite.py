@@ -282,9 +282,18 @@ def _alpha_shift(p: int, triple: tuple[int, int, int]):
     reading 0 before the first entry.  The shifted triple and the slot (the
     entry's value) if the rule applies, else None."""
     n = triple[p - 1]
-    if n <= ((0,) + triple)[p - 1] + 2:
+    if n <= (triple[p - 2] if p > 1 else 0) + 2:
         return None
     return triple[: p - 1] + (n - 2,) + triple[p:], n
+
+
+def _first_shift(triple: tuple[int, int, int]):
+    """The first index shift that applies, in rule order, as (rule, shifted
+    triple, slot), or None when the triple is a dead end."""
+    for p, rule in enumerate(_SHIFT_RULES, 1):
+        if (shift := _alpha_shift(p, triple)) is not None:
+            return (rule, *shift)
+    return None
 
 
 def _mask(indices) -> int:
@@ -751,29 +760,30 @@ class AlphaReduction:
         }
 
 
+def _not_terminal(start, end) -> FalsificationError:
+    """The outcome for a triple whose shifts stop off the terminal list."""
+    return FalsificationError(f"triple {start} stopped at {end}, which is not a listed terminal")
+
+
 def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
-    """Shift the triple down (first index, then second, then third) until one
-    of the eight terminals is reached; certificate replay-verified.  A shift
-    lowers one entry by two and entries stay at least 1, so each rule's loop
-    ends; AL.p leaves the entries before p alone, so no earlier rule applies
-    again."""
+    """Shift the triple down, each step by the first rule that applies, until
+    one of the eight terminals is reached; certificate replay-verified.  A
+    shift lowers one entry by two and entries stay at least 1, so the path
+    ends; AL.p leaves the entries before p alone, so the path shifts the
+    first index, then the second, then the third."""
     if triple.k > genus.g:
         raise ValueError(f"triple {triple.as_tuple} does not fit genus {genus.g}")
-    start = triple.as_tuple
-    cur = start
+    start = cur = triple.as_tuple
     steps: list[AlphaStep] = []
     step_words: list[MCGWord] = []
-    for p, rule in enumerate(_SHIFT_RULES, 1):
-        while (shift := _alpha_shift(p, cur)) is not None:
-            shifted, slot = shift
-            word = _shift_certificate(genus.g, slot)
-            steps.append(AlphaStep(rule.rule_id, cur, shifted, word.text))
-            step_words.append(word)
-            cur = shifted
+    while (shift := _first_shift(cur)) is not None:
+        rule, shifted, slot = shift
+        word = _shift_certificate(genus.g, slot)
+        steps.append(AlphaStep(rule.rule_id, cur, shifted, word.text))
+        step_words.append(word)
+        cur = shifted
     if cur not in ALPHA_TERMINALS:
-        raise FalsificationError(
-            f"triple {start} stopped at {cur}, which is not a listed terminal"
-        )
+        raise _not_terminal(start, cur)
     what = "index-shift certificate failed to replay"
     word = certify(genus, step_words, [_mask(start)], [_mask(cur)], what)
     return AlphaReduction(
@@ -784,3 +794,25 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
         word=word,
         verified=True,
     )
+
+
+def alpha_terminals(genus: Genus) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """Each triple of the genus mapped to its `reduce_alpha` terminal, in
+    `combinations` order, checked one shift at a time.  A dead end must be
+    listed, or FalsificationError is raised as `reduce_alpha` raises it.
+    Any other triple takes the terminal of its first shift's target, walked
+    earlier since the shift lowers an entry, once its slot word folds it
+    onto that target, or InternalCheckError is raised."""
+    terminals: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    for triple in combinations(range(1, genus.g + 1), 3):
+        if (shift := _first_shift(triple)) is None:
+            if triple not in ALPHA_TERMINALS:
+                raise _not_terminal(triple, triple)
+            terminals[triple] = triple
+        else:
+            _, target, slot = shift
+            axes = _shift_certificate(genus.g, slot).axes
+            ok = target in terminals and _fold(axes, [_mask(triple)]) == [_mask(target)]
+            _check(ok, "index-shift certificate failed to replay")
+            terminals[triple] = terminals[target]
+    return terminals

@@ -7,7 +7,8 @@ import pytest
 
 from crosscap import cli, groupops, rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
-from crosscap.f2core import H1Matrix
+from crosscap.f2core import Genus, H1Matrix
+from crosscap.words import parse_word
 
 from helpers import add_normal_form, break_instance, falsified, validate
 
@@ -38,6 +39,13 @@ def _drop_terminal(monkeypatch):
 def _break_al1(monkeypatch):
     # Y_{3,4} stays inside AL.1's window at (3, 4, 5) and acts as the identity
     break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
+
+
+def _in_window_shift_word(monkeypatch):
+    # Y_{n,n-2} stays inside each shift's window and acts as the identity
+    monkeypatch.setattr(
+        rewrite, "_shift_certificate", lambda g, n: parse_word(f"Y_{{{n},{n - 2}}}", Genus(g))
+    )
 
 
 def _break_s46(monkeypatch):
@@ -569,6 +577,7 @@ OUTCOMES = [
     (("reduce-alpha", "-g", "9", "3", "5", "7"), 0, None),
     (("reduce-q2", "-g", "6", "x2+x4"), 0, None),
     (("verify-lemma", "4.10", "-g", "6"), 1, _break_al1),
+    (("verify-lemma", "4.10", "-g", "5"), 1, _drop_terminal),
     (("reduce-rseq", "PMPM"), 1, _drop_normal_form),
     (("reduce-alpha", "-g", "5", "1", "2", "3"), 1, _drop_terminal),
     (("eval-form", "-g", "3", "zzz"), 2, None),
@@ -589,7 +598,25 @@ OUTCOMES = [
     (("reduce-q2", "-g", "6", "x2+x4"), 4, _drop_label),
     (("verify-lemma", "4.4", "-g", "6"), 4, _break_s46),
     (("verify-lemma", "4.4", "-g", "5"), 4, add_normal_form),
+    (("verify-lemma", "4.10", "-g", "8"), 4, _in_window_shift_word),
 ]
+
+
+def _outcome_ids(rows) -> list[str]:
+    """Each row's test id: its command and exit code, followed, where rows
+    share both, by the name of its mutation or else its genus, so no id
+    depends on a row's position."""
+    bases = [f"{argv[0]}-{code}" for argv, code, _ in rows]
+    ids = []
+    for base, (argv, _, mutation) in zip(bases, rows):
+        if bases.count(base) > 1:
+            tag = mutation.__name__.strip("_") if mutation else "g" + argv[argv.index("-g") + 1]
+            base = f"{base}-{tag}"
+        ids.append(base)
+    return ids
+
+
+OUTCOME_IDS = _outcome_ids(OUTCOMES)
 
 
 class TestOutcomeContract:
@@ -600,7 +627,7 @@ class TestOutcomeContract:
     @pytest.mark.usefixtures("fresh_forests")
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize(
-        "argv,code,mutation", OUTCOMES, ids=[f"{a[0]}-{c}" for a, c, _ in OUTCOMES]
+        "argv,code,mutation", OUTCOMES, ids=OUTCOME_IDS
     )
     def test_outcome(self, capsys, monkeypatch, argv, code, mutation, fmt):
         if mutation is not None:
@@ -617,6 +644,9 @@ class TestOutcomeContract:
         else:
             assert err.startswith(PREFIXES[code])
             assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_ids_unique(self):
+        assert len(set(OUTCOME_IDS)) == len(OUTCOME_IDS)
 
     @pytest.mark.usefixtures("fresh_forests")
     @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -30,6 +30,7 @@ from crosscap.rewrite import (
     _check_window_local,
     _reduction_forest,
     _shift_certificate,
+    alpha_terminals,
     builtin_rule_tables,
     canonical_targets,
     check_reduction_forest,
@@ -499,6 +500,34 @@ class TestAlphaReduction:
                     assert _alpha_shift(p, before) == (after, before[p - 1])
                 assert [_alpha_shift(p, red.terminal) for p in (1, 2, 3)] == [None] * 3
 
+    def test_walk_matches_reduce_alpha(self):
+        # the walk checks one shift per triple; reduce_alpha replays each path
+        for g in range(1, 25):
+            genus = Genus(g)
+            triples = combinations(range(1, g + 1), 3)
+            expected = [(t, reduce_alpha(genus, AlphaTriple(*t)).terminal) for t in triples]
+            assert list(alpha_terminals(genus).items()) == expected
+
+    @pytest.mark.parametrize("dropped", list(ALPHA_TERMINALS))
+    def test_walk_dropped_terminal_matches_first_failure(self, monkeypatch, dropped):
+        # the walk raises what reduce_alpha raises for the smallest triple
+        # whose path stops off the list
+        monkeypatch.delitem(ALPHA_TERMINALS, dropped)
+        genus = Genus(9)
+        for t in combinations(range(1, 10), 3):
+            try:
+                reduce_alpha(genus, AlphaTriple(*t))
+            except FalsificationError as exc:
+                expected = str(exc)
+                break
+        with pytest.raises(FalsificationError) as walked:
+            alpha_terminals(genus)
+        assert str(walked.value) == expected
+        if dropped == (2, 4, 6):
+            assert expected == (
+                "triple (2, 4, 6) stopped at (2, 4, 6), which is not a listed terminal"
+            )
+
 
 _REPLAY_FAILED = "path certificate failed to replay"
 _MOVE_CHANGES_Q = "live move S3.1 at 2 changes the form value"
@@ -736,8 +765,21 @@ class TestCertificateReplay:
                 ["verify-lemma", "4.4", "-g", "6"],
                 "path certificate failed to replay",
             ),
+            # Y_{n,n-2} stays inside each shift's window and acts as the
+            # identity: the alpha rule check reports all three rules
+            # inconsistent, and the walk's fold of the first shifted triple
+            # fails
+            (
+                "from crosscap.f2core import Genus\n"
+                "from crosscap.words import parse_word\n"
+                "def in_window(g, n):\n"
+                "    return parse_word('Y_{%d,%d}' % (n, n - 2), Genus(g))\n"
+                "rewrite._shift_certificate = in_window\n",
+                ["verify-lemma", "4.10", "-g", "8"],
+                "index-shift certificate failed to replay",
+            ),
         ],
-        ids=["reduce-rseq", "reduce-alpha", "verify-lemma-4.4"],
+        ids=["reduce-rseq", "reduce-alpha", "verify-lemma-4.4", "verify-lemma-4.10"],
     )
     def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, message):
         src = pathlib.Path(crosscap.__file__).parent.parent
