@@ -230,6 +230,8 @@ def _verify_410(genus: Genus, cap: int) -> tuple[bool, dict, str]:
 
 
 def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, str]:
+    # the generation check refuses above its budget before any word is decided
+    generation = verify_generation(genus, cap=cap)
     g = genus.g
     words = []
     words += [f"Y_{{{i},{j}}}" for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
@@ -237,7 +239,6 @@ def _verify_thm41(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     words += [f"t_{{c_{i}}}^{{2}}" for i in range(1, g - 2)]
     words += [label for label, _ in standard_generators(genus)]
     failing = [w for w in words if not decide_extendable(parse_word(w, genus)).extendable]
-    generation = verify_generation(genus, cap=cap)
     ok = not failing and generation.equal
     detail = {
         "generator_words": len(words),

@@ -456,7 +456,7 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 
 # reduce_rseq and the 4.4 check build and cache a breadth-first forest on all
 # 2^g sequences: its first call at genus 18 (`crosscap reduce-rseq` in a fresh
-# process) takes 1.7-1.8 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
+# process) takes 2.1-2.9 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
 RSEQ_GENUS_CAP = 18
 
 
@@ -465,44 +465,39 @@ def _live(inst: RuleInstance) -> bool:
     return all((s in "pP") == (inst.anchor + k) % 2 for k, s in enumerate(inst.rule.window))
 
 
-def _shuffle_moves(g: int):
-    """The shuffle-rule instances, and the live moves among them as
-    (instance index, window mask, lhs bits, rhs bits) in instance order."""
-    genus = Genus(g)
-    instances = [
-        inst
-        for rule in _RULES
-        if rule.family in ("swap3", "swap4")
-        for inst in rule_instances(rule, genus)
-    ]
-    moves = [
-        (i, x.window_bits, x.lhs_bits, x.rhs_bits) for i, x in enumerate(instances) if _live(x)
-    ]
-    return instances, moves
-
-
 # the forests of the last four genera stay cached: at genus 15-18 together
 # about 480 k entries, each a shared small int
 @lru_cache(maxsize=4)
 def _reduction_forest(g: int):
-    """Multi-source breadth-first forest from the normal forms over the
+    """The live shuffle moves, in rule-then-anchor order, and the
+    multi-source breadth-first forest from the normal forms over the
     sequence graph, where a move links u to u ^ lhs ^ rhs when u's window
     shows either side.  Each normal form maps to None, each other sequence to
-    the instance index of the move that reached it, whose undoing gives its
-    parent; the dict keeps the discovery order."""
-    instances, moves = _shuffle_moves(g)
-    members = [target.bits for target in canonical_targets(Genus(g))]
+    the index of the move that reached it, whose undoing gives its parent;
+    the dict keeps the discovery order."""
+    genus = Genus(g)
+    moves = [
+        inst
+        for rule in _RULES
+        if rule.family in ("swap3", "swap4")
+        for inst in rule_instances(rule, genus)
+        if _live(inst)
+    ]
+    # the masks as plain ints: the loop below reads them 2^g times per move,
+    # and attribute reads there cost about a sixth of the build
+    masks = [(idx, m.window_bits, m.lhs_bits, m.rhs_bits) for idx, m in enumerate(moves)]
+    members = [target.bits for target in canonical_targets(genus)]
     forest: dict[int, int | None] = dict.fromkeys(members)
     # the loop visits the members it appends, level after level
     for u in members:
-        for idx, wmask, lhs, rhs in moves:
+        for idx, wmask, lhs, rhs in masks:
             window = u & wmask
             if window == lhs or window == rhs:
                 v = u ^ lhs ^ rhs
                 if v not in forest:
                     forest[v] = idx
                     members.append(v)
-    return instances, forest
+    return moves, forest
 
 
 @dataclass(frozen=True)
@@ -539,12 +534,12 @@ class CertifiedPath:
         }
 
 
-def _forest_step(instances, cur: int, idx: int) -> tuple[str, int, MCGWord]:
-    """The step from sequence `cur` back to its forest parent by instance
+def _forest_step(moves, cur: int, idx: int) -> tuple[str, int, MCGWord]:
+    """The step from sequence `cur` back to its forest parent by move
     `idx`: its direction, the parent and the step word.  The step runs
-    forward when cur shows the instance's lhs, and its word is then the
+    forward when cur shows the move's lhs, and its word is then the
     certificate, else the certificate's inverse."""
-    inst = instances[idx]
+    inst = moves[idx]
     parent = cur ^ inst.lhs_bits ^ inst.rhs_bits
     if cur & inst.window_bits == inst.lhs_bits:
         return "fwd", parent, inst.word
@@ -574,7 +569,7 @@ def check_reduction_forest(genus: Genus) -> list[int]:
     """
     g = genus.g
     _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
-    instances, forest = _reduction_forest(g)
+    moves, forest = _reduction_forest(g)
     # the forest's keys are sequences of the genus: it misses one when short
     if len(forest) < 1 << g:
         missing = next(bits for bits in range(1 << g) if bits not in forest)
@@ -585,7 +580,7 @@ def check_reduction_forest(genus: Genus) -> list[int]:
         if idx is None:
             root, ok = cur, cur in normal
         else:
-            _, parent, word = _forest_step(instances, cur, idx)
+            _, parent, word = _forest_step(moves, cur, idx)
             root = roots[parent]
             ok = root is not None and _fold(word.axes, [cur]) == [parent]
         _check(ok, "path certificate failed to replay")
@@ -604,7 +599,7 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     """
     g = s.genus.g
     _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
-    instances, forest = _reduction_forest(g)
+    moves, forest = _reduction_forest(g)
     if s.bits not in forest:
         raise _missing_normal_form(s)
     steps = []
@@ -612,8 +607,8 @@ def reduce_rseq(s: RSequence) -> CertifiedPath:
     step_words: list[MCGWord] = []
     cur = s.bits
     while (idx := forest[cur]) is not None:
-        inst = instances[idx]
-        direction, cur, word = _forest_step(instances, cur, idx)
+        inst = moves[idx]
+        direction, cur, word = _forest_step(moves, cur, idx)
         step_words.append(word)
         steps.append(PathStep(inst.rule.rule_id, inst.anchor, direction))
         states.append(cur)
@@ -681,7 +676,7 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
         if (_q_mask(bits, odd), bits.bit_count() & 1) != invariants[root]
     }
     if not broken:
-        live = [inst for inst in _reduction_forest(g)[0] if _live(inst)]
+        live = _reduction_forest(g)[0]
         for inst in live:
             what = f"live move {inst.rule.rule_id} at {inst.anchor} changes the form value"
             _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)

@@ -130,6 +130,10 @@ def parse_word(text: str, genus: Genus) -> "MCGWord":
     return MCGWord(genus, tuple(letters))
 
 
+# support of each twisting circle's class, shifted to start at x_i
+_AXIS_PATTERN = {"a": 0b11, "c": 0b1111, "d": 0b101}
+
+
 def _validate_letter(letter: Letter, genus: Genus) -> None:
     g = genus.g
     kind, args = letter.kind, letter.args
@@ -141,8 +145,9 @@ def _validate_letter(letter: Letter, genus: Genus) -> None:
             "this model and are rejected; rewrite the word over a-, c-, d- and "
             "Y-letters instead"
         )
-    if kind in ("a", "c", "d"):
-        top = {"a": g - 1, "c": g - 3, "d": g - 2}[kind]
+    if kind in _AXIS_PATTERN:
+        # the circle about x_i covers its pattern's span from x_i
+        top = g + 1 - _AXIS_PATTERN[kind].bit_length()
         i = args[0]
         if top < 1:
             raise ValueError(f"{letter.spell()}: no {kind}-twist exists at genus {g}")
@@ -263,10 +268,6 @@ def _require_genus(genus: Genus, words) -> None:
             raise GenusMismatchError(
                 f"cannot join a word over genus {word.genus.g} into genus {genus.g}"
             )
-
-
-# support of each twisting circle's class, shifted to start at x_i
-_AXIS_PATTERN = {"a": 0b11, "c": 0b1111, "d": 0b101}
 
 
 def _axis_bits(letter: Letter) -> int:

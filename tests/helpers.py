@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 from itertools import islice, product
 
 import jsonschema
 
+import crosscap
 from crosscap import rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import Genus, H1Matrix
@@ -68,32 +73,31 @@ def scan_first_failing(cols: tuple[int, ...], g: int) -> int | None:
 def sequence_graph(g: int):
     """Slow oracle for the shuffle moves: the explicit adjacency list on all
     2^g sequences.  Each live swap instance (sign parity fitting its anchor)
-    is matched against every sequence; a match adds the edge source ->
-    target as "fwd" and target -> source as "rev", with the instance index.
-    Returns the swap instances and the adjacency lists."""
+    is numbered in turn and matched against every sequence; a match adds the
+    edge source -> target as "fwd" and target -> source as "rev", with the
+    live instance's number.  Returns the live swap instances and the
+    adjacency lists."""
     genus = Genus(g)
-    instances = [
+    live = [
         inst
         for rule in rule_schemas()
         if rule.family in ("swap3", "swap4")
         for inst in rule_instances(rule, genus)
+        if all(
+            (sym in ("p", "P")) == ((inst.anchor + k) % 2 == 1)
+            for k, sym in enumerate(rule.window)
+        )
     ]
     adj: list[list[tuple[int, int, str]]] = [[] for _ in range(1 << g)]
-    for idx, inst in enumerate(instances):
-        window = inst.rule.window
-        if any(
-            (sym in ("p", "P")) != ((inst.anchor + k) % 2 == 1)
-            for k, sym in enumerate(window)
-        ):
-            continue
-        wmask = ((1 << len(window)) - 1) << (inst.anchor - 1)
+    for idx, inst in enumerate(live):
+        wmask = ((1 << len(inst.rule.window)) - 1) << (inst.anchor - 1)
         context = ~wmask & ((1 << g) - 1)
         for bits in range(1 << g):
             if bits & wmask == inst.lhs_bits:
                 target = (bits & context) | inst.rhs_bits
                 adj[bits].append((target, idx, "fwd"))
                 adj[target].append((bits, idx, "rev"))
-    return instances, adj
+    return live, adj
 
 
 def window_positions(inst) -> tuple[int, ...]:
@@ -279,6 +283,20 @@ def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
     assert _replay(genus, gens, word) == target
     return FactorizationResult(
         "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)
+    )
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter started with `flags` (such as -O),
+    with the crosscap under test on its path; returns the completed process
+    with its stdout and stderr as text."""
+    src = pathlib.Path(crosscap.__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
     )
 
 

@@ -229,6 +229,17 @@ def test_budget_refusal_pinned(capsys, argv, message):
     assert err == f"budget exhausted: {message}\n"
 
 
+def test_thm41_refuses_before_deciding_a_word(capsys, monkeypatch):
+    def refuse(word):
+        raise AssertionError("the budget must refuse before any word is decided")
+
+    monkeypatch.setattr(cli, "decide_extendable", refuse)
+    code, out, err = run(capsys, "verify-lemma", "thm4.1", "-g", "9")
+    assert code == 3
+    assert out == ""
+    assert err == "budget exhausted: generation check is budgeted for genus <= 8, got 9\n"
+
+
 def _readme_cli_examples() -> list[list[str]]:
     """Arguments of each `crosscap` line in the sh block under README's CLI heading."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

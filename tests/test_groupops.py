@@ -2,17 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import pathlib
 import random
-import subprocess
 import sys
 import threading
 from itertools import islice, product
 
 import pytest
-
-import crosscap
 
 from crosscap import groupops
 from crosscap.cli import main
@@ -53,6 +49,7 @@ from helpers import (
     falsified,
     random_invertible_cols,
     replay_certificates,
+    run_python,
 )
 
 GOLDEN = json.loads(
@@ -1051,18 +1048,11 @@ def _isotropic_pairs(g):
 class TestInternalChecks:
     def test_swap_plan_check_survives_optimize(self):
         # under -O a bare assert would vanish and the plan would be [3, 1]
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap.groupops import _swap_plan\n"
             "print(_swap_plan([1, 3], [3, 5, 7]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "InternalCheckError" in proc.stderr
@@ -1079,7 +1069,6 @@ class TestInternalChecks:
         ],
     )
     def test_corrupted_label_table_fails_check_under_optimize(self, corrupt, message):
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "import sys\n"
             "from crosscap.cli import main\n"
@@ -1090,13 +1079,7 @@ class TestInternalChecks:
             f"_label_table(genus)[triple_label(1)] = {corrupt}\n"
             "sys.exit(main(['reduce-q2', '-g', '6', 'x2+x4']))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal check failed")
@@ -1117,7 +1100,6 @@ class TestInternalChecks:
         # undo walk still finds each parent: the search reaches its targets
         # but records letter 1; only a check on column tuples (`_replay`, or
         # the edge check's `apply_mask` step) sees it
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap import groupops\n"
             "from crosscap.f2core import Genus\n"
@@ -1132,13 +1114,7 @@ class TestInternalChecks:
             "gens = [m for _, m in standard_generators(genus)]\n"
             f"{call}\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert proc.stderr.rstrip().endswith(f"InternalCheckError: {message}")
@@ -1171,7 +1147,6 @@ class TestInternalChecks:
         # the inverse of the 3-cycle is a listed letter, so its move is what
         # undoes letter 1; only the undo walk, bounded by the tree's size,
         # sees the fault, never a KeyError or an endless walk
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap import groupops\n"
             "from crosscap.f2core import Genus, H1Matrix, transvection, H1Vector\n"
@@ -1187,13 +1162,7 @@ class TestInternalChecks:
             "        transvection(H1Vector.parse(genus, 'x1+x3'))]\n"
             f"{call}\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert proc.stderr.rstrip().endswith(f"InternalCheckError: search tree: {message}")
@@ -1201,7 +1170,6 @@ class TestInternalChecks:
     def test_corrupted_label_table_fails_pair_replay_under_optimize(self):
         # the first triple move still folds its own axes, but its word spells
         # the second triple; only the replay of the joined word sees it
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "from crosscap.f2core import Genus, H1Vector\n"
             "from crosscap.groupops import _label_table, reduce_isotropic_pair, triple_label\n"
@@ -1213,13 +1181,7 @@ class TestInternalChecks:
             "    H1Vector.parse(genus, 'x2+x4+x6+x8'), H1Vector.parse(genus, 'x1+x2+x3+x4')\n"
             ")\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert proc.stderr.rstrip().endswith(

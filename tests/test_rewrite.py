@@ -1,16 +1,12 @@
 import dataclasses
-import os
 import pathlib
 import random
 import re
-import subprocess
-import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 
-import crosscap
 from crosscap import rewrite
 from crosscap.f2core import (
     BudgetExceededError,
@@ -51,6 +47,7 @@ from helpers import (
     break_instance,
     falsified,
     leaves_window,
+    run_python,
     sequence_graph,
     shift_steps,
     window_positions,
@@ -225,10 +222,10 @@ class TestNormalForms:
 
     def test_components_budget(self, monkeypatch):
         # the components are the reduction forest's trees, under its budget
-        def refuse(g):
+        def refuse(rule, genus):
             raise AssertionError("the budget must refuse before any move is built")
 
-        monkeypatch.setattr(rewrite, "_shuffle_moves", refuse)
+        monkeypatch.setattr(rewrite, "rule_instances", refuse)
         before = _reduction_forest.cache_info().currsize
         message = "^sequence reduction is budgeted for genus <= 18, got 19$"
         with pytest.raises(BudgetExceededError, match=message):
@@ -257,10 +254,10 @@ class TestNormalForms:
     def test_reduction_budget_builds_nothing(self, monkeypatch):
         assert RSEQ_GENUS_CAP == 18
 
-        def refuse(g):
+        def refuse(rule, genus):
             raise AssertionError("the budget must refuse before any move is built")
 
-        monkeypatch.setattr(rewrite, "_shuffle_moves", refuse)
+        monkeypatch.setattr(rewrite, "rule_instances", refuse)
         before = _reduction_forest.cache_info().currsize
         with pytest.raises(BudgetExceededError):
             reduce_rseq(RSequence(Genus(19), 0))
@@ -411,7 +408,6 @@ class TestWindowLocality:
     def test_escaping_axis_fails_check_under_optimize(
         self, rule_id, anchor, letter, axis, window, lemma
     ):
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "import dataclasses, sys\n"
             "from crosscap import rewrite\n"
@@ -428,13 +424,7 @@ class TestWindowLocality:
             "rewrite.rule_instances = corrupted\n"
             f"sys.exit(main(['verify-lemma', {lemma!r}, '-g', '6']))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal check failed")
@@ -584,13 +574,12 @@ class TestForestCheck:
         assert not _some_path_fails(genus)
 
     def test_broken_step_word_agrees_with_reduce_rseq(self, monkeypatch):
-        # each live instance in turn gets a word acting as the identity: the
+        # each live move in turn gets a word acting as the identity: the
         # edge check fails exactly when some sequence's path replay fails
         genus = Genus(6)
-        instances, moves = rewrite._shuffle_moves(6)
+        moves, _ = _reduction_forest(6)
         failed = 0
-        for idx, *_ in moves:
-            inst = instances[idx]
+        for inst in moves:
             with monkeypatch.context() as m:
                 break_instance(m, inst.rule.rule_id, inst.anchor, "Y_{1,2}")
                 _reduction_forest.cache_clear()
@@ -712,7 +701,6 @@ class TestTreesAreComponents:
         ids=["move-changes-q", "normal-forms-share-q"],
     )
     def test_exit_4(self, flags, corrupt, g, message):
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "import sys\n"
             "from crosscap import rewrite\n"
@@ -720,13 +708,7 @@ class TestTreesAreComponents:
             f"{corrupt}"
             f"sys.exit(main(['verify-lemma', '4.4', '-g', '{g}']))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, *flags)
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr == f"internal check failed: {message}\n"
@@ -743,7 +725,9 @@ class TestCertificateReplay:
                 "import dataclasses\n"
                 "instances, forest = rewrite._reduction_forest(6)\n"
                 "idx = forest[rewrite.RSequence.parse('pMpMpm').bits]\n"
-                "instances[idx] = dataclasses.replace(instances[idx], word=instances[0].word)\n",
+                "s31 = rewrite.rule_by_id('S3.1').certificate\n"
+                "word = rewrite.parse_word(rewrite.instantiate(s31, i=1), rewrite.Genus(6))\n"
+                "instances[idx] = dataclasses.replace(instances[idx], word=word)\n",
                 ["reduce-rseq", "pMpMpm"],
                 "path certificate failed to replay",
             ),
@@ -761,7 +745,9 @@ class TestCertificateReplay:
                 "import dataclasses\n"
                 "instances, forest = rewrite._reduction_forest(6)\n"
                 "idx = forest[rewrite.RSequence.parse('pMpMpm').bits]\n"
-                "instances[idx] = dataclasses.replace(instances[idx], word=instances[0].word)\n",
+                "s31 = rewrite.rule_by_id('S3.1').certificate\n"
+                "word = rewrite.parse_word(rewrite.instantiate(s31, i=1), rewrite.Genus(6))\n"
+                "instances[idx] = dataclasses.replace(instances[idx], word=word)\n",
                 ["verify-lemma", "4.4", "-g", "6"],
                 "path certificate failed to replay",
             ),
@@ -782,7 +768,6 @@ class TestCertificateReplay:
         ids=["reduce-rseq", "reduce-alpha", "verify-lemma-4.4", "verify-lemma-4.10"],
     )
     def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, message):
-        src = pathlib.Path(crosscap.__file__).parent.parent
         code = (
             "import sys\n"
             "from crosscap import rewrite\n"
@@ -790,13 +775,7 @@ class TestCertificateReplay:
             f"{corrupt}"
             f"sys.exit(main({argv!r}))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        proc = run_python(code, "-O")
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr == f"internal check failed: {message}\n"

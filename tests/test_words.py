@@ -117,6 +117,29 @@ class TestGrammar:
         with pytest.raises(ValueError, match=r"^t_\{d_1\}: no d-twist exists at genus 2$"):
             parse_word("t_{d_1}", Genus(2))
 
+    @pytest.mark.parametrize("kind", ["a", "c", "d"])
+    def test_twist_index_range_matches_circle_support(self, kind):
+        # parse_word accepts t_{kind_i} exactly when the twisting circle's
+        # support fits in 1..g; a refusal names the largest index that fits
+        for g in range(1, 65):
+            genus = Genus(g)
+            fits = [
+                i for i in range(g + 2)
+                if all(1 <= t <= g for t in circle_support(Letter(kind, (i,))))
+            ]
+            for i in range(g + 2):
+                text = f"t_{{{kind}_{i}}}"
+                if i in fits:
+                    assert parse_word(text, genus).letters == (Letter(kind, (i,)),)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    parse_word(text, genus)
+                if fits:
+                    reason = f"index {i} out of range 1..{fits[-1]} at genus {g}"
+                else:
+                    reason = f"no {kind}-twist exists at genus {g}"
+                assert str(info.value) == f"{text}: {reason}"
+
     def test_alpha_letter_validation(self):
         with pytest.raises(ValueError):
             parse_word("Y_{alpha_{1,3},alpha_{1,3,4}}", Genus(6))  # leg size 2
