@@ -30,13 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import Genus, H1Matrix, H1Vector, _odd_mask, intersection
+from .f2core import Genus, H1Matrix, H1Vector, _odd_mask, _require_genus_budget, intersection
 
-# The isometry test is exact and O(g^2) at every genus; this limit only
-# picks the witness order.  Up to it the witness is the smallest failing
-# class (the one an increasing scan over all 2^g classes would meet first),
-# above it the first failing basis class or basis pair in row order.
-EXHAUSTIVE_LIMIT = 20
+# q_table holds 2^g entries; nothing reads it above genus 20 (preserves_q
+# reads the columns instead), and genus 40 would ask for 2^40 entries.
+FORM_TABLE_GENUS_CAP = 20
 
 _SIGNED = {0: "0", 1: "+1", 2: "2", 3: "-1"}
 
@@ -80,8 +78,9 @@ def z4_str(value: int, signed: bool = False) -> str:
 @lru_cache(maxsize=4)
 def q_table(genus: Genus) -> tuple[int, ...]:
     """q over all 2^g bit masks, indexed by mask; the tables of the last four
-    genera stay cached."""
+    genera stay cached.  Refused above FORM_TABLE_GENUS_CAP."""
     g = genus.g
+    _require_genus_budget("form table", g, FORM_TABLE_GENUS_CAP)
     odd = _odd_mask(g)
     even = ((1 << g) - 1) ^ odd
     return tuple(
@@ -92,7 +91,9 @@ def q_table(genus: Genus) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class QPreservationVerdict:
     preserves: bool
-    mode: str  # "exhaustive" or "basis"
+    # always "exhaustive" (the witness is the smallest failing class); the
+    # benchmark tracer counts calls by it
+    mode: str
     witness: H1Vector | None = None
 
     def __bool__(self) -> bool:
@@ -111,40 +112,20 @@ def _smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
     return None
 
 
-def _first_failing_basis(cols: tuple[int, ...], odd: int) -> int | None:
-    """The first basis class whose value changes, else the first basis pair
-    (row order) whose pairing changes, or None."""
-    for k, ck in enumerate(cols):
-        if _q_mask(ck, odd) != basis_value(k + 1):
-            return 1 << k
-    for i, ci in enumerate(cols):
-        for j in range(i + 1, len(cols)):
-            if (ci & cols[j]).bit_count() & 1:
-                return (1 << i) | (1 << j)
-    return None
-
-
 def preserves_q(m: H1Matrix) -> QPreservationVerdict:
     """Decide whether a matrix is an isometry of the form.
 
     M preserves q exactly when it preserves q on every basis class and the
     intersection pairing on every pair of basis classes: the refinement rule
     then propagates preservation by induction on support size (see the
-    module docstring).  This is decided from the columns in O(g^2); the
-    genus only picks the witness a failure reports.  Up to genus
-    EXHAUSTIVE_LIMIT ("exhaustive") it is the smallest failing class, the
-    first class an increasing scan over all 2^g classes meets: x_k for the
-    first column k that changes its form value or pairs oddly with an
-    earlier column, or x_i + x_k in the second case with i the first such
-    earlier column.  Above it ("basis") it is the first failing basis class,
-    else the first oddly pairing basis pair in row order.
+    module docstring).  This is decided from the columns in O(g^2) at every
+    genus.  A failure's witness is the smallest failing class, the first
+    class an increasing scan over all 2^g classes meets: x_k for the first
+    column k that changes its form value or pairs oddly with an earlier
+    column, or x_i + x_k in the second case with i the first such earlier
+    column.
     """
-    g = m.genus.g
-    if g <= EXHAUSTIVE_LIMIT:
-        mode, find = "exhaustive", _smallest_failing
-    else:
-        mode, find = "basis", _first_failing_basis
-    witness = find(m.cols, _odd_mask(g))
+    witness = _smallest_failing(m.cols, _odd_mask(m.genus.g))
     if witness is None:
-        return QPreservationVerdict(True, mode)
-    return QPreservationVerdict(False, mode, H1Vector(m.genus, witness))
+        return QPreservationVerdict(True, "exhaustive")
+    return QPreservationVerdict(False, "exhaustive", H1Vector(m.genus, witness))

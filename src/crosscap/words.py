@@ -246,21 +246,6 @@ class MCGWord:
         inverse.__dict__["_inverse"] = self
         return inverse
 
-    @classmethod
-    def product(cls, genus: Genus, words) -> "MCGWord":
-        """The words written left to right as one word, built in one step.
-
-        Their letters were validated when each word was built; only the
-        genus is checked, since a letter valid at one genus may be invalid
-        at a smaller one.
-        """
-        words = tuple(words)
-        _require_genus(genus, words)
-        return cls._joined(genus, tuple(l for word in words for l in word.letters))
-
-    def __mul__(self, other: "MCGWord") -> "MCGWord":
-        return MCGWord.product(self.genus, (self, other))
-
 
 def _require_genus(genus: Genus, words) -> None:
     for word in words:

@@ -122,6 +122,11 @@ def circle_support(letter) -> tuple[int, ...]:
     return tuple(letter.args[0] + k for k in offsets)
 
 
+def twist_top(kind: str, g: int) -> int:
+    """Largest index of a kind-twist whose circle fits in x_1..x_g."""
+    return g - max(_CIRCLE_OFFSETS[kind])
+
+
 def leaves_window(inst) -> bool:
     """Slow oracle for the locality check: whether some twist letter of the
     instance's word has a curve class outside `window_positions`."""
@@ -152,16 +157,10 @@ def brute_orthogonal_cols(g: int) -> set[tuple[int, ...]]:
 
 def random_letter(rng, g: int) -> str:
     """One random letter spelling valid at genus g."""
-    kinds = ["a", "d", "y"]
-    if g >= 4:
-        kinds.append("c")
+    kinds = [k for k in ("a", "d", "y", "c") if k == "y" or twist_top(k, g) >= 1]
     kind = rng.choice(kinds)
-    if kind == "a":
-        base = f"t_{{a_{rng.randint(1, g - 1)}}}"
-    elif kind == "c":
-        base = f"t_{{c_{rng.randint(1, g - 3)}}}"
-    elif kind == "d":
-        base = f"t_{{d_{rng.randint(1, g - 2)}}}"
+    if kind != "y":
+        base = f"t_{{{kind}_{rng.randint(1, twist_top(kind, g))}}}"
     else:
         i = rng.randint(1, g)
         j = rng.randint(1, g - 1)

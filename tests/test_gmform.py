@@ -4,10 +4,17 @@ from itertools import product
 import pytest
 
 from crosscap import gmform
-from crosscap.f2core import Genus, H1Matrix, H1Vector, _odd_mask, compose, transvection
+from crosscap.f2core import (
+    BudgetExceededError,
+    Genus,
+    H1Matrix,
+    H1Vector,
+    _odd_mask,
+    compose,
+    preserves_intersection_form,
+    transvection,
+)
 from crosscap.gmform import (
-    EXHAUSTIVE_LIMIT,
-    _first_failing_basis,
     _smallest_failing,
     basis_value,
     preserves_q,
@@ -148,17 +155,6 @@ class TestPreservation:
                 )
                 assert preserves_q(m).preserves
 
-    def test_basis_mode_matches_exhaustive(self):
-        rng = random.Random(99)
-        genus = Genus(6)
-        for _ in range(200):
-            m = H1Matrix(genus, mixed_invertible_cols(rng, 6))
-            basis = _first_failing_basis(m.cols, _odd_mask(6))
-            assert (basis is None) == (scan_first_failing(m.cols, 6) is None)
-            if basis is not None:
-                w = H1Vector(genus, basis)
-                assert q_eval(m.apply(w)) != q_eval(w)
-
 
 class TestSmallestWitness:
     """The O(g^2) witness against the increasing 2^g scan it replaced."""
@@ -200,30 +196,38 @@ class TestSmallestWitness:
                 text = random_word_text(rng, g, 12)
             assert_matches_scan(decide_extendable(parse_word(text, genus)).matrix)
 
-    @pytest.mark.parametrize("g", (24, 32, 64))
-    def test_auto_is_basis_above_limit(self, g):
+    @pytest.mark.parametrize("g", (21, 24, 32, 48, 64))
+    def test_word_witness_is_first_failing_basis_class(self, g):
+        # a word's matrix keeps the pairing (each twist axis has even
+        # weight), so its smallest failing class is a basis class: the
+        # first one whose image changes its form value
         rng = random.Random(3000 + g)
         genus = Genus(g)
+        basis = [H1Vector.basis(genus, i) for i in range(1, g + 1)]
+        seen = set()
         for _ in range(30):
-            m = decide_extendable(parse_word(random_word_text(rng, g, 12), genus)).matrix
-            verdict = preserves_q(m)
-            witness = None if verdict.witness is None else verdict.witness.bits
-            assert verdict.mode == "basis"
-            assert witness == _first_failing_basis(m.cols, _odd_mask(g))
+            verdict = decide_extendable(parse_word(random_word_text(rng, g, 12), genus))
+            m = verdict.matrix
+            assert preserves_intersection_form(m)
+            oracle = next(
+                (e for e in basis if q_eval_recursive(m.apply(e)) != q_eval_recursive(e)), None
+            )
+            assert verdict.witness == oracle
+            assert verdict.extendable == (oracle is None)
+            seen.add(verdict.extendable)
+        assert seen == {False, True}
 
     def test_pinned_two_class_witnesses(self):
-        # computed with the 2^g scan before it left the library; genus 21 is
-        # the first above the limit
-        assert EXHAUSTIVE_LIMIT == 20
-        for g, expected in ((20, "x2+x5"), (21, "x1+x7"), (24, "x1+x7")):
+        # computed with the 2^g scan at genus 20 before it left the library;
+        # the failure lies in columns 1..7, so larger genera share it
+        for g in (20, 21, 24):
             cols = [1 << j for j in range(g)]
             cols[4] = bits(2, 4, 5, 6, 8)
             cols[6] = bits(1, 2, 7)
             m = H1Matrix(Genus(g), tuple(cols))
-            assert preserves_q(m).witness.to_text() == expected
-            odd = _odd_mask(g)
-            assert _smallest_failing(m.cols, odd) == bits(2, 5)
-            assert _first_failing_basis(m.cols, odd) == bits(1, 7)
+            verdict = preserves_q(m)
+            assert (verdict.witness.to_text(), verdict.mode) == ("x2+x5", "exhaustive")
+            assert _smallest_failing(m.cols, _odd_mask(g)) == bits(2, 5)
 
     def test_no_form_table_needed(self, monkeypatch):
         def refuse(genus):
@@ -234,3 +238,11 @@ class TestSmallestWitness:
         verdict = decide_extendable(parse_word(word, Genus(20)))
         assert (verdict.extendable, verdict.witness.to_text()) == (False, "x14")
         assert decide_extendable(parse_word("t_{d_3} t_{d_17}", Genus(20))).extendable
+
+
+def test_form_table_budget():
+    before = q_table.cache_info().currsize
+    with pytest.raises(BudgetExceededError) as info:
+        q_table(Genus(21))
+    assert str(info.value) == "form table is budgeted for genus <= 20, got 21"
+    assert q_table.cache_info().currsize == before
