@@ -75,17 +75,24 @@ def z4_str(value: int, signed: bool = False) -> str:
     return _SIGNED[v] if signed else str(v)
 
 
+# byte translations adding a basis value mod 4, by that value
+_ADD_MOD4 = {b: bytes((t + b) % 4 for t in range(256)) for b in (1, 3)}
+
+
 @lru_cache(maxsize=4)
-def q_table(genus: Genus) -> tuple[int, ...]:
-    """q over all 2^g bit masks, indexed by mask; the tables of the last four
-    genera stay cached.  Refused above FORM_TABLE_GENUS_CAP."""
+def q_table(genus: Genus) -> bytes:
+    """q over all 2^g bit masks, one byte each, indexed by mask; the tables
+    of the last four genera stay cached.  Refused above FORM_TABLE_GENUS_CAP.
+
+    Built by doubling: a mask v below x_i pairs evenly with x_i, so
+    q(v + x_i) = q(v) + q(x_i), and the masks with top bit x_i are the
+    table so far shifted by basis_value(i)."""
     g = genus.g
     _require_genus_budget("form table", g, FORM_TABLE_GENUS_CAP)
-    odd = _odd_mask(g)
-    even = ((1 << g) - 1) ^ odd
-    return tuple(
-        ((v & odd).bit_count() - (v & even).bit_count()) % 4 for v in range(1 << g)
-    )
+    table = bytes(1)
+    for i in range(1, g + 1):
+        table += table.translate(_ADD_MOD4[basis_value(i)])
+    return table
 
 
 @dataclass(frozen=True)
@@ -102,13 +109,21 @@ class QPreservationVerdict:
 
 def _smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
     """The smallest mask whose form value M changes, or None (see the
-    module docstring for the proof)."""
+    module docstring for the proof).
+
+    `union` is the OR of the columns already passed: a column that misses
+    it pairs evenly with each of them, so only a column that meets it is
+    scanned against them.  A word's matrix is nearly a permutation, so few
+    columns are."""
+    union = 0
     for k, ck in enumerate(cols):
         if _q_mask(ck, odd) != basis_value(k + 1):
             return 1 << k
-        for i in range(k):
-            if (cols[i] & ck).bit_count() & 1:
-                return (1 << i) | (1 << k)
+        if ck & union:
+            for i in range(k):
+                if (cols[i] & ck).bit_count() & 1:
+                    return (1 << i) | (1 << k)
+        union |= ck
     return None
 
 
@@ -119,11 +134,12 @@ def preserves_q(m: H1Matrix) -> QPreservationVerdict:
     intersection pairing on every pair of basis classes: the refinement rule
     then propagates preservation by induction on support size (see the
     module docstring).  This is decided from the columns in O(g^2) at every
-    genus.  A failure's witness is the smallest failing class, the first
-    class an increasing scan over all 2^g classes meets: x_k for the first
-    column k that changes its form value or pairs oddly with an earlier
-    column, or x_i + x_k in the second case with i the first such earlier
-    column.
+    genus, and in near O(g) on a word's matrix, whose columns mostly miss
+    the columns before them.  A failure's witness is the smallest failing
+    class, the first class an increasing scan over all 2^g classes meets:
+    x_k for the first column k that changes its form value or pairs oddly
+    with an earlier column, or x_i + x_k in the second case with i the
+    first such earlier column.
     """
     witness = _smallest_failing(m.cols, _odd_mask(m.genus.g))
     if witness is None:

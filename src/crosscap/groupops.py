@@ -58,7 +58,7 @@ from .f2core import (
     transvection,
 )
 from .gmform import _q_mask, basis_value, preserves_q, q_eval
-from .words import MCGWord, _fold, certify, parse_word
+from .words import MCGWord, _fold, certify, induced_matrix, parse_word
 
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
@@ -495,14 +495,13 @@ _TRIPLE_LABELS = {i: triple_label(i) for i in range(1, MAX_GENUS - 2)}
 def _label_table(genus: Genus) -> dict[str, tuple[MCGWord, tuple[int, ...], H1Matrix]]:
     """The standard labels of a genus, in generator order, each with its
     parsed word, that word's twist axes (the reducers' moves) and the
-    matrix the axes fold the basis to (the generator)."""
+    matrix the word keeps (the generator)."""
     labels = [two_index_label(i) for i in range(1, genus.g - 1)]
     labels += [triple_label(i) for i in range(1, genus.g - 2)]
-    basis = [1 << j for j in range(genus.g)]
     table = {}
     for label in labels:
         word = parse_word(label, genus)
-        table[label] = (word, word.axes, H1Matrix(genus, tuple(_fold(word.axes, basis))))
+        table[label] = (word, word.axes, induced_matrix(word))
     return table
 
 

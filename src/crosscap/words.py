@@ -189,9 +189,10 @@ def _validate_letter(letter: Letter, genus: Genus) -> None:
 class MCGWord:
     """A validated word; the rightmost letter acts first.
 
-    Its text, axes and inverse are computed from its letters once, on first
-    use, and kept on the word; its fields stay immutable, so equality,
-    hashing and sharing are those of the letters.
+    Its text, axes, matrix and inverse are computed from its letters once,
+    on first use, and kept on the word (the inverse keeps its own matrix);
+    its fields stay immutable, so equality, hashing and sharing are those
+    of the letters.
     """
 
     genus: Genus
@@ -215,6 +216,12 @@ class MCGWord:
         return tuple(
             a for l in reversed(self.letters) if l.power % 2 and (a := _axis_bits(l))
         )
+
+    @cached_property
+    def _matrix(self) -> H1Matrix:
+        """Matrix of the word's homology action, read through induced_matrix."""
+        cols = _fold(self.axes, [1 << j for j in range(self.genus.g)])
+        return H1Matrix(self.genus, tuple(cols))
 
     def spell(self) -> str:
         return self.text
@@ -291,9 +298,9 @@ def act(word: MCGWord, v: H1Vector) -> H1Vector:
 
 
 def induced_matrix(word: MCGWord) -> H1Matrix:
-    """Matrix of the word's homology action; column j is the image of x_{j+1}."""
-    cols = _fold(word.axes, [1 << j for j in range(word.genus.g)])
-    return H1Matrix(word.genus, tuple(cols))
+    """Matrix of the word's homology action; column j is the image of x_{j+1}.
+    Folded once per word, on first use, and kept on the word."""
+    return word._matrix
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import crosscap
 from crosscap import rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import Genus, H1Matrix
-from crosscap.gmform import q_table
+from crosscap.gmform import _q_mask, basis_value, q_table
 from crosscap.groupops import (
     DEFAULT_NODE_CAP,
     FactorizationResult,
@@ -67,6 +67,18 @@ def scan_first_failing(cols: tuple[int, ...], g: int) -> int | None:
         img[v] = img[v ^ low] ^ cols[low.bit_length() - 1]
         if qtab[img[v]] != qtab[v]:
             return v
+    return None
+
+
+def pair_scan_smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
+    """Oracle for the isometry test's witness: the plain pair scan, which
+    checks every column against every earlier column."""
+    for k, ck in enumerate(cols):
+        if _q_mask(ck, odd) != basis_value(k + 1):
+            return 1 << k
+        for i in range(k):
+            if (cols[i] & ck).bit_count() & 1:
+                return (1 << i) | (1 << k)
     return None
 
 

@@ -15,6 +15,7 @@ from crosscap.f2core import (
     transvection,
 )
 from crosscap.gmform import (
+    _q_mask,
     _smallest_failing,
     basis_value,
     preserves_q,
@@ -25,7 +26,13 @@ from crosscap.gmform import (
 )
 from crosscap.words import decide_extendable, parse_word
 
-from helpers import _rank_f2, random_invertible_cols, random_word_text, scan_first_failing
+from helpers import (
+    _rank_f2,
+    pair_scan_smallest_failing,
+    random_invertible_cols,
+    random_word_text,
+    scan_first_failing,
+)
 
 
 def vec(g, text):
@@ -40,17 +47,19 @@ def _transvect(cols, axis):
     return [c ^ axis if (c & axis).bit_count() & 1 else c for c in cols]
 
 
-def mixed_invertible_cols(rng, g):
+def mixed_invertible_cols(rng, g, kind=None):
     """Random invertible matrices of four kinds, so that every branch of the
     isometry test is reached: uniform (fails early), isometries (no failure),
     pairing-preserving non-isometries (a basis class fails, often late) and
-    perturbed isometries (often a two-class witness)."""
-    kind = rng.randrange(4)
+    perturbed isometries (often a two-class witness).  The kind is drawn
+    when not given."""
+    if kind is None:
+        kind = rng.randrange(4)
     if kind == 0:
         return random_invertible_cols(rng, g)
-    qtab = q_table(Genus(g))
+    odd = _odd_mask(g)
     even_axes = [a for a in (rng.randrange(1, 1 << g) for _ in range(40)) if a.bit_count() % 2 == 0]
-    axes = even_axes if kind == 2 else [a for a in even_axes if qtab[a] == 2]
+    axes = even_axes if kind == 2 else [a for a in even_axes if _q_mask(a, odd) == 2]
     cols = [1 << j for j in range(g)]
     for a in axes[: rng.randint(1, 12)]:
         cols = _transvect(cols, a)
@@ -62,6 +71,24 @@ def mixed_invertible_cols(rng, g):
                 cols = trial
                 break
     return tuple(cols)
+
+
+def permutation_like_cols(rng, g):
+    """A permutation matrix that keeps index parity (an isometry), with one
+    column k made to break the pairing: it gains the columns at an earlier
+    index i and at another index j of the other parity, which keeps its form
+    value.  The other columns before k (j aside) miss it, so the isometry
+    test must find the pair behind them.  Needs g >= 3."""
+    evens, odds = list(range(0, g, 2)), list(range(1, g, 2))
+    rng.shuffle(evens)
+    rng.shuffle(odds)
+    cols = [1 << (odds if j % 2 else evens)[j // 2] for j in range(g)]
+    while True:
+        k, j = rng.randrange(1, g), rng.randrange(g)
+        i = rng.randrange(k)
+        if j not in (i, k) and (j - i) % 2:
+            cols[k] ^= cols[i] ^ cols[j]
+            return tuple(cols)
 
 
 def assert_matches_scan(m):
@@ -217,6 +244,29 @@ class TestSmallestWitness:
             seen.add(verdict.extendable)
         assert seen == {False, True}
 
+    @pytest.mark.parametrize("g", range(1, 65))
+    def test_matches_pair_scan(self, g):
+        # the disjoint-column skip against the plain pair scan it replaced,
+        # on uniform matrices, isometries, pairing-keeping non-isometries,
+        # perturbed isometries and permutation-like pairing breakers (the
+        # last two need room: genus 1 has only the identity)
+        rng = random.Random(4000 + g)
+        odd = _odd_mask(g)
+        kinds = 5 if g >= 3 else g + 2
+        seen = set()
+        for n in range(10 * kinds):
+            kind = n % kinds
+            if kind == 4:
+                cols = permutation_like_cols(rng, g)
+            else:
+                cols = mixed_invertible_cols(rng, g, kind)
+            witness = _smallest_failing(cols, odd)
+            assert witness == pair_scan_smallest_failing(cols, odd)
+            if kind == 4:
+                assert witness is not None and witness.bit_count() == 2
+            seen.add(0 if witness is None else witness.bit_count())
+        assert seen == {1: {0}, 2: {0, 1}}.get(g, {0, 1, 2})
+
     def test_pinned_two_class_witnesses(self):
         # computed with the 2^g scan at genus 20 before it left the library;
         # the failure lies in columns 1..7, so larger genera share it
@@ -238,6 +288,14 @@ class TestSmallestWitness:
         verdict = decide_extendable(parse_word(word, Genus(20)))
         assert (verdict.extendable, verdict.witness.to_text()) == (False, "x14")
         assert decide_extendable(parse_word("t_{d_3} t_{d_17}", Genus(20))).extendable
+
+
+@pytest.mark.parametrize("g", range(1, 17))
+def test_form_table_matches_closed_form(g):
+    table = q_table(Genus(g))
+    odd = _odd_mask(g)
+    assert type(table) is bytes and len(table) == 1 << g
+    assert all(table[v] == _q_mask(v, odd) for v in range(1 << g))
 
 
 def test_form_table_budget():

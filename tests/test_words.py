@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscap import words as words_module
 from crosscap.f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, compose, preserves_intersection_form, transvection
 from crosscap.gmform import q_eval
 from crosscap.groupops import reduce_isotropic_pair, reduce_q2_vector
@@ -19,6 +20,7 @@ from crosscap.words import (
     decide_extendable,
     induced_matrix,
     parse_word,
+    witness_detail,
 )
 
 from helpers import circle_support, random_word_text, twist_top
@@ -308,10 +310,52 @@ class TestWordMemo:
     @given(words())
     def test_filled_memo_keeps_equality_and_hash(self, word):
         word.text, word.axes, word.inverse()
+        induced_matrix(word), induced_matrix(word.inverse())
         fresh = parse_word(" ".join(l.spell() for l in word.letters), word.genus)
         assert fresh == word and hash(fresh) == hash(word)
         assert word.inverse() == fresh.inverse()
         assert hash(word.inverse()) == hash(fresh.inverse())
+
+    @settings(max_examples=200, deadline=None)
+    @given(words())
+    def test_matrix_is_kept(self, word):
+        m = induced_matrix(word)
+        assert induced_matrix(word) is m
+        assert decide_extendable(word).matrix is m
+        inverse = induced_matrix(word.inverse())
+        assert inverse == m.inverse()
+        assert induced_matrix(word.inverse().inverse()) is m
+
+    def test_inverse_keeps_its_own_matrix(self):
+        # two twists about meeting circles act with order 3, so the
+        # inverse word's matrix is not the word's
+        word = parse_word("t_{a_1} t_{a_2}", Genus(4))
+        m = induced_matrix(word)
+        inverse = induced_matrix(word.inverse())
+        assert inverse != m
+        assert compose(m, inverse).is_identity and compose(inverse, m).is_identity
+
+    def test_fold_runs_once_per_word(self, monkeypatch):
+        folds = []
+
+        def counting_fold(axes, masks):
+            folds.append(len(masks))
+            return fold(axes, masks)
+
+        fold = words_module._fold
+        monkeypatch.setattr(words_module, "_fold", counting_fold)
+        genus = Genus(12)
+        word = parse_word("t_{c_2} t_{d_5}^{-1} Y_{3,9} t_{a_7}", genus)
+        for _ in range(3):
+            verdict = decide_extendable(word)
+            induced_matrix(word)
+        assert not verdict.extendable and witness_detail(verdict)
+        assert folds == [12]
+        induced_matrix(word.inverse())
+        assert folds == [12, 12]
+        # an equal word parsed again is another object, with its own memo
+        induced_matrix(parse_word(word.text, genus))
+        assert folds == [12, 12, 12]
 
 
 def _replays(genus, text, sources, targets):
