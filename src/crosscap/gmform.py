@@ -114,10 +114,12 @@ def _smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
     `union` is the OR of the columns already passed: a column that misses
     it pairs evenly with each of them, so only a column that meets it is
     scanned against them.  A word's matrix is nearly a permutation, so few
-    columns are."""
+    columns are.  Form values are computed inline, as in `_q_mask`: column
+    k keeps its value exactly when 2 |ck & odd| - |ck| equals
+    basis_value(k + 1) = 1 + 2 (k & 1), mod 4."""
     union = 0
     for k, ck in enumerate(cols):
-        if _q_mask(ck, odd) != basis_value(k + 1):
+        if (2 * ((ck & odd).bit_count() - (k & 1)) - ck.bit_count() - 1) % 4:
             return 1 << k
         if ck & union:
             for i in range(k):

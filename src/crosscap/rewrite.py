@@ -287,12 +287,14 @@ def _alpha_shift(p: int, triple: tuple[int, int, int]):
     return triple[: p - 1] + (n - 2,) + triple[p:], n
 
 
-def _first_shift(triple: tuple[int, int, int]):
-    """The first index shift that applies, in rule order, as (rule, shifted
-    triple, slot), or None when the triple is a dead end."""
-    for p, rule in enumerate(_SHIFT_RULES, 1):
+def _first_shift(triple: tuple[int, int, int], start: int = 1):
+    """The first index shift that applies, in rule order from AL.start, as
+    (p, shifted triple, slot) for rule AL.p, or None when none does.  AL.p
+    leaves the entries before p alone, so once it fires AL.1..AL.p-1 stay
+    inapplicable and a path may resume its search at AL.p."""
+    for p in range(start, len(_SHIFT_RULES) + 1):
         if (shift := _alpha_shift(p, triple)) is not None:
-            return (rule, *shift)
+            return (p, *shift)
     return None
 
 
@@ -765,16 +767,18 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     one of the eight terminals is reached; certificate replay-verified.  A
     shift lowers one entry by two and entries stay at least 1, so the path
     ends; AL.p leaves the entries before p alone, so the path shifts the
-    first index, then the second, then the third."""
+    first index, then the second, then the third, and each step searches
+    from the rule that fired last."""
     if triple.k > genus.g:
         raise ValueError(f"triple {triple.as_tuple} does not fit genus {genus.g}")
     start = cur = triple.as_tuple
     steps: list[AlphaStep] = []
     step_words: list[MCGWord] = []
-    while (shift := _first_shift(cur)) is not None:
-        rule, shifted, slot = shift
+    p = 1
+    while (shift := _first_shift(cur, p)) is not None:
+        p, shifted, slot = shift
         word = _shift_certificate(genus.g, slot)
-        steps.append(AlphaStep(rule.rule_id, cur, shifted, word.text))
+        steps.append(AlphaStep(_SHIFT_RULES[p - 1].rule_id, cur, shifted, word.text))
         step_words.append(word)
         cur = shifted
     if cur not in ALPHA_TERMINALS:

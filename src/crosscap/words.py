@@ -83,14 +83,18 @@ def _spell_alpha(indices: tuple) -> str:
 
 
 _ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
-# one pattern for every letter, its alternatives tried in order: alpha slide
-# (groups leg, arm), index slide (i, j), twist (kind, index)
-_RX_LETTER = re.compile(
-    r"Y_\{" + _ALPHA_SET + "," + _ALPHA_SET + r"\}"
+# one pattern reads a whole token: a letter, its alternatives tried in order
+# (alpha slide: groups leg, arm; index slide: i, j; twist: kind and its index,
+# bare or braced), then an optional exponent (the group holding "^", then the
+# power, braced or bare); or else the first character that starts no letter.
+# Whitespace matches nothing, so `finditer` steps over it.
+_RX_TOKEN = re.compile(
+    r"(?:Y_\{" + _ALPHA_SET + "," + _ALPHA_SET + r"\}"
     r"|Y_\{(\d+),(\d+)\}"
-    r"|t_\{([a-d])_(\d+|\{\d+\})\}"
+    r"|t_\{([a-d])_(?:(\d+)|\{(\d+)\})\})"
+    r"(?P<caret>\^(?:\{(-?\d+)\}|(-?\d+)))?"
+    r"|(\S)"
 )
-_RX_EXP = re.compile(r"\^(?:\{(-?\d+)\}|(-?\d+))")
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -101,32 +105,21 @@ def _indices(text: str) -> tuple[int, ...]:
 def parse_word(text: str, genus: Genus) -> "MCGWord":
     """Parse word text under the grammar above; positions reported on errors."""
     letters = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _RX_LETTER.match(text, pos)
-        if m is None:
-            snippet = text[pos : pos + 16]
-            raise WordParseError(f"unrecognized letter {snippet!r}", pos)
-        leg, arm, i, j, kind, index = m.groups()
-        if leg is not None:
-            letter = Letter("ya", (_indices(leg), _indices(arm)))
-        elif i is not None:
-            letter = Letter("y", (int(i), int(j)))
+    for m in _RX_TOKEN.finditer(text):
+        leg, arm, i, j, kind, index, braced, caret, exp, bare_exp, stray = m.groups()
+        if stray is not None:
+            pos = m.start()
+            raise WordParseError(f"unrecognized letter {text[pos : pos + 16]!r}", pos)
+        if kind is not None:
+            args = (int(index or braced),)
+        elif leg is not None:
+            kind, args = "ya", (_indices(leg), _indices(arm))
         else:
-            letter = Letter(kind, _indices(index))
-        pos = m.end()
-        m = _RX_EXP.match(text, pos)
-        if m:
-            power = int(m.group(1) if m.group(1) is not None else m.group(2))
-            if power == 0:
-                raise WordParseError("zero exponent is not allowed", pos)
-            letter = letter.with_power(power)
-            pos = m.end()
-        letters.append(letter)
+            kind, args = "y", (int(i), int(j))
+        power = 1 if caret is None else int(exp or bare_exp)
+        if power == 0:
+            raise WordParseError("zero exponent is not allowed", m.start("caret"))
+        letters.append(Letter(kind, args, power))
     return MCGWord(genus, tuple(letters))
 
 
@@ -219,8 +212,19 @@ class MCGWord:
 
     @cached_property
     def _matrix(self) -> H1Matrix:
-        """Matrix of the word's homology action, read through induced_matrix."""
-        cols = _fold(self.axes, [1 << j for j in range(self.genus.g)])
+        """Matrix of the word's homology action, read through induced_matrix.
+
+        A basis class outside the union of the axes pairs evenly with every
+        axis, so no twist moves it: only the columns inside the union are
+        folded, and the rest stay basis columns."""
+        axes = self.axes
+        touched = 0
+        for a in axes:
+            touched |= a
+        cols = [1 << j for j in range(self.genus.g)]
+        inside = [c for c in cols if c & touched]
+        for basis, c in zip(inside, _fold(axes, inside)):
+            cols[basis.bit_length() - 1] = c
         return H1Matrix(self.genus, tuple(cols))
 
     def spell(self) -> str:

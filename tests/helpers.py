@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -29,7 +30,7 @@ from crosscap.groupops import (
     _spell,
 )
 from crosscap.rewrite import rule_instances, rule_schemas
-from crosscap.words import parse_word
+from crosscap.words import Letter, MCGWord, WordParseError, parse_word
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -80,6 +81,53 @@ def pair_scan_smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
             if (cols[i] & ck).bit_count() & 1:
                 return (1 << i) | (1 << k)
     return None
+
+
+_ORACLE_ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
+_ORACLE_RX_LETTER = re.compile(
+    r"Y_\{" + _ORACLE_ALPHA_SET + "," + _ORACLE_ALPHA_SET + r"\}"
+    r"|Y_\{(\d+),(\d+)\}"
+    r"|t_\{([a-d])_(\d+|\{\d+\})\}"
+)
+_ORACLE_RX_EXP = re.compile(r"\^(?:\{(-?\d+)\}|(-?\d+))")
+
+
+def _oracle_indices(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.strip("{}").split(","))
+
+
+def two_pattern_parse_word(text: str, genus: Genus) -> MCGWord:
+    """Oracle for the word parser: the two-pattern parser, which skips
+    whitespace by `str.isspace`, matches a letter, then matches its
+    exponent with a second pattern."""
+    letters = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ORACLE_RX_LETTER.match(text, pos)
+        if m is None:
+            snippet = text[pos : pos + 16]
+            raise WordParseError(f"unrecognized letter {snippet!r}", pos)
+        leg, arm, i, j, kind, index = m.groups()
+        if leg is not None:
+            letter = Letter("ya", (_oracle_indices(leg), _oracle_indices(arm)))
+        elif i is not None:
+            letter = Letter("y", (int(i), int(j)))
+        else:
+            letter = Letter(kind, _oracle_indices(index))
+        pos = m.end()
+        m = _ORACLE_RX_EXP.match(text, pos)
+        if m:
+            power = int(m.group(1) if m.group(1) is not None else m.group(2))
+            if power == 0:
+                raise WordParseError("zero exponent is not allowed", pos)
+            letter = letter.with_power(power)
+            pos = m.end()
+        letters.append(letter)
+    return MCGWord(genus, tuple(letters))
 
 
 def sequence_graph(g: int):

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crosscap import words as words_module
 from crosscap.f2core import Genus, GenusMismatchError, H1Matrix, H1Vector, compose, preserves_intersection_form, transvection
@@ -23,7 +23,7 @@ from crosscap.words import (
     witness_detail,
 )
 
-from helpers import circle_support, random_word_text, twist_top
+from helpers import circle_support, random_word_text, twist_top, two_pattern_parse_word
 
 
 def vec(g, text):
@@ -54,6 +54,64 @@ def letters(draw, g):
 def words(draw):
     g = draw(st.integers(2, 64))
     return MCGWord(Genus(g), tuple(draw(st.lists(letters(g), max_size=12))))
+
+
+@st.composite
+def fold_words(draw):
+    """A word at genus 1..64 over any letters, slides only, or letters at
+    even powers only.  The last two, and every word at genus 1 (which has
+    no letter), have an empty axis union."""
+    g = draw(st.integers(1, 64))
+    if g == 1:
+        return MCGWord(Genus(1), ())
+    flavour = draw(st.sampled_from(["any", "slides", "even"]))
+    letter = letters(g)
+    if flavour == "slides":
+        letter = letter.filter(lambda l: l.kind in ("y", "ya"))
+    elif flavour == "even":
+        letter = letter.map(lambda l: l.with_power(2 * l.power))
+    return MCGWord(Genus(g), tuple(draw(st.lists(letter, max_size=12))))
+
+
+# pieces of word text: letters with bare and braced indices and alpha sets
+# spelled both ways, among them letters that fail validation; exponents, with
+# zero ones and a stray caret; whitespace that str.isspace accepts; fragments
+_LETTER_TEXTS = [
+    "t_{a_1}", "t_{a_{2}}", "t_{a_3}", "t_{d_1}", "t_{d_{2}}", "t_{c_{1}}",
+    "t_{b_2}", "t_{a_9}", "Y_{1,2}", "Y_{3,1}", "Y_{2,2}", "Y_{alpha_2,alpha_{1,2}}",
+    "Y_{alpha_1,alpha_{1,2}}", "Y_{α_{1,2,3},α_{1,2,3,4}}", "Y_{alpha_{1,2},alpha_{1,2,3}}",
+]
+_EXPONENTS = [
+    *[""] * 12, "^2", "^-1", "^{3}", "^{-2}",
+    "^{0}", "^{-0}", "^00", "^", "^{2", "^{+1}",
+]
+_SPACES = [" ", " ", " ", "", "\t", "\n", "\u00a0", "\x1c", "\u2028"]
+_FRAGMENTS = ["t_{", "}", "{", "Y_{1,", "_", "a", "α", "1", "-", "t_{a_{1}", "t_{e_1}"]
+
+
+@st.composite
+def word_texts(draw):
+    """Word text from the pieces above: mostly letters with exponents, now
+    and then a fragment or a few characters of the grammar's alphabet."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        out.append(draw(st.sampled_from(_SPACES)))
+        if draw(st.integers(0, 9)):
+            out.append(draw(st.sampled_from(_LETTER_TEXTS)) + draw(st.sampled_from(_EXPONENTS)))
+        else:
+            out.append(draw(st.one_of(
+                st.sampled_from(_FRAGMENTS),
+                st.text(alphabet="tY_{}abcd,0123456789^-α \t\u00a0", max_size=3),
+            )))
+    return "".join(out)
+
+
+def _parse_outcome(parse, text, genus):
+    """The letters parsed, or the error's type, message and position."""
+    try:
+        return parse(text, genus).letters
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
 
 
 def product_of_transvections(word):
@@ -93,6 +151,19 @@ class TestGrammar:
         with pytest.raises(WordParseError) as err:
             parse_word("t_{a_1} nonsense", Genus(4))
         assert err.value.position == 8
+
+    @settings(max_examples=1500, deadline=None)
+    @given(word_texts(), st.integers(1, 8))
+    @example("t_{a_1} t_{c_2}^{-1} Y_{3,1} t_{d_4} Y_{alpha_{1,3,4},alpha_{1,3,4,5}}", 7)
+    @example("t_{a_1} nonsense", 4)
+    @example("t_{a_1} ^{2}", 8)
+    @example("t_{a_1}^{0} t_{d_2}", 8)
+    @example("t_{a_1}^{-0}\u2028t_{a_2}^00", 4)
+    @example("t_{a_1}\x1c^", 4)
+    def test_matches_two_pattern_parser(self, text, g):
+        genus = Genus(g)
+        got = _parse_outcome(parse_word, text, genus)
+        assert got == _parse_outcome(two_pattern_parse_word, text, genus)
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(WordParseError):
@@ -226,8 +297,16 @@ class TestInducedAction:
         assert parse_word(word.spell(), word.genus) == word
 
     def test_empty_word(self):
-        for g in (2, 20, 64):
+        for g in range(1, 65):
             assert induced_matrix(MCGWord(Genus(g), ())).is_identity
+
+    @settings(max_examples=400, deadline=None)
+    @given(fold_words())
+    def test_sparse_fold_matches_full_fold(self, word):
+        full = words_module._fold(word.axes, [1 << j for j in range(word.genus.g)])
+        assert induced_matrix(word).cols == tuple(full)
+        if all(l.kind in ("y", "ya") or l.power % 2 == 0 for l in word.letters):
+            assert word.axes == () and induced_matrix(word).is_identity
 
     def test_every_letter_preserves_pairing(self):
         g = Genus(6)
@@ -350,12 +429,13 @@ class TestWordMemo:
             verdict = decide_extendable(word)
             induced_matrix(word)
         assert not verdict.extendable and witness_detail(verdict)
-        assert folds == [12]
+        # only the six columns in the axes' union (x2..x5, x7, x8) are folded
+        assert folds == [6]
         induced_matrix(word.inverse())
-        assert folds == [12, 12]
+        assert folds == [6, 6]
         # an equal word parsed again is another object, with its own memo
         induced_matrix(parse_word(word.text, genus))
-        assert folds == [12, 12, 12]
+        assert folds == [6, 6, 6]
 
 
 def _replays(genus, text, sources, targets):
