@@ -300,7 +300,10 @@ def _first_shift(triple: tuple[int, int, int], start: int = 1):
 
 def _mask(indices) -> int:
     """Class mask of the sum of x_t over distinct indices t."""
-    return sum(1 << (t - 1) for t in indices)
+    bits = 0
+    for t in indices:
+        bits |= 1 << (t - 1)
+    return bits
 
 
 # room for every slot n at every genus up to 64: the sum of g-2 over g is 1953
@@ -458,13 +461,50 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 
 # reduce_rseq and the 4.4 check build and cache a breadth-first forest on all
 # 2^g sequences: its first call at genus 18 (`crosscap reduce-rseq` in a fresh
-# process) takes 2.1-2.9 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
+# process) takes 0.7-0.8 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
 RSEQ_GENUS_CAP = 18
 
 
 def _live(inst: RuleInstance) -> bool:
     """A shuffle move: the pattern's plus signs (p, P) sit at odd positions."""
     return all((s in "pP") == (inst.anchor + k) % 2 for k, s in enumerate(inst.rule.window))
+
+
+# the forest looks a sequence's moves up chunk by chunk: chunk c holds the
+# moves anchored at 4c+1..4c+4, whose windows (at most 4 symbols) lie in bits
+# 4c..4c+6, so one 128-entry table per chunk lists the moves each
+# 7-bit view shows
+_CHUNK = 4
+_CHUNK_BITS = 7
+
+
+def _chunk_tables(moves: list[RuleInstance], g: int) -> list[tuple[int, tuple]]:
+    """Per chunk, its first bit and its table: entry `view` is the ascending
+    tuple of indices of the chunk's moves whose window shows their lhs or
+    rhs when the chunk's bits read `view`.  Checks that the chunks partition
+    the moves and that each window lies in its chunk's bits."""
+    chunks = [
+        (start, [idx for idx, m in enumerate(moves) if start < m.anchor <= start + _CHUNK])
+        for start in range(0, g, _CHUNK)
+    ]
+    placed = sorted(idx for _, members in chunks for idx in members)
+    _check(placed == list(range(len(moves))), "the chunks do not partition the live moves")
+    tables = []
+    for start, members in chunks:
+        if not members:
+            continue
+        table: list[list[int]] = [[] for _ in range(1 << _CHUNK_BITS)]
+        for idx in members:
+            m = moves[idx]
+            wmask = m.window_bits >> start
+            what = f"live move {m.rule.rule_id} at {m.anchor} leaves its chunk's bits"
+            _check(wmask << start == m.window_bits and wmask >> _CHUNK_BITS == 0, what)
+            sides = (m.lhs_bits >> start, m.rhs_bits >> start)
+            for view, entry in enumerate(table):
+                if view & wmask in sides:
+                    entry.append(idx)
+        tables.append((start, tuple(map(tuple, table))))
+    return tables
 
 
 # the forests of the last four genera stay cached: at genus 15-18 together
@@ -476,7 +516,9 @@ def _reduction_forest(g: int):
     sequence graph, where a move links u to u ^ lhs ^ rhs when u's window
     shows either side.  Each normal form maps to None, each other sequence to
     the index of the move that reached it, whose undoing gives its parent;
-    the dict keeps the discovery order."""
+    the dict keeps the discovery order.  A sequence's moves come from the
+    chunk tables (`_chunk_tables`); sorting their indices restores the
+    rule-then-anchor order."""
     genus = Genus(g)
     moves = [
         inst
@@ -485,20 +527,22 @@ def _reduction_forest(g: int):
         for inst in rule_instances(rule, genus)
         if _live(inst)
     ]
-    # the masks as plain ints: the loop below reads them 2^g times per move,
-    # and attribute reads there cost about a sixth of the build
-    masks = [(idx, m.window_bits, m.lhs_bits, m.rhs_bits) for idx, m in enumerate(moves)]
+    flips = [m.lhs_bits ^ m.rhs_bits for m in moves]
+    view = (1 << _CHUNK_BITS) - 1
+    tables = _chunk_tables(moves, g)
     members = [target.bits for target in canonical_targets(genus)]
     forest: dict[int, int | None] = dict.fromkeys(members)
     # the loop visits the members it appends, level after level
     for u in members:
-        for idx, wmask, lhs, rhs in masks:
-            window = u & wmask
-            if window == lhs or window == rhs:
-                v = u ^ lhs ^ rhs
-                if v not in forest:
-                    forest[v] = idx
-                    members.append(v)
+        shown: list[int] = []
+        for start, table in tables:
+            shown += table[u >> start & view]
+        shown.sort()
+        for idx in shown:
+            v = u ^ flips[idx]
+            if v not in forest:
+                forest[v] = idx
+                members.append(v)
     return moves, forest
 
 

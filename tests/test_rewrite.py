@@ -24,6 +24,7 @@ from crosscap.rewrite import (
     RuleFailure,
     _alpha_shift,
     _check_window_local,
+    _chunk_tables,
     _reduction_forest,
     _shift_certificate,
     alpha_terminals,
@@ -263,12 +264,13 @@ class TestNormalForms:
             reduce_rseq(RSequence(Genus(19), 0))
         assert _reduction_forest.cache_info().currsize == before
 
-    @pytest.mark.parametrize("g", range(1, 13))
+    @pytest.mark.parametrize("g", range(1, 17))
     def test_neighbours_match_adjacency_oracle(self, g):
-        # the neighbours `_reduction_forest` reads off the rule masks, against the
-        # explicit adjacency lists: a breadth-first search over the lists
-        # reaches the same sequences in the same order through the same
-        # instances as the forest
+        # the neighbours `_reduction_forest` looks up in its chunk tables,
+        # against the explicit adjacency lists: a breadth-first search over
+        # the lists reaches the same sequences in the same order through the
+        # same instances as the forest.  At genus 13-16 there are 3 or 4
+        # chunks, and the last holds 3, 4, 1 and 2 anchors: every layout
         oracle_instances, adj = sequence_graph(g)
         oracle = {t.bits: None for t in canonical_targets(Genus(g))}
         queue = list(oracle)
@@ -668,6 +670,33 @@ class TestForestCheck:
         add_normal_form(monkeypatch)
         with pytest.raises(InternalCheckError, match=f"^{_SHARED_Q}$"):
             classify_rseq_components(Genus(5))
+
+
+class TestChunkTables:
+    """The forest's chunk tables must partition the live moves, each window
+    inside its chunk's bits; a failure is a defect in crosscap."""
+
+    def test_uncovered_moves_fail(self):
+        # chunks laid out for genus 8 miss the genus-12 moves anchored past 8
+        moves, _ = _reduction_forest(12)
+        with pytest.raises(InternalCheckError, match="^the chunks do not partition the live moves$"):
+            _chunk_tables(moves, 8)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_wide_chunk_exits_4(self, flags):
+        # with five anchors a chunk, S4.2 at 5 reads bits 4..7, past the
+        # chunk's seven bits 0..6
+        code = (
+            "import sys\n"
+            "from crosscap import rewrite\n"
+            "from crosscap.cli import main\n"
+            "rewrite._CHUNK = 5\n"
+            "sys.exit(main(['reduce-rseq', 'PMpMPmPm']))\n"
+        )
+        proc = run_python(code, *flags)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "internal check failed: live move S4.2 at 5 leaves its chunk's bits\n"
 
 
 class TestTreesAreComponents:
