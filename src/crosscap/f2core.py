@@ -71,7 +71,7 @@ def _require_same_genus(a, b) -> None:
         raise GenusMismatchError(f"mixed genera: {a.genus.g} and {b.genus.g}")
 
 
-_VECTOR_TEXT = re.compile(r"x\d+(?:\+x\d+)*")
+_VECTOR_TEXT = re.compile(r"x[0-9]+(?:\+x[0-9]+)*")
 
 
 @dataclass(frozen=True)

@@ -601,14 +601,18 @@ def _missing_normal_form(s: RSequence) -> FalsificationError:
 
 def check_reduction_forest(genus: Genus) -> list[int]:
     """Check that every sequence of the genus reduces to a normal form, with
-    a certificate that replays, one forest edge at a time, and return each
-    sequence's tree root, indexed by its mask.
+    a certificate that replays, and return each sequence's tree root,
+    indexed by its mask.
 
     The smallest sequence outside the forest raises FalsificationError, as
     `reduce_rseq` would for it.  Then, in discovery order, each root must
-    be a normal form, and each other sequence's step (`_forest_step`) must
-    lead to a sequence checked before it, whose root it takes, onto which
-    its step word's axes fold the sequence.  By induction every path
+    be a normal form, and each other sequence must show its move's lhs or
+    rhs, and undoing the move must lead to a sequence checked before it,
+    whose root it takes.  Each live move's certificate is checked once, at
+    the first edge that takes it: its axes lie in its window
+    (`_check_window_local`) and fold lhs onto rhs.  By window locality that
+    replays every edge of the move, forward and back, since the inverse
+    word's axes are the word's reversed.  By induction every path
     `reduce_rseq` reads replays to its normal form, and a forest that loops
     fails; a failure raises InternalCheckError.  Budgeted like
     `reduce_rseq`.
@@ -622,13 +626,18 @@ def check_reduction_forest(genus: Genus) -> list[int]:
         raise _missing_normal_form(RSequence(genus, missing))
     normal = {target.bits for target in canonical_targets(genus)}
     roots: list[int | None] = [None] * (1 << g)
+    replayed: set[int] = set()
     for cur, idx in forest.items():
         if idx is None:
             root, ok = cur, cur in normal
         else:
-            _, parent, word = _forest_step(moves, cur, idx)
-            root = roots[parent]
-            ok = root is not None and _fold(word.axes, [cur]) == [parent]
+            inst = moves[idx]
+            root = roots[cur ^ inst.lhs_bits ^ inst.rhs_bits]
+            ok = root is not None and cur & inst.window_bits in (inst.lhs_bits, inst.rhs_bits)
+            if ok and idx not in replayed:
+                _check_window_local(inst, genus)
+                ok = _fold(inst.word.axes, [inst.lhs_bits]) == [inst.rhs_bits]
+                replayed.add(idx)
         _check(ok, "path certificate failed to replay")
         roots[cur] = root
     return roots
@@ -676,19 +685,17 @@ class ComponentSummary:
     canonical_members: tuple[str, ...]
     form_value: int
     support_parity: int
-    ok: bool
 
 
 @dataclass(frozen=True)
 class ComponentsReport:
     genus: int
     components: tuple[ComponentSummary, ...]
-    ok: bool
 
     def to_json(self) -> dict:
         return {
             "genus": self.genus,
-            "ok": self.ok,
+            "ok": True,
             "components": [
                 {
                     "size": c.size,
@@ -696,7 +703,7 @@ class ComponentsReport:
                     "canonical": list(c.canonical_members),
                     "form_value": c.form_value,
                     "support_parity": c.support_parity,
-                    "ok": c.ok,
+                    "ok": True,
                 }
                 for c in self.components
             ],
@@ -706,43 +713,39 @@ class ComponentsReport:
 def classify_rseq_components(genus: Genus) -> ComponentsReport:
     """Components of the sequence graph: the trees of the forest that
     `check_reduction_forest` checks (raising as it does), by smallest member,
-    each with its root as its normal form.  Form value and support parity
-    must be constant on each tree.  If they are, no live move joins two
-    trees, by two checks whose failure is a defect (InternalCheckError): q
-    is additive over disjoint supports, so a move keeps q when q(lhs) =
-    q(rhs); and the roots with a live move (all but 0 and w) differ in q."""
+    each with its root as its normal form and its root's form value and
+    support parity.  Two checks, whose failure is a defect
+    (InternalCheckError), make the trees the components.  Each live move
+    keeps q: q is additive over disjoint supports, so a move keeps q when
+    q(lhs) = q(rhs).  Every forest edge is a live move, so q is constant on
+    each tree, and so is support parity, which is q mod 2.  And the roots
+    with a live move (all but 0 and w) differ in q, so no live move joins
+    two trees."""
     g = genus.g
     roots = check_reduction_forest(genus)
     odd = _odd_mask(g)
+    live = _reduction_forest(g)[0]
+    for inst in live:
+        what = f"live move {inst.rule.rule_id} at {inst.anchor} changes the form value"
+        _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)
     normal = [target.bits for target in canonical_targets(genus)]
-    invariants = {root: (_q_mask(root, odd), root.bit_count() & 1) for root in normal}
-    broken = {
-        root
-        for bits, root in enumerate(roots)
-        if (_q_mask(bits, odd), bits.bit_count() & 1) != invariants[root]
-    }
-    if not broken:
-        live = _reduction_forest(g)[0]
-        for inst in live:
-            what = f"live move {inst.rule.rule_id} at {inst.anchor} changes the form value"
-            _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)
-        moving = [
-            r for r in normal if any(r & i.window_bits in (i.lhs_bits, i.rhs_bits) for i in live)
-        ]
-        values = {invariants[root][0] for root in moving}
-        _check(len(values) == len(moving), "normal forms with live moves share a form value")
+    moving = [
+        r for r in normal if any(r & i.window_bits in (i.lhs_bits, i.rhs_bits) for i in live)
+    ]
+    values = {_q_mask(root, odd) for root in moving}
+    _check(len(values) == len(moving), "normal forms with live moves share a form value")
     size, smallest = Counter(roots), {root: roots.index(root) for root in normal}
     summaries = tuple(
         ComponentSummary(
             size[root],
             RSequence(genus, smallest[root]).ascii(),
             (RSequence(genus, root).ascii(),),
-            *invariants[root],
-            ok=root not in broken,
+            _q_mask(root, odd),
+            root.bit_count() & 1,
         )
         for root in sorted(normal, key=smallest.__getitem__)
     )
-    return ComponentsReport(genus=g, components=summaries, ok=not broken)
+    return ComponentsReport(genus=g, components=summaries)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _spell_alpha(indices: tuple) -> str:
     return "alpha_{" + ",".join(str(i) for i in indices) + "}"
 
 
-_ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
+_ALPHA_SET = r"(?:alpha|α)_([0-9]+|\{[0-9]+(?:,[0-9]+)*\})"
 # one pattern reads a whole token: a letter, its alternatives tried in order
 # (alpha slide: groups leg, arm; index slide: i, j; twist: kind and its index,
 # bare or braced), then an optional exponent (the group holding "^", then the
@@ -90,9 +90,9 @@ _ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
 # Whitespace matches nothing, so `finditer` steps over it.
 _RX_TOKEN = re.compile(
     r"(?:Y_\{" + _ALPHA_SET + "," + _ALPHA_SET + r"\}"
-    r"|Y_\{(\d+),(\d+)\}"
-    r"|t_\{([a-d])_(?:(\d+)|\{(\d+)\})\})"
-    r"(?P<caret>\^(?:\{(-?\d+)\}|(-?\d+)))?"
+    r"|Y_\{([0-9]+),([0-9]+)\}"
+    r"|t_\{([a-d])_(?:([0-9]+)|\{([0-9]+)\})\})"
+    r"(?P<caret>\^(?:\{(-?[0-9]+)\}|(-?[0-9]+)))?"
     r"|(\S)"
 )
 

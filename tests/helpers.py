@@ -83,13 +83,13 @@ def pair_scan_smallest_failing(cols: tuple[int, ...], odd: int) -> int | None:
     return None
 
 
-_ORACLE_ALPHA_SET = r"(?:alpha|α)_(\d+|\{\d+(?:,\d+)*\})"
+_ORACLE_ALPHA_SET = r"(?:alpha|α)_([0-9]+|\{[0-9]+(?:,[0-9]+)*\})"
 _ORACLE_RX_LETTER = re.compile(
     r"Y_\{" + _ORACLE_ALPHA_SET + "," + _ORACLE_ALPHA_SET + r"\}"
-    r"|Y_\{(\d+),(\d+)\}"
-    r"|t_\{([a-d])_(\d+|\{\d+\})\}"
+    r"|Y_\{([0-9]+),([0-9]+)\}"
+    r"|t_\{([a-d])_([0-9]+|\{[0-9]+\})\}"
 )
-_ORACLE_RX_EXP = re.compile(r"\^(?:\{(-?\d+)\}|(-?\d+))")
+_ORACLE_RX_EXP = re.compile(r"\^(?:\{(-?[0-9]+)\}|(-?[0-9]+))")
 
 
 def _oracle_indices(text: str) -> tuple[int, ...]:

@@ -327,12 +327,14 @@ class TestFalsifiedReport:
         assert payload["detail"] == {"falsified": line}
 
     def test_44_broken_invariant(self, capsys, monkeypatch):
-        # a form that reads only x1 changes along the moves that change x1
+        # a form that reads only x1 changes along the moves that change x1:
+        # every forest edge is a live move, so a move that changes the form
+        # value is a defect in crosscap, not a verdict (exit 4, no report)
         monkeypatch.setattr(rewrite, "_q_mask", lambda bits, odd: bits & 1)
-        payload, line = falsified(capsys, "4.4", 4)
-        broken = [c["representative"] for c in payload["detail"]["components"] if not c["ok"]]
-        assert broken
-        assert line == f"components of {', '.join(broken)} break an invariant"
+        for fmt in ("json", "text"):
+            got, out, err = run(capsys, "verify-lemma", "4.4", "-g", "4", "--format", fmt)
+            assert (got, out) == (4, "")
+            assert err == "internal check failed: live move S3.2 at 1 changes the form value\n"
 
     def test_410_failed_shift_rule(self, capsys, monkeypatch):
         _break_al1(monkeypatch)

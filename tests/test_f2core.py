@@ -60,6 +60,14 @@ class TestVectorNotation:
         with pytest.raises(ValueError):
             vec(4, "y2")
 
+    @pytest.mark.parametrize("text", ["x\uff11", "x1+x\u0662", "x\u0967"])
+    def test_non_ascii_digits_rejected(self, text):
+        # indices are ASCII digits: int() would read a fullwidth or
+        # Arabic-Indic one, so the notation must refuse it first
+        with pytest.raises(ValueError) as err:
+            vec(12, text)
+        assert str(err.value) == f"cannot parse vector notation {text!r}"
+
     def test_lengths(self):
         v = vec(6, "x1+x2+x4")
         assert v.weight == 3

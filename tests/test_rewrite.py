@@ -210,15 +210,24 @@ class TestNormalForms:
             parities = {s.bits.bit_count() & 1 for s in path.states}
             assert len(values) == 1 and len(parities) == 1
 
+    @pytest.mark.parametrize("g", range(1, 15))
+    def test_trees_keep_invariants(self, g):
+        # the per-sequence pass the component report no longer makes: every
+        # sequence has its tree root's form value and support parity
+        genus = Genus(g)
+        roots = check_reduction_forest(genus)
+        for bits, root in enumerate(roots):
+            assert q_eval(H1Vector(genus, bits)) == q_eval(H1Vector(genus, root))
+            assert bits.bit_count() & 1 == root.bit_count() & 1
+
     def test_components_g1(self):
         report = classify_rseq_components(Genus(1))
-        assert report.ok and len(report.components) == 2
+        assert len(report.components) == 2
         assert all(c.size == 1 for c in report.components)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_components_covered(self, g):
         report = classify_rseq_components(Genus(g))
-        assert report.ok
         assert sum(c.size for c in report.components) == 1 << g
 
     def test_components_budget(self, monkeypatch):
@@ -247,7 +256,6 @@ class TestNormalForms:
         counts[g % 2] -= 1
         expected = [(1, 0), (1, g % 2)] + [(n, q) for q, n in enumerate(counts) if n]
         report = classify_rseq_components(Genus(g))
-        assert report.ok
         assert sorted((c.size, c.form_value) for c in report.components) == sorted(expected)
         if g == 12:
             assert counts == [1054, 1024, 992, 1024]
@@ -363,6 +371,9 @@ _ESCAPES = [
     ("S3.1", 1, "t_{a_3}", "x3+x4", [1, 2, 3], None),
     ("TA.1", 1, "t_{a_2}", "x2+x3", [1, 2], "4.6"),
     ("AL.1", (3, 4, 5), "t_{d_2}", "x2+x4", [1, 3, 4, 5], "4.10"),
+    # a live move the forest uses: t_{a_4} fixes its rhs x1+x3, so only the
+    # window check sees it
+    ("S4.6", 1, "t_{a_4}", "x4+x5", [1, 2, 3, 4], "4.4"),
 ]
 
 
@@ -393,7 +404,8 @@ class TestWindowLocality:
 
         def corrupted(rule, genus):
             for inst in original(rule, genus):
-                yield _with_letter(inst, genus, letter) if inst.anchor == anchor else inst
+                hit = (rule.rule_id, inst.anchor) == (rule_id, anchor)
+                yield _with_letter(inst, genus, letter) if hit else inst
 
         monkeypatch.setattr(rewrite, "rule_instances", corrupted)
         with pytest.raises(InternalCheckError) as info:
@@ -418,7 +430,7 @@ class TestWindowLocality:
             "original = rewrite.rule_instances\n"
             "def corrupted(rule, genus):\n"
             "    for inst in original(rule, genus):\n"
-            f"        if inst.anchor == {anchor!r}:\n"
+            f"        if (rule.rule_id, inst.anchor) == ({rule_id!r}, {anchor!r}):\n"
             f"            extra = parse_word({letter!r}, genus).letters\n"
             "            word = MCGWord(genus, extra + inst.word.letters)\n"
             "            inst = dataclasses.replace(inst, word=word)\n"
@@ -609,6 +621,25 @@ class TestForestCheck:
         with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
             check_reduction_forest(Genus(6))
 
+    def test_wrong_letter_to_earlier_sequence_fails(self, monkeypatch):
+        # as above, but undoing the instance leads to a sequence checked
+        # earlier: only the check that the window shows a side sees it
+        def wrong(instances, forest):
+            order = {bits: n for n, bits in enumerate(forest)}
+            cur, idx = next(
+                (cur, i)
+                for cur, step in forest.items()
+                if step is not None
+                for i, inst in enumerate(instances)
+                if cur & inst.window_bits not in (inst.lhs_bits, inst.rhs_bits)
+                and order[cur ^ inst.lhs_bits ^ inst.rhs_bits] < order[cur]
+            )
+            forest[cur] = idx
+
+        self._mutate(monkeypatch, 6, wrong)
+        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
+            check_reduction_forest(Genus(6))
+
     def test_parent_not_reached_earlier_fails(self, monkeypatch):
         # a sequence two steps from its root and its parent undo the same
         # move, each back to the other: the parent's step leads to a later
@@ -658,6 +689,32 @@ class TestForestCheck:
         genus = Genus(g)
         roots = check_reduction_forest(genus)
         assert roots == [reduce_rseq(RSequence(genus, b)).end.bits for b in range(1 << g)]
+
+    def test_folds_each_certificate_once(self, monkeypatch):
+        # the edges of one move share its one fold, where a fold per edge
+        # would make 1018 at genus 10, one per sequence but the 6 roots
+        calls = []
+        fold = rewrite._fold
+
+        def counted(axes, masks):
+            calls.append(len(masks))
+            return fold(axes, masks)
+
+        monkeypatch.setattr(rewrite, "_fold", counted)
+        moves, _ = _reduction_forest(10)
+        check_reduction_forest(Genus(10))
+        assert 0 < len(calls) <= len(moves)
+
+    @pytest.mark.parametrize("g", range(1, RSEQ_GENUS_CAP + 1))
+    def test_inverse_axes_reversed(self, g):
+        # a rev step replays by the move's one fold: the inverse word's axes
+        # are the certificate's, reversed
+        genus = Genus(g)
+        for rule in rule_schemas():
+            if rule.family in ("swap3", "swap4"):
+                for inst in rule_instances(rule, genus):
+                    if rewrite._live(inst):
+                        assert inst.word.inverse().axes == tuple(reversed(inst.word.axes))
 
     def test_move_changing_q_fails(self, monkeypatch):
         # no forest edge uses the extra move, so every tree keeps its q, but

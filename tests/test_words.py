@@ -165,6 +165,25 @@ class TestGrammar:
         got = _parse_outcome(parse_word, text, genus)
         assert got == _parse_outcome(two_pattern_parse_word, text, genus)
 
+    @pytest.mark.parametrize(
+        "text,stray,position",
+        [
+            ("t_{a_\u0661}", "t_{a_\u0661}", 0),
+            ("t_{d_\uff11}", "t_{d_\uff11}", 0),
+            ("t_{a_1}^{\u0662}", "^{\u0662}", 7),
+            ("t_{a_1} Y_{\u03b1_{1,\u0662},\u03b1_1}", "Y_{\u03b1_{1,\u0662},\u03b1_1}", 8),
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, text, stray, position):
+        # indices and exponents are ASCII digits; int() would read the
+        # Arabic-Indic and fullwidth ones, so the grammar must refuse them
+        with pytest.raises(WordParseError) as err:
+            parse_word(text, Genus(12))
+        assert str(err.value) == f"unrecognized letter {stray!r} (at position {position})"
+        assert _parse_outcome(two_pattern_parse_word, text, Genus(12)) == (
+            WordParseError, str(err.value), position
+        )
+
     def test_zero_exponent_rejected(self):
         with pytest.raises(WordParseError):
             parse_word("t_{a_1}^{0}", Genus(4))
