@@ -2,10 +2,10 @@
 
 A command writes its report to stdout, or nothing, then returns or raises.
 `main` alone maps the exception to an exit code and one stderr line
-`<prefix>: <message>`: 1 falsified, 2 error (usage), 3 budget exhausted,
-4 internal check failed (a defect in crosscap).  JSON output is canonical
-(sorted keys) and byte-identical for identical inputs.  All computation is
-serial; `--workers` accepts only 1.
+`<prefix>: <message>`: 1 falsified, 2 error (usage, as the parser's own
+errors), 3 budget exhausted, 4 internal check failed (a defect in crosscap).
+JSON output is canonical (sorted keys) and byte-identical for identical
+inputs.  All computation is serial; `--workers` accepts only 1.
 """
 
 from __future__ import annotations
@@ -179,19 +179,13 @@ def _verify_44(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     return True, detail, line
 
 
-def _check_rules(genus: Genus, families: tuple[str, ...]) -> tuple[list[dict], list[str]]:
-    """Check every rule of the families: their verdict entries and the ids of
-    the rules that failed."""
+def _verify_46(genus: Genus, cap: int) -> tuple[bool, dict, str]:
     rules = [
         verify_rule_consistency(rule, genus).to_json()
         for rule in rule_schemas()
-        if rule.family in families
+        if rule.family in ("twist2", "twist4")
     ]
-    return rules, [r["id"] for r in rules if not r["ok"]]
-
-
-def _verify_46(genus: Genus, cap: int) -> tuple[bool, dict, str]:
-    rules, failing = _check_rules(genus, ("twist2", "twist4"))
+    failing = [r["id"] for r in rules if not r["ok"]]
     detail = {"rules": rules, "tables": rules_json(genus)["rules"]}
     if failing:
         line = f"twist cases {', '.join(failing)} inconsistent"
@@ -212,9 +206,11 @@ def _verify_48(genus: Genus, cap: int) -> tuple[bool, dict, str]:
 
 
 def _verify_410(genus: Genus, cap: int) -> tuple[bool, dict, str]:
-    rules, failing = _check_rules(genus, ("alpha",))
-    counts = Counter(map(str, alpha_terminals(genus).values()))
+    terminals, verdicts = alpha_terminals(genus)
+    failing = [v.rule_id for v in verdicts if not v.ok]
+    counts = Counter(map(str, terminals.values()))
     triples = sum(counts.values())
+    rules = [v.to_json() for v in verdicts]
     detail = {"triples": triples, "terminal_counts": counts, "shift_rules": rules}
     shifts = "shift rules consistent"
     if failing:
@@ -297,7 +293,16 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
+    # argparse names the type in its message: "invalid int value: 'abc'"
+    parse.__name__ = "int"
     return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors, and its subcommands', are one `error:` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _add_common(sub):
@@ -306,7 +311,7 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crosscap",
         description=(
             "mod-4 form evaluation, extendability decisions, isometry-group "

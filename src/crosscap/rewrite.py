@@ -16,7 +16,7 @@ class of its right side:
   standard circle (four of the fifteen four-symbol cases are explicit
   no-ops whose certificate is the bare twist);
 * "alpha": index-shift moves on three-index crosscap circles, lowering one
-  index by two per move.
+  index by two per move, checked by one walk of the triples.
 
 Certificate transvection axes always lie inside the rule window, so the
 window-level check is context independent: any class outside the window
@@ -265,18 +265,6 @@ def _pattern_bits(pattern: tuple[str, ...], anchor: int) -> int:
     return bits
 
 
-def _window_instance(rule: RewriteRule, anchor: int, genus: Genus) -> RuleInstance:
-    span = len(rule.window)
-    return RuleInstance(
-        rule=rule,
-        anchor=anchor,
-        word=parse_word(instantiate(rule.certificate, i=anchor), genus),
-        lhs_bits=_pattern_bits(rule.window, anchor),
-        rhs_bits=_pattern_bits(rule.replacement, anchor),
-        window_bits=((1 << span) - 1) << (anchor - 1),
-    )
-
-
 def _alpha_shift(p: int, triple: tuple[int, int, int]):
     """AL.p: lower entry p by two when it sits more than 2 above entry p - 1,
     reading 0 before the first entry.  The shifted triple and the slot (the
@@ -285,17 +273,6 @@ def _alpha_shift(p: int, triple: tuple[int, int, int]):
     if n <= (triple[p - 2] if p > 1 else 0) + 2:
         return None
     return triple[: p - 1] + (n - 2,) + triple[p:], n
-
-
-def _first_shift(triple: tuple[int, int, int], start: int = 1):
-    """The first index shift that applies, in rule order from AL.start, as
-    (p, shifted triple, slot) for rule AL.p, or None when none does.  AL.p
-    leaves the entries before p alone, so once it fires AL.1..AL.p-1 stay
-    inapplicable and a path may resume its search at AL.p."""
-    for p in range(start, len(_SHIFT_RULES) + 1):
-        if (shift := _alpha_shift(p, triple)) is not None:
-            return (p, *shift)
-    return None
 
 
 def _mask(indices) -> int:
@@ -315,21 +292,6 @@ def _shift_certificate(g: int, n: int) -> MCGWord:
     return parse_word(instantiate(_SHIFT_CERT, n=n), Genus(g))
 
 
-def _alpha_instance(
-    rule: RewriteRule, triple: tuple[int, int, int], genus: Genus
-) -> RuleInstance:
-    shifted, slot = _alpha_shift(_SHIFT_RULES.index(rule) + 1, triple)
-    lhs, rhs = _mask(triple), _mask(shifted)
-    return RuleInstance(
-        rule=rule,
-        anchor=triple,
-        word=_shift_certificate(genus.g, slot),
-        lhs_bits=lhs,
-        rhs_bits=rhs,
-        window_bits=lhs | rhs,
-    )
-
-
 def _anchors(rule: RewriteRule, g: int) -> list:
     """Where the rule applies at this genus: window anchors or triples."""
     if rule.family == "alpha":
@@ -340,18 +302,22 @@ def _anchors(rule: RewriteRule, g: int) -> list:
 
 
 def rule_instances(rule: RewriteRule, genus: Genus):
-    """Every instance of one rule at this genus (anchor range or triples)."""
-    build = _alpha_instance if rule.family == "alpha" else _window_instance
+    """Every instance of one window rule at this genus, by anchor."""
+    span = len(rule.window)
     for anchor in _anchors(rule, genus.g):
-        yield build(rule, anchor, genus)
+        yield RuleInstance(
+            rule=rule,
+            anchor=anchor,
+            word=parse_word(instantiate(rule.certificate, i=anchor), genus),
+            lhs_bits=_pattern_bits(rule.window, anchor),
+            rhs_bits=_pattern_bits(rule.replacement, anchor),
+            window_bits=((1 << span) - 1) << (anchor - 1),
+        )
 
 
 def builtin_rule_tables(genus: Genus) -> list[RuleInstance]:
-    """The complete built-in inventory instantiated at this genus."""
-    out: list[RuleInstance] = []
-    for rule in _RULES:
-        out.extend(rule_instances(rule, genus))
-    return out
+    """Every window rule's instances at this genus (shifts: `alpha_terminals`)."""
+    return [inst for rule in _RULES if rule.window for inst in rule_instances(rule, genus)]
 
 
 def rules_json(genus: Genus) -> dict:
@@ -421,8 +387,10 @@ def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
 
 def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
     """Check every instance: the certificate's action maps the decoded left
-    window class to the decoded right window class (context independent by
-    window locality, which is asserted structurally)."""
+    window class to the decoded right one (context independent by window
+    locality, asserted structurally); an index shift, by `alpha_terminals`."""
+    if rule.family == "alpha":
+        return alpha_terminals(genus)[1][_SHIFT_RULES.index(rule)]
     checked = 0
     for inst in rule_instances(rule, genus):
         _check_window_local(inst, genus)
@@ -813,21 +781,21 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     """Shift the triple down, each step by the first rule that applies, until
     one of the eight terminals is reached; certificate replay-verified.  A
     shift lowers one entry by two and entries stay at least 1, so the path
-    ends; AL.p leaves the entries before p alone, so the path shifts the
-    first index, then the second, then the third, and each step searches
-    from the rule that fired last."""
+    ends.  AL.p moves only entry p, which AL.1..AL.p-1 do not read, so once
+    they stop applying they stay inapplicable: the path applies AL.1 while it
+    applies, then AL.2, then AL.3."""
     if triple.k > genus.g:
         raise ValueError(f"triple {triple.as_tuple} does not fit genus {genus.g}")
     start = cur = triple.as_tuple
     steps: list[AlphaStep] = []
     step_words: list[MCGWord] = []
-    p = 1
-    while (shift := _first_shift(cur, p)) is not None:
-        p, shifted, slot = shift
-        word = _shift_certificate(genus.g, slot)
-        steps.append(AlphaStep(_SHIFT_RULES[p - 1].rule_id, cur, shifted, word.text))
-        step_words.append(word)
-        cur = shifted
+    for p, rule in enumerate(_SHIFT_RULES, 1):
+        while (shift := _alpha_shift(p, cur)) is not None:
+            shifted, slot = shift
+            word = _shift_certificate(genus.g, slot)
+            steps.append(AlphaStep(rule.rule_id, cur, shifted, word.text))
+            step_words.append(word)
+            cur = shifted
     if cur not in ALPHA_TERMINALS:
         raise _not_terminal(start, cur)
     what = "index-shift certificate failed to replay"
@@ -842,23 +810,50 @@ def reduce_alpha(genus: Genus, triple: AlphaTriple) -> AlphaReduction:
     )
 
 
-def alpha_terminals(genus: Genus) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+def alpha_terminals(genus: Genus) -> tuple[dict, tuple[RuleVerdict, ...]]:
     """Each triple of the genus mapped to its `reduce_alpha` terminal, in
-    `combinations` order, checked one shift at a time.  A dead end must be
-    listed, or FalsificationError is raised as `reduce_alpha` raises it.
-    Any other triple takes the terminal of its first shift's target, walked
-    earlier since the shift lowers an entry, once its slot word folds it
-    onto that target, or InternalCheckError is raised."""
+    `combinations` order, and the verdicts of AL.1-AL.3, from one pass over
+    the triples.  Each shift that applies to a triple is an instance of its
+    rule, counted up to the rule's first failure; the first is the walk's
+    edge, to a target walked earlier, whose terminal the triple takes.  A
+    dead end must be listed, or FalsificationError is raised as
+    `reduce_alpha` raises it.  The slot-n word is checked once, at its first
+    instance: its axes must lie inside x_{n-2}+x_n, in every slot-n window
+    (else InternalCheckError names that instance), and it must fold x_n onto
+    x_{n-2}.  By window locality that fold replays every slot-n instance,
+    whose other classes pair to 0 with every axis."""
+    g = genus.g
     terminals: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for triple in combinations(range(1, genus.g + 1), 3):
-        if (shift := _first_shift(triple)) is None:
-            if triple not in ALPHA_TERMINALS:
-                raise _not_terminal(triple, triple)
+    checked = [0] * len(_SHIFT_RULES)
+    failures: list[RuleFailure | None] = [None] * len(_SHIFT_RULES)
+    images: dict[int, int] = {}  # slot n: the image of x_n under its word
+    for triple in combinations(range(1, g + 1), 3):
+        targets = []
+        for p, rule in enumerate(_SHIFT_RULES, 1):
+            if (shift := _alpha_shift(p, triple)) is None:
+                continue
+            shifted, n = shift
+            x_n, x_low = 1 << (n - 1), 1 << (n - 3)
+            if n not in images:
+                # the slot's first instance, narrowed to the two classes it moves
+                word = _shift_certificate(g, n)
+                _check_window_local(RuleInstance(rule, triple, word, x_n, x_low, x_n | x_low), genus)
+                [images[n]] = _fold(word.axes, [x_n])
+            if failures[p - 1] is None:
+                checked[p - 1] += 1
+                if images[n] != x_low:
+                    expected = H1Vector(genus, _mask(shifted)).to_text()
+                    got = H1Vector(genus, _mask(triple) ^ x_n ^ images[n]).to_text()
+                    failures[p - 1] = RuleFailure(triple, expected, got)
+            targets.append(shifted)
+        if targets:
+            terminals[triple] = terminals[targets[0]]
+        elif triple in ALPHA_TERMINALS:
             terminals[triple] = triple
         else:
-            _, target, slot = shift
-            axes = _shift_certificate(genus.g, slot).axes
-            ok = target in terminals and _fold(axes, [_mask(triple)]) == [_mask(target)]
-            _check(ok, "index-shift certificate failed to replay")
-            terminals[triple] = terminals[target]
-    return terminals
+            raise _not_terminal(triple, triple)
+    verdicts = tuple(
+        RuleVerdict(rule.rule_id, failure is None, count, failure)
+        for rule, count, failure in zip(_SHIFT_RULES, checked, failures)
+    )
+    return terminals, verdicts

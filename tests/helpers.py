@@ -10,14 +10,14 @@ import re
 import subprocess
 import sys
 from importlib import resources
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import jsonschema
 
 import crosscap
 from crosscap import rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
-from crosscap.f2core import Genus, H1Matrix
+from crosscap.f2core import Genus, H1Matrix, H1Vector
 from crosscap.gmform import _q_mask, basis_value, q_table
 from crosscap.groupops import (
     DEFAULT_NODE_CAP,
@@ -29,8 +29,16 @@ from crosscap.groupops import (
     _replay,
     _spell,
 )
-from crosscap.rewrite import rule_instances, rule_schemas
-from crosscap.words import Letter, MCGWord, WordParseError, parse_word
+from crosscap.rewrite import (
+    RuleFailure,
+    RuleInstance,
+    RuleVerdict,
+    _check_window_local,
+    rule_by_id,
+    rule_instances,
+    rule_schemas,
+)
+from crosscap.words import Letter, MCGWord, WordParseError, act, parse_word
 
 
 def _rank_f2(cols: tuple[int, ...]) -> int:
@@ -161,14 +169,9 @@ def sequence_graph(g: int):
 
 
 def window_positions(inst) -> tuple[int, ...]:
-    """Slow oracle for a rule instance's window, as ascending positions:
-    the span of the pattern from its anchor, or for an index shift the
-    triple together with the index the rule lowers by two."""
-    rule = inst.rule
-    if rule.family != "alpha":
-        return tuple(range(inst.anchor, inst.anchor + len(rule.window)))
-    lowered = inst.anchor[("AL.1", "AL.2", "AL.3").index(rule.rule_id)] - 2
-    return tuple(sorted(set(inst.anchor) | {lowered}))
+    """Slow oracle for a window rule instance's window, as ascending
+    positions: the span of the pattern from its anchor."""
+    return tuple(range(inst.anchor, inst.anchor + len(inst.rule.window)))
 
 
 # offsets from i of the crosscaps each twisting circle passes through, as in
@@ -255,6 +258,48 @@ def shift_steps(triple: tuple[int, int, int]) -> list[tuple[str, tuple, tuple]]:
             return steps
         steps.append((rule, (i, j, k), after))
         i, j, k = after
+
+
+def shift_rule_verdicts(genus: Genus) -> list[RuleVerdict]:
+    """Oracle for the shift rules' verdicts: the per-instance check, rule by
+    rule.  Each (rule, triple) pair where the rule applies, as the rules are
+    stated in `shift_steps`, is one instance whose window is the triple and
+    the lowered index: its slot word's axes must lie inside that window,
+    and the word must carry the triple's class onto the shifted triple's.
+    A rule stops at its first failing instance."""
+    verdicts = []
+    for p, rule_id in enumerate(("AL.1", "AL.2", "AL.3")):
+        checked, failure = 0, None
+        for triple in combinations(range(1, genus.g + 1), 3):
+            if triple[p] <= (triple[p - 1] if p else 0) + 2:
+                continue
+            n = triple[p]
+            shifted = triple[:p] + (n - 2,) + triple[p + 1 :]
+            lhs = H1Vector.from_indices(genus, triple)
+            rhs = H1Vector.from_indices(genus, shifted)
+            word = rewrite._shift_certificate(genus.g, n)
+            inst = RuleInstance(
+                rule_by_id(rule_id), triple, word, lhs.bits, rhs.bits, lhs.bits | rhs.bits
+            )
+            _check_window_local(inst, genus)
+            checked += 1
+            got = act(word, lhs)
+            if got != rhs:
+                failure = RuleFailure(triple, rhs.to_text(), got.to_text())
+                break
+        verdicts.append(RuleVerdict(rule_id, failure is None, checked, failure))
+    return verdicts
+
+
+def break_slot_word(monkeypatch, slot: int, certificate: str) -> None:
+    """Give the index shifts at slot `slot` the certificate `certificate` in
+    place of the shared template's word, for the rest of the test."""
+    words = rewrite._shift_certificate
+
+    def broken(g, n):
+        return parse_word(certificate, Genus(g)) if n == slot else words(g, n)
+
+    monkeypatch.setattr(rewrite, "_shift_certificate", broken)
 
 
 def break_instance(monkeypatch, rule_id: str, anchor, certificate: str) -> None:

@@ -10,7 +10,7 @@ from crosscap.cli import LEMMA_CLAIMS, main
 from crosscap.f2core import Genus, H1Matrix
 from crosscap.words import parse_word
 
-from helpers import add_normal_form, break_instance, falsified, validate
+from helpers import add_normal_form, break_instance, break_slot_word, falsified, validate
 
 
 def run(capsys, *argv):
@@ -37,12 +37,15 @@ def _drop_terminal(monkeypatch):
 
 
 def _break_al1(monkeypatch):
-    # Y_{3,4} stays inside AL.1's window at (3, 4, 5) and acts as the identity
-    break_instance(monkeypatch, "AL.1", (3, 4, 5), "Y_{3,4}")
+    # only AL.1 lowers an entry 3; Y_{3,1} stays inside the slot's window
+    # x1+x3 and acts as the identity, so AL.1 fails at its first triple,
+    # (3, 4, 5)
+    break_slot_word(monkeypatch, 3, "Y_{3,1}")
 
 
 def _in_window_shift_word(monkeypatch):
-    # Y_{n,n-2} stays inside each shift's window and acts as the identity
+    # Y_{n,n-2} stays inside each shift's window and acts as the identity:
+    # every shift rule is inconsistent
     monkeypatch.setattr(
         rewrite, "_shift_certificate", lambda g, n: parse_word(f"Y_{{{n},{n - 2}}}", Genus(g))
     )
@@ -542,6 +545,18 @@ class TestCliContract:
         assert code == 2
         assert "error" in err
 
+    def test_parser_error_names_the_type(self, capsys):
+        # the parser's own errors keep the one-line contract, and a bad
+        # number names the type it fails to parse as
+        code, out, err = run(capsys, "verify-lemma", "4.8", "-g", "4", "--cap", "abc")
+        assert (code, out) == (2, "")
+        assert err == "error: argument --cap: invalid int value: 'abc'\n"
+
+    def test_help_is_not_an_error(self, capsys):
+        code, out, err = run(capsys, "verify-lemma", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: crosscap verify-lemma ")
+
     def test_usage_error_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
@@ -611,7 +626,7 @@ OUTCOMES = [
     (("reduce-q2", "-g", "6", "x2+x4"), 4, _drop_label),
     (("verify-lemma", "4.4", "-g", "6"), 4, _break_s46),
     (("verify-lemma", "4.4", "-g", "5"), 4, add_normal_form),
-    (("verify-lemma", "4.10", "-g", "8"), 4, _in_window_shift_word),
+    (("verify-lemma", "4.10", "-g", "8"), 1, _in_window_shift_word),
 ]
 
 
@@ -630,6 +645,15 @@ def _outcome_ids(rows) -> list[str]:
 
 
 OUTCOME_IDS = _outcome_ids(OUTCOMES)
+# argv the parser rejects before any command runs (exit 2), each with its id
+PARSER_ERRORS = {
+    "parser-2-cap": ("verify-lemma", "4.8", "-g", "4", "--cap", "abc"),
+    "parser-2-workers": ("verify-lemma", "4.8", "-g", "4", "--workers", "2"),
+    "parser-2-no-genus": ("verify-lemma", "4.8"),
+    "parser-2-command": ("frobnicate", "-g", "4"),
+}
+OUTCOMES += [(argv, 2, None) for argv in PARSER_ERRORS.values()]
+OUTCOME_IDS += list(PARSER_ERRORS)
 
 
 class TestOutcomeContract:

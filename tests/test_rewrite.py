@@ -46,10 +46,12 @@ from crosscap.words import MCGWord, induced_matrix, parse_word
 from helpers import (
     add_normal_form,
     break_instance,
+    break_slot_word,
     falsified,
     leaves_window,
     run_python,
     sequence_graph,
+    shift_rule_verdicts,
     shift_steps,
     window_positions,
 )
@@ -366,15 +368,22 @@ def _with_letter(inst, genus, text):
 
 
 # (rule, anchor, added letter, its axis, window, lemma whose check runs the
-# rule): the added axis leaves the window
+# rule): the added axis leaves the window.  An index shift's letter goes on
+# the word of the slot it lowers, `_slot`
 _ESCAPES = [
     ("S3.1", 1, "t_{a_3}", "x3+x4", [1, 2, 3], None),
     ("TA.1", 1, "t_{a_2}", "x2+x3", [1, 2], "4.6"),
-    ("AL.1", (3, 4, 5), "t_{d_2}", "x2+x4", [1, 3, 4, 5], "4.10"),
+    # the slot-3 word, checked at its first instance against x1+x3
+    ("AL.1", (3, 4, 5), "t_{d_2}", "x2+x4", [1, 3], "4.10"),
     # a live move the forest uses: t_{a_4} fixes its rhs x1+x3, so only the
     # window check sees it
     ("S4.6", 1, "t_{a_4}", "x4+x5", [1, 2, 3, 4], "4.4"),
 ]
+
+
+def _slot(rule_id: str, anchor) -> int | None:
+    """The slot an index shift lowers at its anchor; None for a window rule."""
+    return anchor[int(rule_id[-1]) - 1] if rule_id.startswith("AL.") else None
 
 
 class TestWindowLocality:
@@ -400,14 +409,17 @@ class TestWindowLocality:
         self, monkeypatch, rule_id, anchor, letter, axis, window, lemma
     ):
         genus = Genus(6)
-        original = rewrite.rule_instances
+        if (slot := _slot(rule_id, anchor)) is not None:
+            break_slot_word(monkeypatch, slot, f"{letter} {_shift_certificate(6, slot).text}")
+        else:
+            original = rewrite.rule_instances
 
-        def corrupted(rule, genus):
-            for inst in original(rule, genus):
-                hit = (rule.rule_id, inst.anchor) == (rule_id, anchor)
-                yield _with_letter(inst, genus, letter) if hit else inst
+            def corrupted(rule, genus):
+                for inst in original(rule, genus):
+                    hit = (rule.rule_id, inst.anchor) == (rule_id, anchor)
+                    yield _with_letter(inst, genus, letter) if hit else inst
 
-        monkeypatch.setattr(rewrite, "rule_instances", corrupted)
+            monkeypatch.setattr(rewrite, "rule_instances", corrupted)
         with pytest.raises(InternalCheckError) as info:
             verify_rule_consistency(rule_by_id(rule_id), genus)
         assert str(info.value) == (
@@ -422,20 +434,35 @@ class TestWindowLocality:
     def test_escaping_axis_fails_check_under_optimize(
         self, rule_id, anchor, letter, axis, window, lemma
     ):
+        if (slot := _slot(rule_id, anchor)) is not None:
+            corrupt = (
+                "original = rewrite._shift_certificate\n"
+                "def corrupted(g, n):\n"
+                "    word = original(g, n)\n"
+                f"    if n == {slot}:\n"
+                f"        extra = parse_word({letter!r}, word.genus).letters\n"
+                "        word = MCGWord(word.genus, extra + word.letters)\n"
+                "    return word\n"
+                "rewrite._shift_certificate = corrupted\n"
+            )
+        else:
+            corrupt = (
+                "original = rewrite.rule_instances\n"
+                "def corrupted(rule, genus):\n"
+                "    for inst in original(rule, genus):\n"
+                f"        if (rule.rule_id, inst.anchor) == ({rule_id!r}, {anchor!r}):\n"
+                f"            extra = parse_word({letter!r}, genus).letters\n"
+                "            word = MCGWord(genus, extra + inst.word.letters)\n"
+                "            inst = dataclasses.replace(inst, word=word)\n"
+                "        yield inst\n"
+                "rewrite.rule_instances = corrupted\n"
+            )
         code = (
             "import dataclasses, sys\n"
             "from crosscap import rewrite\n"
             "from crosscap.cli import main\n"
             "from crosscap.words import MCGWord, parse_word\n"
-            "original = rewrite.rule_instances\n"
-            "def corrupted(rule, genus):\n"
-            "    for inst in original(rule, genus):\n"
-            f"        if (rule.rule_id, inst.anchor) == ({rule_id!r}, {anchor!r}):\n"
-            f"            extra = parse_word({letter!r}, genus).letters\n"
-            "            word = MCGWord(genus, extra + inst.word.letters)\n"
-            "            inst = dataclasses.replace(inst, word=word)\n"
-            "        yield inst\n"
-            "rewrite.rule_instances = corrupted\n"
+            f"{corrupt}"
             f"sys.exit(main(['verify-lemma', {lemma!r}, '-g', '6']))\n"
         )
         proc = run_python(code, "-O")
@@ -510,7 +537,7 @@ class TestAlphaReduction:
             genus = Genus(g)
             triples = combinations(range(1, g + 1), 3)
             expected = [(t, reduce_alpha(genus, AlphaTriple(*t)).terminal) for t in triples]
-            assert list(alpha_terminals(genus).items()) == expected
+            assert list(alpha_terminals(genus)[0].items()) == expected
 
     @pytest.mark.parametrize("dropped", list(ALPHA_TERMINALS))
     def test_walk_dropped_terminal_matches_first_failure(self, monkeypatch, dropped):
@@ -531,6 +558,52 @@ class TestAlphaReduction:
             assert expected == (
                 "triple (2, 4, 6) stopped at (2, 4, 6), which is not a listed terminal"
             )
+
+
+class TestShiftWalk:
+    """`alpha_terminals` checks the shift rules in its one walk of the
+    triples, folding each slot word once; the per-instance check,
+    `shift_rule_verdicts`, is its oracle."""
+
+    def test_instance_counts(self):
+        # each rule applies to C(g-2, 3) triples: 364 at genus 16, 37820 at 64
+        for g in range(1, 65):
+            _, verdicts = alpha_terminals(Genus(g))
+            assert [v.instances_checked for v in verdicts] == [comb(max(g - 2, 0), 3)] * 3
+            assert all(verdicts)
+
+    @pytest.mark.parametrize("g", range(1, 25))
+    def test_verdicts_match_oracle(self, g):
+        genus = Genus(g)
+        assert list(alpha_terminals(genus)[1]) == shift_rule_verdicts(genus)
+
+    @pytest.mark.parametrize("g", (8, 10))
+    def test_broken_slot_word_matches_oracle(self, monkeypatch, g):
+        # each slot word in turn acts as the identity, or moves x_n onto
+        # x_{n-2}+x_n; both stay inside the slot's window
+        genus = Genus(g)
+        for n in range(3, g + 1):
+            for text in (f"Y_{{{n},{n - 2}}}", f"t_{{d_{n - 2}}} t_{{d_{n - 2}}}"):
+                with monkeypatch.context() as m:
+                    break_slot_word(m, n, text)
+                    walked = [v.to_json() for v in alpha_terminals(genus)[1]]
+                    expected = [v.to_json() for v in shift_rule_verdicts(genus)]
+                assert walked == expected
+                assert not all(v["ok"] for v in walked)
+
+    def test_folds_each_slot_word_once(self, monkeypatch):
+        # one fold per slot, 14 at genus 16, where a fold per instance would
+        # make 3 * 364
+        calls = []
+        fold = rewrite._fold
+
+        def counted(axes, masks):
+            calls.append(len(masks))
+            return fold(axes, masks)
+
+        monkeypatch.setattr(rewrite, "_fold", counted)
+        alpha_terminals(Genus(16))
+        assert 0 < len(calls) <= 16 - 2
 
 
 _REPLAY_FAILED = "path certificate failed to replay"
@@ -802,7 +875,7 @@ class TestTreesAreComponents:
 
 class TestCertificateReplay:
     @pytest.mark.parametrize(
-        "corrupt,argv,message",
+        "corrupt,argv,exit_code,message",
         [
             # the path's one step, S4.6 at 1, carries the word of S3.1 at 1,
             # t_{d_1}, which fixes x2+x4; the forest still walks to PmPmpm,
@@ -815,6 +888,7 @@ class TestCertificateReplay:
                 "word = rewrite.parse_word(rewrite.instantiate(s31, i=1), rewrite.Genus(6))\n"
                 "instances[idx] = dataclasses.replace(instances[idx], word=word)\n",
                 ["reduce-rseq", "pMpMpm"],
+                4,
                 "path certificate failed to replay",
             ),
             # each shift gets the word of the next slot
@@ -824,6 +898,7 @@ class TestCertificateReplay:
                 "    return original(genus, n + 1)\n"
                 "rewrite._shift_certificate = next_slot\n",
                 ["reduce-alpha", "-g", "8", "3", "5", "7"],
+                4,
                 "index-shift certificate failed to replay",
             ),
             # the same word on the same edge, met by the forest's edge check
@@ -835,12 +910,12 @@ class TestCertificateReplay:
                 "word = rewrite.parse_word(rewrite.instantiate(s31, i=1), rewrite.Genus(6))\n"
                 "instances[idx] = dataclasses.replace(instances[idx], word=word)\n",
                 ["verify-lemma", "4.4", "-g", "6"],
+                4,
                 "path certificate failed to replay",
             ),
             # Y_{n,n-2} stays inside each shift's window and acts as the
-            # identity: the alpha rule check reports all three rules
-            # inconsistent, and the walk's fold of the first shifted triple
-            # fails
+            # identity: the walk's one fold of each slot word fails, so all
+            # three shift rules are inconsistent and the lemma is falsified
             (
                 "from crosscap.f2core import Genus\n"
                 "from crosscap.words import parse_word\n"
@@ -848,12 +923,14 @@ class TestCertificateReplay:
                 "    return parse_word('Y_{%d,%d}' % (n, n - 2), Genus(g))\n"
                 "rewrite._shift_certificate = in_window\n",
                 ["verify-lemma", "4.10", "-g", "8"],
-                "index-shift certificate failed to replay",
+                1,
+                "4.10 (gamma2-short): all 56 triples reach a listed terminal; "
+                "shift rules AL.1, AL.2, AL.3 inconsistent",
             ),
         ],
         ids=["reduce-rseq", "reduce-alpha", "verify-lemma-4.4", "verify-lemma-4.10"],
     )
-    def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, message):
+    def test_wrong_step_word_fails_replay_under_optimize(self, corrupt, argv, exit_code, message):
         code = (
             "import sys\n"
             "from crosscap import rewrite\n"
@@ -862,6 +939,8 @@ class TestCertificateReplay:
             f"sys.exit(main({argv!r}))\n"
         )
         proc = run_python(code, "-O")
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr == f"internal check failed: {message}\n"
+        assert proc.returncode == exit_code
+        # a defect prints nothing; a falsified lemma prints its report
+        assert (proc.stdout == "") == (exit_code == 4)
+        prefix = {1: "falsified", 4: "internal check failed"}[exit_code]
+        assert proc.stderr == f"{prefix}: {message}\n"
