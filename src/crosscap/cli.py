@@ -171,7 +171,7 @@ def _cmd_reduce_q2(args) -> None:
 
 
 def _verify_44(genus: Genus, cap: int) -> tuple[bool, dict, str]:
-    # every sequence's reduction replays its certificate, or this raises
+    # every live move's certificate replays and each sequence reaches a normal form, or this raises
     report = classify_rseq_components(genus)
     reduced = 1 << genus.g
     detail = {"sequences": reduced, "components": report.to_json()["components"]}

@@ -26,7 +26,6 @@ pairs to 0 with every axis and passes through untouched.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -372,16 +371,15 @@ class RuleVerdict:
         return entry
 
 
-def _check_window_local(inst: RuleInstance, genus: Genus) -> None:
-    """Structural check: every transvection axis lies inside the window.
-    The word's letters were validated when it was parsed."""
-    for letter in inst.word.letters:
+def _check_window_local(word: MCGWord, window_bits: int, where: str) -> None:
+    """Structural check: every transvection axis lies inside the window; a
+    failure names `where`.  The word's letters were validated when parsed."""
+    for letter in word.letters:
         axis = _axis_bits(letter)
-        if axis & ~inst.window_bits:
-            window = list(H1Vector(genus, inst.window_bits).support)
+        if axis & ~window_bits:
+            window = list(H1Vector(word.genus, window_bits).support)
             raise InternalCheckError(
-                f"{inst.rule.rule_id} at {inst.anchor}: axis "
-                f"{H1Vector(genus, axis).to_text()} leaves the window {window}"
+                f"{where}: axis {H1Vector(word.genus, axis).to_text()} leaves the window {window}"
             )
 
 
@@ -393,7 +391,7 @@ def verify_rule_consistency(rule: RewriteRule, genus: Genus) -> RuleVerdict:
         return alpha_terminals(genus)[1][_SHIFT_RULES.index(rule)]
     checked = 0
     for inst in rule_instances(rule, genus):
-        _check_window_local(inst, genus)
+        _check_window_local(inst.word, inst.window_bits, f"{rule.rule_id} at {inst.anchor}")
         [got] = _fold(inst.word.axes, [inst.lhs_bits])
         checked += 1
         if got != inst.rhs_bits:
@@ -427,15 +425,27 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
     return tuple(RSequence(genus, H1Vector.from_indices(genus, s).bits) for s in supports)
 
 
-# reduce_rseq and the 4.4 check build and cache a breadth-first forest on all
-# 2^g sequences: its first call at genus 18 (`crosscap reduce-rseq` in a fresh
-# process) takes 0.7-0.8 s wall and 39 MB peak RSS (2 cores, Python 3.11.7)
+# reduce_rseq builds and caches a breadth-first forest on all 2^g sequences, at
+# genus 18 0.7-0.8 s and 39 MB in a fresh process (2 cores, Python 3.11.7); the
+# 4.4 check builds none, but searches sets of 2^g sequences under this budget
 RSEQ_GENUS_CAP = 18
 
 
 def _live(inst: RuleInstance) -> bool:
     """A shuffle move: the pattern's plus signs (p, P) sit at odd positions."""
     return all((s in "pP") == (inst.anchor + k) % 2 for k, s in enumerate(inst.rule.window))
+
+
+def _live_moves(genus: Genus) -> list[RuleInstance]:
+    """The one list of live moves: the shuffle instances that fit their
+    anchor's parity, in rule-then-anchor order."""
+    return [
+        inst
+        for rule in _RULES
+        if rule.family in ("swap3", "swap4")
+        for inst in rule_instances(rule, genus)
+        if _live(inst)
+    ]
 
 
 # the forest looks a sequence's moves up chunk by chunk: chunk c holds the
@@ -479,22 +489,16 @@ def _chunk_tables(moves: list[RuleInstance], g: int) -> list[tuple[int, tuple]]:
 # about 480 k entries, each a shared small int
 @lru_cache(maxsize=4)
 def _reduction_forest(g: int):
-    """The live shuffle moves, in rule-then-anchor order, and the
-    multi-source breadth-first forest from the normal forms over the
-    sequence graph, where a move links u to u ^ lhs ^ rhs when u's window
-    shows either side.  Each normal form maps to None, each other sequence to
-    the index of the move that reached it, whose undoing gives its parent;
-    the dict keeps the discovery order.  A sequence's moves come from the
-    chunk tables (`_chunk_tables`); sorting their indices restores the
-    rule-then-anchor order."""
+    """The live moves (`_live_moves`) and the multi-source breadth-first
+    forest from the normal forms over the sequence graph, where a move links
+    u to u ^ lhs ^ rhs when u's window shows either side.  Each normal form
+    maps to None, each other sequence to the index of the move that reached
+    it, whose undoing gives its parent; the dict keeps the discovery order.
+    A sequence's moves come from the chunk tables (`_chunk_tables`); sorting
+    their indices restores the rule-then-anchor order.  Only `reduce_rseq`
+    reads it."""
     genus = Genus(g)
-    moves = [
-        inst
-        for rule in _RULES
-        if rule.family in ("swap3", "swap4")
-        for inst in rule_instances(rule, genus)
-        if _live(inst)
-    ]
+    moves = _live_moves(genus)
     flips = [m.lhs_bits ^ m.rhs_bits for m in moves]
     view = (1 << _CHUNK_BITS) - 1
     tables = _chunk_tables(moves, g)
@@ -567,50 +571,6 @@ def _missing_normal_form(s: RSequence) -> FalsificationError:
     )
 
 
-def check_reduction_forest(genus: Genus) -> list[int]:
-    """Check that every sequence of the genus reduces to a normal form, with
-    a certificate that replays, and return each sequence's tree root,
-    indexed by its mask.
-
-    The smallest sequence outside the forest raises FalsificationError, as
-    `reduce_rseq` would for it.  Then, in discovery order, each root must
-    be a normal form, and each other sequence must show its move's lhs or
-    rhs, and undoing the move must lead to a sequence checked before it,
-    whose root it takes.  Each live move's certificate is checked once, at
-    the first edge that takes it: its axes lie in its window
-    (`_check_window_local`) and fold lhs onto rhs.  By window locality that
-    replays every edge of the move, forward and back, since the inverse
-    word's axes are the word's reversed.  By induction every path
-    `reduce_rseq` reads replays to its normal form, and a forest that loops
-    fails; a failure raises InternalCheckError.  Budgeted like
-    `reduce_rseq`.
-    """
-    g = genus.g
-    _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
-    moves, forest = _reduction_forest(g)
-    # the forest's keys are sequences of the genus: it misses one when short
-    if len(forest) < 1 << g:
-        missing = next(bits for bits in range(1 << g) if bits not in forest)
-        raise _missing_normal_form(RSequence(genus, missing))
-    normal = {target.bits for target in canonical_targets(genus)}
-    roots: list[int | None] = [None] * (1 << g)
-    replayed: set[int] = set()
-    for cur, idx in forest.items():
-        if idx is None:
-            root, ok = cur, cur in normal
-        else:
-            inst = moves[idx]
-            root = roots[cur ^ inst.lhs_bits ^ inst.rhs_bits]
-            ok = root is not None and cur & inst.window_bits in (inst.lhs_bits, inst.rhs_bits)
-            if ok and idx not in replayed:
-                _check_window_local(inst, genus)
-                ok = _fold(inst.word.axes, [inst.lhs_bits]) == [inst.rhs_bits]
-                replayed.add(idx)
-        _check(ok, "path certificate failed to replay")
-        roots[cur] = root
-    return roots
-
-
 def reduce_rseq(s: RSequence) -> CertifiedPath:
     """Shortest rule path from s to a normal form, replay-verified.
 
@@ -678,40 +638,80 @@ class ComponentsReport:
         }
 
 
+def _showing(g: int, inst: RuleInstance, side: int) -> int:
+    """The sequences whose window shows `side`, one of the move's sides, as a
+    set of 2^g bits where bit u stands for sequence u: the bits side + t for
+    t below the window's lowest bit, repeated at every multiple of the
+    window's top bit, built by doubling."""
+    low = inst.window_bits & -inst.window_bits
+    period = 1 << inst.window_bits.bit_length()
+    shown = ((1 << low) - 1) << side
+    while period < 1 << g:
+        shown |= shown << period
+        period <<= 1
+    return shown
+
+
 def classify_rseq_components(genus: Genus) -> ComponentsReport:
-    """Components of the sequence graph: the trees of the forest that
-    `check_reduction_forest` checks (raising as it does), by smallest member,
-    each with its root as its normal form and its root's form value and
-    support parity.  Two checks, whose failure is a defect
-    (InternalCheckError), make the trees the components.  Each live move
-    keeps q: q is additive over disjoint supports, so a move keeps q when
-    q(lhs) = q(rhs).  Every forest edge is a live move, so q is constant on
-    each tree, and so is support parity, which is q mod 2.  And the roots
-    with a live move (all but 0 and w) differ in q, so no live move joins
-    two trees."""
+    """Components of the sequence graph, by smallest member, each with its
+    normal form and the form's value and support parity.  Each live move is
+    checked once, and a failure is a defect (InternalCheckError): q(lhs) =
+    q(rhs), so it keeps q, which is additive over disjoint supports; its axes
+    lie in its window (`_check_window_local`); and its word folds lhs onto
+    rhs, which by window locality replays every edge of the move both ways
+    (the inverse word's axes are the word's reversed).  The normal forms with
+    a live move (all but 0 and w) differ in q, so no move joins two of them,
+    and q and support parity (q mod 2) are constant on each component.  Then
+    one breadth-first search over sets of sequences runs from each normal
+    form; the smallest sequence none reaches raises FalsificationError, as
+    `reduce_rseq` would for it.  Budgeted like `reduce_rseq`."""
     g = genus.g
-    roots = check_reduction_forest(genus)
+    _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
     odd = _odd_mask(g)
-    live = _reduction_forest(g)[0]
-    for inst in live:
-        what = f"live move {inst.rule.rule_id} at {inst.anchor} changes the form value"
+    # per live move, the sequences showing its smaller side, which move up by
+    # the gap between the sides, and those showing its larger side, which move down
+    steps = []
+    shown = 0
+    for inst in _live_moves(genus):
+        where = f"{inst.rule.rule_id} at {inst.anchor}"
+        what = f"live move {where} changes the form value"
         _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)
+        _check_window_local(inst.word, inst.window_bits, where)
+        replays = _fold(inst.word.axes, [inst.lhs_bits]) == [inst.rhs_bits]
+        _check(replays, "path certificate failed to replay")
+        lo, hi = sorted((inst.lhs_bits, inst.rhs_bits))
+        lo_set, hi_set = _showing(g, inst, lo), _showing(g, inst, hi)
+        steps.append((lo_set, hi_set, hi - lo))
+        shown |= lo_set | hi_set
     normal = [target.bits for target in canonical_targets(genus)]
-    moving = [
-        r for r in normal if any(r & i.window_bits in (i.lhs_bits, i.rhs_bits) for i in live)
-    ]
+    moving = [root for root in normal if shown >> root & 1]
     values = {_q_mask(root, odd) for root in moving}
     _check(len(values) == len(moving), "normal forms with live moves share a form value")
-    size, smallest = Counter(roots), {root: roots.index(root) for root in normal}
+    found = []
+    reached = 0
+    for root in normal:
+        component = frontier = 1 << root
+        while frontier:
+            new = 0
+            for lo_set, hi_set, gap in steps:
+                new |= (frontier & lo_set) << gap | (frontier & hi_set) >> gap
+            frontier = new & ~component
+            component |= frontier
+        found.append(((component & -component).bit_length() - 1, root, component))
+        reached |= component
+    unreached = ~reached & ((1 << (1 << g)) - 1)
+    if unreached:
+        missing = (unreached & -unreached).bit_length() - 1
+        raise _missing_normal_form(RSequence(genus, missing))
     summaries = tuple(
         ComponentSummary(
-            size[root],
-            RSequence(genus, smallest[root]).ascii(),
+            component.bit_count(),
+            RSequence(genus, smallest).ascii(),
             (RSequence(genus, root).ascii(),),
             _q_mask(root, odd),
             root.bit_count() & 1,
         )
-        for root in sorted(normal, key=smallest.__getitem__)
+        for smallest, root, component in sorted(found)
     )
     return ComponentsReport(genus=g, components=summaries)
 
@@ -837,7 +837,7 @@ def alpha_terminals(genus: Genus) -> tuple[dict, tuple[RuleVerdict, ...]]:
             if n not in images:
                 # the slot's first instance, narrowed to the two classes it moves
                 word = _shift_certificate(g, n)
-                _check_window_local(RuleInstance(rule, triple, word, x_n, x_low, x_n | x_low), genus)
+                _check_window_local(word, x_n | x_low, f"{rule.rule_id} at {triple}")
                 [images[n]] = _fold(word.axes, [x_n])
             if failures[p - 1] is None:
                 checked[p - 1] += 1

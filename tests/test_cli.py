@@ -523,6 +523,12 @@ class TestCliContract:
                 ("verify-lemma", "4.10", "-g", "32"),
                 "f44ae10538a24e701519ba877a7fbafffa7bf7755b632b575c400913de7a3e50",
             ),
+            (
+                # the odd genus, where w shares q = 1 with x1: the set search
+                # from each normal form, one below the budget edge
+                ("verify-lemma", "4.4", "-g", "17"),
+                "bcfb13b0cc3915571b50708c2b4f3cd50c77dbb211b998704e6951f32e447948",
+            ),
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):

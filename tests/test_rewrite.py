@@ -1,13 +1,16 @@
 import dataclasses
+import hashlib
 import pathlib
 import random
 import re
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from crosscap import rewrite
+from crosscap.cli import main
 from crosscap.f2core import (
     BudgetExceededError,
     FalsificationError,
@@ -25,12 +28,13 @@ from crosscap.rewrite import (
     _alpha_shift,
     _check_window_local,
     _chunk_tables,
+    _live_moves,
     _reduction_forest,
     _shift_certificate,
+    _showing,
     alpha_terminals,
     builtin_rule_tables,
     canonical_targets,
-    check_reduction_forest,
     classify_rseq_components,
     instantiate,
     reduce_alpha,
@@ -59,6 +63,15 @@ from helpers import (
 
 def vec(g, text):
     return H1Vector.parse(Genus(g), text)
+
+
+@lru_cache(maxsize=None)
+def _reduction_ends(g: int) -> tuple[int, ...]:
+    """The oracle for the component report: the normal form `reduce_rseq`
+    reaches from each sequence of the genus, by mask.  One pass per genus,
+    shared by the tests that read it."""
+    genus = Genus(g)
+    return tuple(reduce_rseq(RSequence(genus, bits)).end.bits for bits in range(1 << g))
 
 
 class TestSequences:
@@ -214,13 +227,13 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("g", range(1, 15))
     def test_trees_keep_invariants(self, g):
-        # the per-sequence pass the component report no longer makes: every
-        # sequence has its tree root's form value and support parity
+        # the per-sequence pass the component report does not make: every
+        # sequence has the form value and support parity of the normal form
+        # its reduction ends at
         genus = Genus(g)
-        roots = check_reduction_forest(genus)
-        for bits, root in enumerate(roots):
-            assert q_eval(H1Vector(genus, bits)) == q_eval(H1Vector(genus, root))
-            assert bits.bit_count() & 1 == root.bit_count() & 1
+        for bits, end in enumerate(_reduction_ends(g)):
+            assert q_eval(H1Vector(genus, bits)) == q_eval(H1Vector(genus, end))
+            assert bits.bit_count() & 1 == end.bit_count() & 1
 
     def test_components_g1(self):
         report = classify_rseq_components(Genus(1))
@@ -233,7 +246,7 @@ class TestNormalForms:
         assert sum(c.size for c in report.components) == 1 << g
 
     def test_components_budget(self, monkeypatch):
-        # the components are the reduction forest's trees, under its budget
+        # the component search runs under the reduction forest's budget
         def refuse(rule, genus):
             raise AssertionError("the budget must refuse before any move is built")
 
@@ -244,7 +257,7 @@ class TestNormalForms:
             classify_rseq_components(Genus(RSEQ_GENUS_CAP + 1))
         assert _reduction_forest.cache_info().currsize == before
 
-    @pytest.mark.parametrize("g", range(1, 17))
+    @pytest.mark.parametrize("g", range(1, RSEQ_GENUS_CAP + 1))
     def test_component_sizes_closed_form(self, g):
         # count the masks by q = l_odd - l_even (mod 4): a of the ceil(g/2)
         # odd positions and b of the floor(g/2) even ones circled; 0 (q = 0)
@@ -292,7 +305,7 @@ class TestNormalForms:
         instances, forest = _reduction_forest(g)
         assert instances == oracle_instances
         assert list(forest.items()) == list(oracle.items())
-        if g > 10:
+        if g > 12:
             return
         # the components need every edge, not only the forest's
         canon = {t.bits for t in canonical_targets(Genus(g))}
@@ -319,6 +332,29 @@ class TestNormalForms:
         report = classify_rseq_components(Genus(g))
         got = [(c.size, c.representative, c.canonical_members) for c in report.components]
         assert got == expected
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_showing_matches_plain_sets(self, g):
+        # the doubled selection set of each side of each live move is the
+        # set {u : u & window == side}, bit u standing for sequence u
+        for inst in _live_moves(Genus(g)):
+            for side in (inst.lhs_bits, inst.rhs_bits):
+                plain = 0
+                for u in range(1 << g):
+                    if u & inst.window_bits == side:
+                        plain |= 1 << u
+                assert _showing(g, inst, side) == plain
+
+    def test_components_build_no_forest(self, capsys, monkeypatch):
+        # 4.4 reads the live moves, never the forest `reduce_rseq` walks
+        def refuse(g):
+            raise AssertionError("the 4.4 check must not build the forest")
+
+        monkeypatch.setattr(rewrite, "_reduction_forest", refuse)
+        assert main(["verify-lemma", "4.4", "-g", "12"]) == 0
+        out = capsys.readouterr().out
+        digest = "ec44fa9c1f18a554b6cf915b3128939a4521376ea02a797bfe2388ac5b8e61ce"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_certificates_spell_as_instantiated(self):
         # reduce_alpha returns the spelling of the parsed step words
@@ -375,8 +411,8 @@ _ESCAPES = [
     ("TA.1", 1, "t_{a_2}", "x2+x3", [1, 2], "4.6"),
     # the slot-3 word, checked at its first instance against x1+x3
     ("AL.1", (3, 4, 5), "t_{d_2}", "x2+x4", [1, 3], "4.10"),
-    # a live move the forest uses: t_{a_4} fixes its rhs x1+x3, so only the
-    # window check sees it
+    # a live move: t_{a_4} fixes its rhs x1+x3, so only the window check
+    # sees it
     ("S4.6", 1, "t_{a_4}", "x4+x5", [1, 2, 3, 4], "4.4"),
 ]
 
@@ -393,14 +429,14 @@ class TestWindowLocality:
         for n, inst in enumerate(builtin_rule_tables(genus)):
             assert inst.window_bits == H1Vector.from_indices(genus, window_positions(inst)).bits
             assert not leaves_window(inst)
-            _check_window_local(inst, genus)
+            _check_window_local(inst.word, inst.window_bits, "here")
             # one more twist letter, inside or outside the window by turns
             grown = _with_letter(inst, genus, f"t_{{a_{n % (g - 1) + 1}}}")
             if leaves_window(grown):
-                with pytest.raises(InternalCheckError, match="leaves the window"):
-                    _check_window_local(grown, genus)
+                with pytest.raises(InternalCheckError, match="^here: .* leaves the window"):
+                    _check_window_local(grown.word, grown.window_bits, "here")
             else:
-                _check_window_local(grown, genus)
+                _check_window_local(grown.word, grown.window_bits, "here")
 
     @pytest.mark.parametrize(
         "rule_id,anchor,letter,axis,window,lemma", _ESCAPES, ids=[e[0] for e in _ESCAPES]
@@ -611,15 +647,15 @@ _MOVE_CHANGES_Q = "live move S3.1 at 2 changes the form value"
 _SHARED_Q = "normal forms with live moves share a form value"
 
 
-def _add_move_changing_q(instances, forest):
+def _add_move_changing_q(moves):
     """One more live move: S3.1 at 2, which moves x4 to x2, moving x4 to x3."""
-    [inst] = [i for i in instances if (i.rule.rule_id, i.anchor) == ("S3.1", 2)]
-    instances.append(dataclasses.replace(inst, rhs_bits=0b100))
+    [inst] = [i for i in moves if (i.rule.rule_id, i.anchor) == ("S3.1", 2)]
+    moves.append(dataclasses.replace(inst, rhs_bits=0b100))
 
 
-def _edge_check_fails(genus) -> bool:
+def _move_check_fails(genus) -> bool:
     try:
-        check_reduction_forest(genus)
+        classify_rseq_components(genus)
     except InternalCheckError as exc:
         assert str(exc) == _REPLAY_FAILED
         return True
@@ -637,9 +673,9 @@ def _some_path_fails(genus) -> bool:
 
 
 class TestForestCheck:
-    """`check_reduction_forest` checks each forest edge once, in discovery
-    order; `reduce_rseq`, which replays a sequence's whole path, is its
-    oracle."""
+    """`classify_rseq_components` checks each live move once and searches
+    the sets of sequences each normal form reaches; `reduce_rseq`, which
+    walks the forest and replays a sequence's whole path, is its oracle."""
 
     @pytest.fixture(autouse=True)
     def fresh_forests(self):
@@ -648,124 +684,90 @@ class TestForestCheck:
         _reduction_forest.cache_clear()
 
     def _mutate(self, monkeypatch, g, mutate):
-        """Serve a copy of the genus-g instances and forest changed by `mutate`."""
-        instances, forest = _reduction_forest(g)
-        instances, forest = list(instances), dict(forest)
-        mutate(instances, forest)
-        monkeypatch.setattr(rewrite, "_reduction_forest", lambda g: (instances, forest))
+        """Serve a copy of the genus-g live moves changed by `mutate`."""
+        moves = _live_moves(Genus(g))
+        mutate(moves)
+        monkeypatch.setattr(rewrite, "_live_moves", lambda genus: moves)
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_agrees_with_reduce_rseq(self, g):
+        # counting the normal forms the reductions end at gives each
+        # component's size and smallest member, one component per normal form
         genus = Genus(g)
-        assert not _edge_check_fails(genus)
-        assert not _some_path_fails(genus)
+        size: dict[int, int] = {}
+        smallest: dict[int, int] = {}
+        for bits, end in enumerate(_reduction_ends(g)):
+            size[end] = size.get(end, 0) + 1
+            smallest.setdefault(end, bits)
+        assert sorted(size) == sorted(t.bits for t in canonical_targets(genus))
+        expected = [
+            (size[end], RSequence(genus, first).ascii(), (RSequence(genus, end).ascii(),))
+            for end, first in sorted(smallest.items(), key=lambda item: item[1])
+        ]
+        report = classify_rseq_components(genus)
+        got = [(c.size, c.representative, c.canonical_members) for c in report.components]
+        assert got == expected
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_roots_follow_parents(self, g):
+        # each sequence's reduction ends at the one normal form of its
+        # component in the explicit adjacency lists
+        _, adj = sequence_graph(g)
+        canon = {t.bits for t in canonical_targets(Genus(g))}
+        component = [-1] * (1 << g)
+        for start in range(1 << g):
+            if component[start] < 0:
+                members = [start]
+                component[start] = start
+                for u in members:
+                    for v, _, _ in adj[u]:
+                        if component[v] < 0:
+                            component[v] = start
+                            members.append(v)
+                [normal] = canon & set(members)
+                assert all(_reduction_ends(g)[u] == normal for u in members)
 
     def test_broken_step_word_agrees_with_reduce_rseq(self, monkeypatch):
-        # each live move in turn gets a word acting as the identity: the
-        # edge check fails exactly when some sequence's path replay fails
+        # each live move in turn gets a word acting as the identity: the move
+        # check fails whenever some sequence's path replay fails
         genus = Genus(6)
-        moves, _ = _reduction_forest(6)
         failed = 0
-        for inst in moves:
+        for inst in _live_moves(genus):
             with monkeypatch.context() as m:
                 break_instance(m, inst.rule.rule_id, inst.anchor, "Y_{1,2}")
                 _reduction_forest.cache_clear()
-                edge = _edge_check_fails(genus)
-                assert edge == _some_path_fails(genus)
-            failed += edge
+                checked = _move_check_fails(genus)
+                assert checked or not _some_path_fails(genus)
+            failed += checked
         assert failed > 0
 
     def test_wrong_step_word_fails(self, monkeypatch):
         # pMpMpm reaches its normal form by S4.6 at 1; t_{d_1} fixes x2+x4
         break_instance(monkeypatch, "S4.6", 1, "t_{d_1}")
         with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
-            check_reduction_forest(Genus(6))
-
-    def test_wrong_letter_fails(self, monkeypatch):
-        # a step naming an instance whose window shows neither of its sides
-        def wrong(instances, forest):
-            cur = next(bits for bits, idx in forest.items() if idx is not None)
-            forest[cur] = next(
-                i for i, inst in enumerate(instances)
-                if cur & inst.window_bits not in (inst.lhs_bits, inst.rhs_bits)
-            )
-
-        self._mutate(monkeypatch, 6, wrong)
-        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
-            check_reduction_forest(Genus(6))
-
-    def test_wrong_letter_to_earlier_sequence_fails(self, monkeypatch):
-        # as above, but undoing the instance leads to a sequence checked
-        # earlier: only the check that the window shows a side sees it
-        def wrong(instances, forest):
-            order = {bits: n for n, bits in enumerate(forest)}
-            cur, idx = next(
-                (cur, i)
-                for cur, step in forest.items()
-                if step is not None
-                for i, inst in enumerate(instances)
-                if cur & inst.window_bits not in (inst.lhs_bits, inst.rhs_bits)
-                and order[cur ^ inst.lhs_bits ^ inst.rhs_bits] < order[cur]
-            )
-            forest[cur] = idx
-
-        self._mutate(monkeypatch, 6, wrong)
-        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
-            check_reduction_forest(Genus(6))
-
-    def test_parent_not_reached_earlier_fails(self, monkeypatch):
-        # a sequence two steps from its root and its parent undo the same
-        # move, each back to the other: the parent's step leads to a later
-        # sequence, so the two form a loop
-        def loop(instances, forest):
-            for cur, idx in forest.items():
-                if idx is None:
-                    continue
-                _, parent, _ = rewrite._forest_step(instances, cur, idx)
-                if forest[parent] is not None:
-                    forest[parent] = idx
-                    return
-            raise AssertionError("no sequence two steps from its root")
-
-        self._mutate(monkeypatch, 6, loop)
-        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
-            check_reduction_forest(Genus(6))
-
-    def test_root_outside_normal_forms_fails(self, monkeypatch):
-        def extra_root(instances, forest):
-            forest[next(reversed(forest))] = None
-
-        self._mutate(monkeypatch, 6, extra_root)
-        with pytest.raises(InternalCheckError, match=f"^{_REPLAY_FAILED}$"):
-            check_reduction_forest(Genus(6))
+            classify_rseq_components(Genus(6))
 
     def test_smallest_unreduced_sequence_is_falsified(self, monkeypatch):
         # the message reduce_rseq gives for the first sequence it cannot reduce
         targets = rewrite.canonical_targets
         monkeypatch.setattr(rewrite, "canonical_targets", lambda genus: targets(genus)[:-1])
         genus = Genus(6)
-        with pytest.raises(FalsificationError) as edge:
-            check_reduction_forest(genus)
+        with pytest.raises(FalsificationError) as search:
+            classify_rseq_components(genus)
         with pytest.raises(FalsificationError) as path:
             for bits in range(1 << 6):
                 reduce_rseq(RSequence(genus, bits))
-        assert str(edge.value) == str(path.value)
-        assert str(edge.value) == "sequence PMPMPM lies in a component without a normal form"
+        assert str(search.value) == str(path.value)
+        assert str(search.value) == "sequence PMPMPM lies in a component without a normal form"
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            check_reduction_forest(Genus(RSEQ_GENUS_CAP + 1))
-
-    @pytest.mark.parametrize("g", range(1, 11))
-    def test_roots_follow_parents(self, g):
-        # each sequence's root is the normal form its reduction ends at
-        genus = Genus(g)
-        roots = check_reduction_forest(genus)
-        assert roots == [reduce_rseq(RSequence(genus, b)).end.bits for b in range(1 << g)]
+            classify_rseq_components(Genus(RSEQ_GENUS_CAP + 1))
 
     def test_folds_each_certificate_once(self, monkeypatch):
-        # the edges of one move share its one fold, where a fold per edge
-        # would make 1018 at genus 10, one per sequence but the 6 roots
+        # every live move's certificate is folded, each once, where a fold
+        # per edge would make 1018 at genus 10, one per sequence but the 6
+        # normal forms
         calls = []
         fold = rewrite._fold
 
@@ -774,24 +776,19 @@ class TestForestCheck:
             return fold(axes, masks)
 
         monkeypatch.setattr(rewrite, "_fold", counted)
-        moves, _ = _reduction_forest(10)
-        check_reduction_forest(Genus(10))
-        assert 0 < len(calls) <= len(moves)
+        classify_rseq_components(Genus(10))
+        assert calls == [1] * len(_live_moves(Genus(10)))
 
     @pytest.mark.parametrize("g", range(1, RSEQ_GENUS_CAP + 1))
     def test_inverse_axes_reversed(self, g):
         # a rev step replays by the move's one fold: the inverse word's axes
         # are the certificate's, reversed
-        genus = Genus(g)
-        for rule in rule_schemas():
-            if rule.family in ("swap3", "swap4"):
-                for inst in rule_instances(rule, genus):
-                    if rewrite._live(inst):
-                        assert inst.word.inverse().axes == tuple(reversed(inst.word.axes))
+        for inst in _live_moves(Genus(g)):
+            assert inst.word.inverse().axes == tuple(reversed(inst.word.axes))
 
     def test_move_changing_q_fails(self, monkeypatch):
-        # no forest edge uses the extra move, so every tree keeps its q, but
-        # the move joins x4, in the tree of x2, to x3, in the tree of x1
+        # the extra move keeps every component's q but one: it joins x4, in
+        # the component of x2, to x3, in the component of x1
         self._mutate(monkeypatch, 6, _add_move_changing_q)
         with pytest.raises(InternalCheckError, match=f"^{_MOVE_CHANGES_Q}$"):
             classify_rseq_components(Genus(6))
@@ -837,13 +834,13 @@ class TestTreesAreComponents:
     @pytest.mark.parametrize(
         "corrupt,g,message",
         [
-            # the move of `_add_move_changing_q`, served with the forest
+            # the move of `_add_move_changing_q`, served as a live move
             (
                 "import dataclasses\n"
-                "instances, forest = rewrite._reduction_forest(6)\n"
-                "[inst] = [i for i in instances if (i.rule.rule_id, i.anchor) == ('S3.1', 2)]\n"
-                "extra = instances + [dataclasses.replace(inst, rhs_bits=0b100)]\n"
-                "rewrite._reduction_forest = lambda g: (extra, forest)\n",
+                "moves = rewrite._live_moves(rewrite.Genus(6))\n"
+                "[inst] = [i for i in moves if (i.rule.rule_id, i.anchor) == ('S3.1', 2)]\n"
+                "extra = moves + [dataclasses.replace(inst, rhs_bits=0b100)]\n"
+                "rewrite._live_moves = lambda genus: extra\n",
                 6,
                 _MOVE_CHANGES_Q,
             ),
@@ -901,14 +898,16 @@ class TestCertificateReplay:
                 4,
                 "index-shift certificate failed to replay",
             ),
-            # the same word on the same edge, met by the forest's edge check
+            # the same word on the same move, S4.6 at 1, met by the 4.4
+            # check's one fold of each live move
             (
                 "import dataclasses\n"
-                "instances, forest = rewrite._reduction_forest(6)\n"
-                "idx = forest[rewrite.RSequence.parse('pMpMpm').bits]\n"
+                "moves = rewrite._live_moves(rewrite.Genus(6))\n"
+                "[idx] = [n for n, i in enumerate(moves) if (i.rule.rule_id, i.anchor) == ('S4.6', 1)]\n"
                 "s31 = rewrite.rule_by_id('S3.1').certificate\n"
                 "word = rewrite.parse_word(rewrite.instantiate(s31, i=1), rewrite.Genus(6))\n"
-                "instances[idx] = dataclasses.replace(instances[idx], word=word)\n",
+                "moves[idx] = dataclasses.replace(moves[idx], word=word)\n"
+                "rewrite._live_moves = lambda genus: moves\n",
                 ["verify-lemma", "4.4", "-g", "6"],
                 4,
                 "path certificate failed to replay",
