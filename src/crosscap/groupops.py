@@ -19,10 +19,16 @@ packed int, column j in bit block j (`_pack`); a search tree maps each to
 the signed letter that reached it, and undoing that letter's move recomputes
 the parent.  Every tree gains levels only through `_SearchTree.grow`, which
 adds the next level whole or not at all, so a tree cut off by its cap holds
-whole levels.  Matrices and words are built only when an element leaves this
-module.  Each signed letter is compiled into a few shift-and-multiply terms
-on the packed int, one compile step per generating set (`_moves`, a small
-bounded cache, which also keeps the set's forward tree).  The standard
+whole levels.  From a key that letter s reached, `grow` tries the letters
+in listed order but those whose child the tree provably holds already: the
+one undoing s, and each letter listed before s that commutes with it (its
+child tK = s(tP) was reached from tP, held ahead of K; a partially
+commutative monoid's lexicographic normal form, after Cartier and Foata), so
+the tree is the one that trying every letter builds.  Matrices and words are
+built only when an element leaves this module.  Each signed letter is
+compiled into a few shift-and-multiply terms on the packed int, one compile
+step per generating set (`_moves`, a small bounded cache, which also keeps
+each letter's plan and the set's forward tree).  The standard
 generating set is one table per genus (`_label_table`): each standard
 label's parsed word, twist axes and matrix.  The reductions take their moves from its axes; a reducer tracks
 plain class masks and builds classes only for its result.
@@ -63,9 +69,11 @@ from .words import MCGWord, _fold, certify, induced_matrix, parse_word
 DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
 # a compiled letter is at most g terms of O(g) shifts, so compiling costs
-# O(g^2); the cap bounds the breadth-first search itself, whose levels grow
-# with the group (40320 elements at genus 7, 2580480 at genus 8) until a
-# sifting factorization replaces it
+# O(g^2) per letter, plus an n^2 commutation table over the n generators
+# (two products of column tuples per pair) for the letters' plans; the cap
+# bounds the breadth-first search itself, whose levels grow with the group
+# (40320 elements at genus 7, 2580480 at genus 8) until a sifting
+# factorization replaces it
 FACTORIZE_GENUS_CAP = 16
 
 
@@ -111,7 +119,7 @@ def _unpack(key: int, g: int) -> tuple[int, ...]:
 
 
 class _SearchTree:
-    """One breadth-first search over packed ints, growing by `moves`.
+    """One breadth-first search over packed ints, growing by its plans.
 
     `index` maps each reached key, in discovery order, to the signed letter
     whose move reached it (the root to 0).  Undoing that move, by the
@@ -119,23 +127,38 @@ class _SearchTree:
     a word is read off up to the root, first letter first.  The tree gains
     levels only through `grow`, which adds a level whole or not at all, so
     `frontier` is always the deepest whole level.
+
+    `plans[s]` lists, as (letter, move) pairs in listed order, the moves
+    `grow` tries from a key that letter s reached: every letter but the
+    ones whose child is provably held (`_moves`).  The root's plan, 0, is
+    every letter, and `moves` maps each letter to its move, for undoing.
     """
 
-    def __init__(self, root: int, moves: dict):
+    def __init__(self, root: int, plans: dict):
         self.index = {root: 0}
         self.frontier = [root]
-        self.moves = moves
+        self.plans = plans
+        self.moves = dict(plans[0])
 
     def grow(self, room: int) -> bool:
         """Add the next level whole: children of the frontier in discovery
-        order, moves in listed order, unseen children only.  When the level
-        has more than `room` keys, or a move raises, the keys added are
-        removed and `index` and `frontier` stay as they were; returns
-        whether the level was added."""
-        index, moves, new = self.index, tuple(self.moves.items()), []
+        order, each key's plan in listed order, unseen children only.  When
+        the level has more than `room` keys, or a move raises, the keys
+        added are removed and `index` and `frontier` stay as they were;
+        returns whether the level was added.
+
+        A plan leaves out only letters whose child the tree already holds
+        when its check would come, so trying every letter adds the same
+        keys in the same order: for K = sP, the undo letter of s gives P;
+        for t listed before s with ts = st, tK = s(tP), and (P, t) was
+        checked before (P, s), so tP is held ahead of K, shallower or
+        expanded first, and s(tP) with it (by induction over the order of
+        checks, a skipped check counts as one that found its child held).
+        """
+        index, plans, new = self.index, self.plans, []
         try:
             for key in self.frontier:
-                for signed, move in moves:
+                for signed, move in plans[index[key]]:
                     child = move(key)
                     if child in index:
                         continue
@@ -228,9 +251,9 @@ class _ForwardTree(_SearchTree):
     reading the levels it was shown never sees part of another.
     """
 
-    def __init__(self, g: int, moves: dict):
+    def __init__(self, g: int, plans: dict):
         root = _pack([1 << j for j in range(g)], g)
-        super().__init__(root, moves)
+        super().__init__(root, plans)
         self.position = {root: 0}
         self.ends = [1]
         self.lock = Lock()
@@ -253,18 +276,44 @@ class _ForwardTree(_SearchTree):
 def _moves(generators: tuple[H1Matrix, ...], g: int):
     """Compile a generating set of genus g, in order, into its signed
     alphabet: the forward tree of its factorizations, whose moves are the
-    forward moves X -> a X, and the backward moves X -> X a^-1, each a dict
-    from signed letter to move.  Letter k is generator k and -k its inverse;
-    an inverse equal to the generator itself (an involution) is not listed
+    forward moves X -> a X, and the plans of the backward moves X -> X a^-1
+    (`_SearchTree`).  Letter k is generator k and -k its inverse; an
+    inverse equal to the generator itself (an involution) is not listed
     twice.  Each generator is inverted once.  The genus is part of the key,
     as the empty set's tree is rooted at the identity of one genus.  The
     last four sets compiled stay cached, with their trees, so repeated
-    searches over one set skip this step and share the forward wave."""
+    searches over one set skip this step and share the forward wave.
+
+    The plan of letter s lists, in both directions, every letter in listed
+    order but s's undo letter (-s, or s for an involution) and each letter
+    listed before s whose generator commutes with s's: from a key that s
+    reached, the tree already holds those letters' children
+    (`_SearchTree.grow`).  Two moves of one direction commute exactly when
+    their generators do, tested once per pair of generators on their
+    columns.
+    """
     letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
     letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
     forward = {signed: _packed_move(m, True) for signed, m, _ in letters}
     backward = {signed: _packed_move(inv, False) for signed, _, inv in letters}
-    return _ForwardTree(g, forward), backward
+    commuting = set()
+    for a, x in enumerate(generators, start=1):
+        for b, y in enumerate(generators[:a], start=1):
+            if [apply_mask(x.cols, c) for c in y.cols] == [apply_mask(y.cols, c) for c in x.cols]:
+                commuting |= {(a, b), (b, a)}
+    order = list(forward)
+    skips = {0: ()}
+    for k, s in enumerate(order):
+        skips[s] = [-s if -s in forward else s]
+        skips[s] += [t for t in order[:k] if (abs(s), abs(t)) in commuting]
+
+    def plans(moves: dict) -> dict:
+        return {
+            s: tuple((t, moves[t]) for t in order if t not in skip)
+            for s, skip in skips.items()
+        }
+
+    return _ForwardTree(g, plans(forward)), plans(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +477,14 @@ def subgroup_closure(
     their inverses, with shortest-word certificates.
 
     Expansion order is fixed (frontier in discovery order, letters in listed
-    order), so certificates are reproducible.  The table holds whole levels
-    only: when the next level would take the element count past `cap`, the
-    levels before it are returned with complete=False, and `diameter`
-    counts the whole levels held.
+    order), so certificates are reproducible.  Letters whose child is
+    provably in the table already, the one undoing the letter that reached
+    an element and earlier letters commuting with it, are not tried from
+    that element (`_SearchTree.grow`); the table is the same as when every
+    letter is tried.  The table holds whole levels only: when the next
+    level would take the element count past `cap`, the levels before it
+    are returned with complete=False, and `diameter` counts the whole
+    levels held.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, since the identity counts; got {cap}")
@@ -446,7 +499,7 @@ def subgroup_closure(
     labels = _labels(labels, len(gens))
 
     forward, _ = _moves(tuple(gens), genus.g)
-    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), forward.moves)
+    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), forward.plans)
     diameter = 0
     complete = True
     while tree.frontier:
@@ -627,6 +680,10 @@ def factorize(
     alternate strictly and every meet of a level is collected, so the
     reported word has minimal length and is deterministic.
 
+    Both waves grow by `_SearchTree.grow`, which skips only letters whose
+    child the wave provably holds already, so each wave's levels, order and
+    letters are those of trying every letter from every element.
+
     The forward wave does not depend on the target, so it is not regrown:
     the search reveals the levels of the generating set's shared forward
     tree one at a time, growing the tree by a whole level only when no
@@ -658,10 +715,10 @@ def factorize(
             raise GenusMismatchError("generators must share the target's genus")
     labels = _labels(labels, len(gens))
 
-    fwd, bwd_moves = _moves(tuple(gens), genus.g)
+    fwd, bwd_plans = _moves(tuple(gens), genus.g)
     position, ends = fwd.position, fwd.ends
     goal = _pack(target.cols, genus.g)
-    bwd = _SearchTree(goal, bwd_moves)
+    bwd = _SearchTree(goal, bwd_plans)
     meets = [goal] if position.get(goal) == 0 else []
     depth = 0  # forward levels revealed to this search
     forward = True

@@ -332,39 +332,60 @@ def replay_certificates(table, limit=None) -> bool:
     )
 
 
-def _grow_partial(tree: _SearchTree, room: int) -> bool:
-    """Add the next breadth-first level to `tree`, one child at a time:
-    children of the frontier in discovery order, moves in listed order,
-    unseen children only, at most `room` of them.  Returns False, leaving
-    the level partial, when one more insertion was needed.  The oracle's
-    own growth step, apart from `_SearchTree.grow`, which it checks."""
-    index, moves = tree.index, tuple(tree.moves.items())
-    frontier, tree.frontier = tree.frontier, []
-    for key in frontier:
-        for signed, move in moves:
-            child = move(key)
-            if child in index:
-                continue
-            if room <= 0:
-                return False
-            room -= 1
-            index[child] = signed
-            tree.frontier.append(child)
-    return True
+def grow_unpruned(tree: _SearchTree, room: int) -> bool:
+    """Oracle for `_SearchTree.grow`: the same whole-level step, but trying
+    every letter from every key, the undo letter and commuting letters
+    included.  Children of the frontier in discovery order, moves in listed
+    order, unseen children only; a level of more than `room` keys, or a
+    move that raises, leaves `index` and `frontier` as they were."""
+    index, moves, new = tree.index, tuple(tree.moves.items()), []
+    try:
+        for key in tree.frontier:
+            for signed, move in moves:
+                child = move(key)
+                if child in index:
+                    continue
+                if len(new) >= room:
+                    return False
+                index[child] = signed
+                new.append(child)
+        tree.frontier = new
+        return True
+    finally:
+        if tree.frontier is not new:
+            for key in new:
+                del index[key]
+
+
+def closure_oracle(generators, genus, cap=DEFAULT_NODE_CAP):
+    """Slow oracle for `subgroup_closure`: the same breadth-first closure
+    grown by `grow_unpruned`.  Returns the element items in discovery
+    order (key and letter), the diameter and whether the closure is
+    complete."""
+    forward, _ = _moves(tuple(generators), genus.g)
+    tree = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), forward.plans)
+    diameter, complete = 0, True
+    while tree.frontier:
+        if not grow_unpruned(tree, cap - len(tree.index)):
+            complete = False
+            break
+        diameter += bool(tree.frontier)
+    return list(tree.index.items()), diameter, complete
 
 
 def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
     """Slow oracle for `factorize`: the bidirectional search with a private
-    forward tree, regrown from the identity on every call.  Levels
-    alternate strictly, the forward one first, and every meet of a level is
-    collected; the cap counts both trees at each insertion."""
+    forward tree, regrown from the identity on every call by
+    `grow_unpruned`.  Levels alternate strictly, the forward one first, and
+    every meet of a level is collected; a level that takes both trees past
+    the cap ends the search with `explored` equal to the cap."""
     gens = list(generators)
     genus = target.genus
     labels = _labels(labels, len(gens))
-    shared, bwd_moves = _moves(tuple(gens), genus.g)
+    shared, bwd_plans = _moves(tuple(gens), genus.g)
     goal = _pack(target.cols, genus.g)
-    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), shared.moves)
-    bwd = _SearchTree(goal, bwd_moves)
+    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), shared.plans)
+    bwd = _SearchTree(goal, bwd_plans)
     meets = [goal] if goal in fwd.index else []
     forward = True
     while not meets:
@@ -372,10 +393,8 @@ def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
         side, other = (fwd, bwd) if forward else (bwd, fwd)
         if not side.frontier:
             return FactorizationResult("not_member", None, None, explored)
-        if not _grow_partial(side, cap - explored):
-            return FactorizationResult(
-                "budget_exhausted", None, None, len(fwd.index) + len(bwd.index)
-            )
+        if not grow_unpruned(side, cap - explored):
+            return FactorizationResult("budget_exhausted", None, None, cap)
         meets = [key for key in side.frontier if key in other.index]
         forward = not forward
     word = min((fwd.word(c) + bwd.word(c) for c in meets), key=len)
@@ -383,6 +402,13 @@ def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
     return FactorizationResult(
         "found", word, _spell(labels, word), len(fwd.index) + len(bwd.index)
     )
+
+
+def rewire(tree: _SearchTree, moves: dict) -> None:
+    """Give `tree` the moves `moves`, in its dict and in every plan, so that
+    `grow` calls them; the plans keep their letters."""
+    tree.moves = moves
+    tree.plans = {s: tuple((t, moves[t]) for t, _ in plan) for s, plan in tree.plans.items()}
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:

@@ -9,6 +9,7 @@ import threading
 from itertools import islice, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crosscap import groupops
 from crosscap.cli import main
@@ -18,6 +19,7 @@ from crosscap.f2core import (
     H1Matrix,
     H1Vector,
     InternalCheckError,
+    apply_mask,
     compose,
     transvection,
 )
@@ -45,10 +47,12 @@ from crosscap.words import act, induced_matrix, parse_word
 
 from helpers import (
     brute_orthogonal_cols,
+    closure_oracle,
     factorize_oracle,
     falsified,
     random_invertible_cols,
     replay_certificates,
+    rewire,
     run_python,
 )
 
@@ -579,10 +583,10 @@ class TestSharedForwardTree:
                 raise RuntimeError("interrupted")
             return moves[1](x)
 
-        tree.moves = {**moves, 1: failing}
+        rewire(tree, {**moves, 1: failing})
         with pytest.raises(RuntimeError, match="interrupted"):
             factorize(target, mats, labels)
-        tree.moves = moves
+        rewire(tree, moves)
         assert len(tree.ends) > 2 and _whole_levels(tree)
         assert len(tree.frontier) == tree.ends[-1] - tree.ends[-2]
         assert factorize(target, mats, labels) == factorize_oracle(target, mats, labels)
@@ -638,8 +642,9 @@ class TestGrowWholeLevels:
     def _tree(levels):
         # a private tree over the genus-6 standard moves, grown `levels` deep
         mats, _ = _standard(6)
-        moves = _moves(tuple(mats), 6)[0].moves
-        tree = _SearchTree(_pack(H1Matrix.identity(Genus(6)).cols, 6), moves)
+        shared = _moves(tuple(mats), 6)[0]
+        root = _pack(H1Matrix.identity(Genus(6)).cols, 6)
+        tree = _SearchTree(root, shared.plans)
         for _ in range(levels):
             assert tree.grow(groupops.DEFAULT_NODE_CAP)
         return tree
@@ -667,7 +672,8 @@ class TestGrowWholeLevels:
         before = self._state(tree)
         moves, calls, reached = tree.moves, [], []
 
-        # move 1 runs once per frontier key: raise halfway through the level
+        # move 1 runs once per frontier key that letter 1 did not reach:
+        # raise halfway through the level
         def failing(x):
             calls.append(x)
             if len(calls) == len(tree.frontier) // 2:
@@ -675,15 +681,174 @@ class TestGrowWholeLevels:
                 raise RuntimeError("interrupted")
             return moves[1](x)
 
-        tree.moves = {**moves, 1: failing}
+        rewire(tree, {**moves, 1: failing})
         with pytest.raises(RuntimeError, match="interrupted"):
             tree.grow(groupops.DEFAULT_NODE_CAP)
         # the move raised after the level had gained keys
         assert reached[0] > len(before[0])
-        tree.moves = moves
+        rewire(tree, moves)
         assert self._state(tree) == before
         assert tree.grow(groupops.DEFAULT_NODE_CAP)
         assert self._state(tree) == self._state(whole)
+
+
+def _letter_cols(generators):
+    """Each signed letter's matrix columns: k is generator k, -k its
+    inverse."""
+    cols = {k: m.cols for k, m in enumerate(generators, start=1)}
+    cols.update({-k: m.inverse().cols for k, m in enumerate(generators, start=1)})
+    return cols
+
+
+def _commute(a, b):
+    """Whether two matrices, as column tuples, commute: both products by
+    `apply_mask` on columns."""
+    return [apply_mask(a, c) for c in b] == [apply_mask(b, c) for c in a]
+
+
+@st.composite
+def _generating_sets(draw):
+    """A genus 2-5, a set of its matrices and a cap.  The set mixes random
+    invertible matrices (mostly neither involutions nor isometries), the
+    identity and standard generators, and may repeat a generator or be
+    empty; the cap keeps the closure of a random set small."""
+    g = draw(st.integers(2, 5))
+    genus = Genus(g)
+    pool = [
+        st.integers(0, 2**32).map(
+            lambda seed: H1Matrix(genus, random_invertible_cols(random.Random(seed), g))
+        ),
+        st.just(H1Matrix.identity(genus)),
+    ]
+    standard, _ = _standard(g)
+    if standard:
+        pool.append(st.sampled_from(standard))
+    gens = draw(st.lists(st.one_of(pool), max_size=4))
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return genus, gens, draw(st.integers(1, 3000))
+
+
+class TestPrunedGrowth:
+    """`_SearchTree.grow` leaves out the children its plans prove held; the
+    oracle `grow_unpruned` tries every letter from every key.  Both must
+    build the same trees: the same keys in the same order with the same
+    letters, the same diameter and the same completeness."""
+
+    @staticmethod
+    def _same_closure(gens, genus, cap=groupops.DEFAULT_NODE_CAP):
+        table = subgroup_closure(gens, cap=cap, genus=genus)
+        items, diameter, complete = closure_oracle(gens, genus, cap)
+        assert list(table.elements.items()) == items
+        assert (table.diameter, table.complete) == (diameter, complete)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_standard_closures_match_oracle(self, g):
+        mats, _ = _standard(g)
+        self._same_closure(mats, Genus(g))
+
+    @given(_generating_sets())
+    @settings(max_examples=150, deadline=None)
+    @example((Genus(3), [], 5))
+    @example((Genus(3), non_involutive_set(), 200))
+    @example((Genus(3), non_involutive_set()[::-1], 200))
+    @example((Genus(4), [*_standard(4)[0], H1Matrix.identity(Genus(4))], 200))
+    @example((Genus(4), [_standard(4)[0][1], *_standard(4)[0]], 200))
+    def test_drawn_sets_match_oracle(self, case):
+        genus, gens, cap = case
+        self._same_closure(gens, genus, cap)
+
+    def test_every_cap_at_genus_5_matches_oracle(self):
+        mats, _ = _standard(5)
+        for cap in range(1, 73):
+            self._same_closure(mats, Genus(5), cap)
+
+    def test_sampled_caps_at_genus_7_match_oracle(self):
+        # the level ends of the genus-7 closure, each cap on either side of
+        # one, and two caps inside levels
+        mats, _ = _standard(7)
+        ends = [1, 10, 63, 330, 1447, 5242, 15505, 32443, 40036, 40320]
+        depths = [len(rec.word) for rec in subgroup_closure(mats).records()]
+        assert ends == [sum(d <= k for d in depths) for k in range(len(ends))]
+        for cap in (329, 330, 3000, 15504, 15505, 15506, 36000, 40319):
+            self._same_closure(mats, Genus(7), cap)
+
+    @pytest.mark.parametrize("g", [5, 6, 7])
+    def test_non_members_match_oracle(self, g):
+        # a not_member proof closes one side, so both waves grow to the end
+        # of their levels; at genus 7 the backward wave closes over all
+        # 40320 elements
+        mats, labels = _standard(g)
+        rng = random.Random(f"non-members:{g}")
+        targets = [transvection(vec(g, "x1+x2")), transvection(vec(g, f"x{g - 1}+x{g}"))]
+        targets.append(H1Matrix(Genus(g), random_invertible_cols(rng, g)))
+        _moves.cache_clear()
+        for target in targets:
+            got = factorize(target, mats, labels)
+            assert got.status == "not_member"
+            assert got == factorize_oracle(target, mats, labels)
+
+    def test_genus_7_closure_move_calls_pinned(self):
+        # the unpruned loop tries 9 letters from each of 40320 keys, 362880
+        # children; the plans leave out 88653 of them
+        mats, _ = _standard(7)
+        shared = _moves(tuple(mats), 7)[0]
+        calls = []
+
+        def counted(move):
+            def call(x):
+                calls.append(1)
+                return move(x)
+
+            return call
+
+        root = _pack(H1Matrix.identity(Genus(7)).cols, 7)
+        tree = _SearchTree(root, shared.plans)
+        rewire(tree, {s: counted(move) for s, move in shared.moves.items()})
+        while tree.frontier:
+            assert tree.grow(groupops.DEFAULT_NODE_CAP)
+        assert (len(tree.index), len(calls)) == (40320, 274227)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            *(_standard(g)[0] for g in range(2, 9)),
+            non_involutive_set(),
+            non_involutive_set()[::-1],
+            [*_standard(5)[0], _standard(5)[0][2], H1Matrix.identity(Genus(5))],
+            [],
+        ],
+        ids=[*(f"standard-{g}" for g in range(2, 9)), "non-involutive",
+             "non-involutive-reversed", "duplicate-and-identity", "empty"],
+    )
+    def test_skipped_letters_are_the_undo_or_earlier_commuting(self, gens):
+        # each plan lists its letters in listed order and leaves out the undo
+        # letter and letters listed before its own that commute with it, by
+        # the columns of the letters' matrices; no letter listed after its
+        # own is left out but the undo letter
+        g = gens[0].genus.g if gens else 3
+        forward, backward = _moves(tuple(gens), g)
+        cols = _letter_cols(gens)
+        listed = list(forward.moves)
+        assert [t for t, _ in backward[0]] == listed
+        for plans in (forward.plans, backward):
+            moves = dict(plans[0])
+            assert set(plans) == {0, *listed}
+            for s in listed:
+                plan = plans[s]
+                assert all(move is moves[t] for t, move in plan)
+                kept = [t for t, _ in plan]
+                assert kept == [t for t in listed if t in kept]
+                undo = -s if -s in moves else s
+                assert undo not in kept
+                for t in listed:
+                    if t in kept or t == undo:
+                        continue
+                    assert listed.index(t) < listed.index(s)
+                    assert _commute(cols[s], cols[t])
+                for t in listed[: listed.index(s)]:
+                    if t != undo and _commute(cols[s], cols[t]):
+                        assert t not in kept
 
 
 class TestMoves:
@@ -1108,7 +1273,9 @@ class TestInternalChecks:
             "def broken(generators, g):\n"
             "    forward, backward = compiled(generators, g)\n"
             "    moves = {**forward.moves, 1: forward.moves[2]}\n"
-            "    return groupops._ForwardTree(g, moves), backward\n"
+            "    plans = {s: tuple((t, moves[t]) for t, _ in plan)\n"
+            "             for s, plan in forward.plans.items()}\n"
+            "    return groupops._ForwardTree(g, plans), backward\n"
             "groupops._moves = broken\n"
             "genus = Genus(6)\n"
             "gens = [m for _, m in standard_generators(genus)]\n"
@@ -1155,7 +1322,9 @@ class TestInternalChecks:
             "def broken(generators, g):\n"
             "    forward, backward = compiled(generators, g)\n"
             f"    moves = {{**forward.moves, -1: {undo}}}\n"
-            "    return groupops._ForwardTree(g, moves), backward\n"
+            "    plans = {s: tuple((t, moves[t]) for t, _ in plan)\n"
+            "             for s, plan in forward.plans.items()}\n"
+            "    return groupops._ForwardTree(g, plans), backward\n"
             "groupops._moves = broken\n"
             "genus = Genus(3)\n"
             "gens = [H1Matrix(genus, (0b010, 0b100, 0b001)),\n"
