@@ -9,7 +9,8 @@ Four kinds of work live here:
   counting bound `level_counts` (enumeration stays the tests' oracle);
 * bidirectional meet-in-the-middle factorization of a matrix over a labeled
   generating set, whose forward wave is one breadth-first tree per set,
-  shared by every search over it;
+  shared by every search over it, and whose backward wave each search
+  derives from that tree, one move per element, with no tree of its own;
 * the constructive normal-form reductions: any class of form value 2 is
   driven to x1+x3, and any isotropic pair to [x1+x2, x3+x4] or to an
   explicitly flagged full-support configuration.
@@ -17,7 +18,9 @@ Four kinds of work live here:
 Closure, enumeration and both factorization waves key every element by one
 packed int, column j in bit block j (`_pack`); a search tree maps each to
 the signed letter that reached it, and undoing that letter's move recomputes
-the parent.  Every tree gains levels only through `_SearchTree.grow`, which
+the parent (the shared forward tree also records each element's letter and
+parent position, so a search's backward wave and both half-words are read
+off positions).  Every tree gains levels only through `_SearchTree.grow`, which
 adds the next level whole or not at all, so a tree cut off by its cap holds
 whole levels.  From a key that letter s reached, `grow` tries the letters
 in listed order but those whose child the tree provably holds already: the
@@ -70,8 +73,9 @@ DEFAULT_NODE_CAP = 1 << 24
 ENUMERATION_GENUS_CAP = 8
 # a compiled letter is at most g terms of O(g) shifts, so compiling costs
 # O(g^2) per letter, plus an n^2 commutation table over the n generators
-# (two products of column tuples per pair) for the letters' plans; the cap
-# bounds the breadth-first search itself, whose levels grow with the group
+# (two products of column tuples per pair) for the forward plans; the cap
+# bounds the breadth-first search itself, one backward move per element of
+# the forward levels a search reaches, whose levels grow with the group
 # (40320 elements at genus 7, 2580480 at genus 8) until a sifting
 # factorization replaces it
 FACTORIZE_GENUS_CAP = 16
@@ -143,9 +147,9 @@ class _SearchTree:
     def grow(self, room: int) -> bool:
         """Add the next level whole: children of the frontier in discovery
         order, each key's plan in listed order, unseen children only.  When
-        the level has more than `room` keys, or a move raises, the keys
-        added are removed and `index` and `frontier` stay as they were;
-        returns whether the level was added.
+        the level has more than `room` keys, or a move or `_record_level`
+        raises, the keys added are removed and `index` and `frontier` stay
+        as they were; returns whether the level was added.
 
         A plan leaves out only letters whose child the tree already holds
         when its check would come, so trying every letter adds the same
@@ -166,12 +170,17 @@ class _SearchTree:
                         return False
                     index[child] = signed
                     new.append(child)
+            self._record_level(new)
             self.frontier = new
             return True
         finally:
             if self.frontier is not new:
                 for key in new:
                     del index[key]
+
+    def _record_level(self, new: list[int]) -> None:
+        """`grow` hands a subclass each whole new level here, before it
+        becomes the frontier; if this raises, the level is not added."""
 
     def parent(self, key: int, signed: int) -> int:
         """The key that `signed` moved to `key`: the opposite letter's move,
@@ -246,8 +255,11 @@ class _ForwardTree(_SearchTree):
     It only gains whole levels, one at a time under `lock`, and only when a
     search first needs one; what it holds never changes.  `position` maps
     each key to its discovery index and `ends[k]` counts the keys of depth
-    at most k, so level k is the positions ends[k-1] .. ends[k]-1.  A new
-    level is indexed in `position` before `ends` counts it, so a search
+    at most k, so level k is the positions ends[k-1] .. ends[k]-1.  The
+    element at position p was reached by letter `letters[p]` from the one at
+    position `parents[p]`, found once by the undo step and checked to be
+    held before p's level (the root's entries are 0).  A new level is indexed in
+    `position`, `letters` and `parents` before `ends` counts it, so a search
     reading the levels it was shown never sees part of another.
     """
 
@@ -255,8 +267,26 @@ class _ForwardTree(_SearchTree):
         root = _pack([1 << j for j in range(g)], g)
         super().__init__(root, plans)
         self.position = {root: 0}
+        self.letters = [0]
+        self.parents = [0]
         self.ends = [1]
         self.lock = Lock()
+
+    def _record_level(self, new: list[int]) -> None:
+        index, position = self.index, self.position
+        parents = []
+        for key in new:
+            parent = self.parent(key, index[key])
+            p = position.get(parent)
+            if p is None:
+                # an undo step that stays in the new level never climbs
+                _check(parent not in index, "search tree: undoing moves never reached the root")
+                raise InternalCheckError("search tree: an undone move left the tree")
+            parents.append(p)
+        position.update(zip(new, count(self.ends[-1])))
+        self.letters += [index[key] for key in new]
+        self.parents += parents
+        self.ends.append(len(index))
 
     def reveal(self, k: int, room: int) -> bool:
         """Whether level k, at most one past the deepest level held, has at
@@ -264,33 +294,46 @@ class _ForwardTree(_SearchTree):
         ends = self.ends
         if k == len(ends):
             with self.lock:
-                if k == len(ends):
-                    if not self.grow(room):
-                        return False
-                    self.position.update(zip(self.frontier, count(ends[-1])))
-                    ends.append(len(self.index))
+                if k == len(ends) and not self.grow(room):
+                    return False
         return ends[k] - ends[k - 1] <= room
+
+    def word_at(self, p: int) -> tuple[int, ...]:
+        """The letters from position p up to the root, p's letter first: the
+        word of the element at p, and of the backward key at p too."""
+        out = []
+        while p:
+            out.append(self.letters[p])
+            p = self.parents[p]
+        return tuple(out)
+
+    def derive(self, keys: list[int], backward: dict, end: int) -> None:
+        """Extend the backward wave `keys` from T = keys[0] through position
+        end - 1, whose parents it holds: keys[p] = T f^-1 for the element f
+        at p, the backward move of p's letter applied to p's parent's key."""
+        letters, parents = self.letters, self.parents
+        keys += [backward[letters[p]](keys[parents[p]]) for p in range(len(keys), end)]
 
 
 @lru_cache(maxsize=4)
 def _moves(generators: tuple[H1Matrix, ...], g: int):
     """Compile a generating set of genus g, in order, into its signed
     alphabet: the forward tree of its factorizations, whose moves are the
-    forward moves X -> a X, and the plans of the backward moves X -> X a^-1
-    (`_SearchTree`).  Letter k is generator k and -k its inverse; an
-    inverse equal to the generator itself (an involution) is not listed
-    twice.  Each generator is inverted once.  The genus is part of the key,
-    as the empty set's tree is rooted at the identity of one genus.  The
-    last four sets compiled stay cached, with their trees, so repeated
-    searches over one set skip this step and share the forward wave.
+    forward moves X -> a X, and the backward moves X -> X a^-1, by letter,
+    that a search derives its backward wave with (`_ForwardTree.derive`).
+    Letter k is generator k and -k its inverse; an inverse equal to the
+    generator itself (an involution) is not listed twice.  Each generator
+    is inverted once.  The genus is part of the key, as the empty set's
+    tree is rooted at the identity of one genus.  The last four sets
+    compiled stay cached, with their trees, so repeated searches over one
+    set skip this step and share the forward wave.
 
-    The plan of letter s lists, in both directions, every letter in listed
-    order but s's undo letter (-s, or s for an involution) and each letter
-    listed before s whose generator commutes with s's: from a key that s
-    reached, the tree already holds those letters' children
-    (`_SearchTree.grow`).  Two moves of one direction commute exactly when
-    their generators do, tested once per pair of generators on their
-    columns.
+    The plan of letter s lists every letter in listed order but s's undo
+    letter (-s, or s for an involution) and each letter listed before s
+    whose generator commutes with s's: from a key that s reached, the tree
+    already holds those letters' children (`_SearchTree.grow`).  Two left
+    moves commute exactly when their generators do, tested once per pair
+    of generators on their columns.
     """
     letters = [(k, m, m.inverse()) for k, m in enumerate(generators, start=1)]
     letters += [(-k, inv, m) for k, m, inv in letters if inv.cols != m.cols]
@@ -302,18 +345,12 @@ def _moves(generators: tuple[H1Matrix, ...], g: int):
             if [apply_mask(x.cols, c) for c in y.cols] == [apply_mask(y.cols, c) for c in x.cols]:
                 commuting |= {(a, b), (b, a)}
     order = list(forward)
-    skips = {0: ()}
+    plans = {0: tuple(forward.items())}
     for k, s in enumerate(order):
-        skips[s] = [-s if -s in forward else s]
-        skips[s] += [t for t in order[:k] if (abs(s), abs(t)) in commuting]
-
-    def plans(moves: dict) -> dict:
-        return {
-            s: tuple((t, moves[t]) for t in order if t not in skip)
-            for s, skip in skips.items()
-        }
-
-    return _ForwardTree(g, plans(forward)), plans(backward)
+        skip = [-s if -s in forward else s]
+        skip += [t for t in order[:k] if (abs(s), abs(t)) in commuting]
+        plans[s] = tuple((t, forward[t]) for t in order if t not in skip)
+    return _ForwardTree(g, plans), backward
 
 
 # ---------------------------------------------------------------------------
@@ -680,25 +717,29 @@ def factorize(
     alternate strictly and every meet of a level is collected, so the
     reported word has minimal length and is deterministic.
 
-    Both waves grow by `_SearchTree.grow`, which skips only letters whose
-    child the wave provably holds already, so each wave's levels, order and
-    letters are those of trying every letter from every element.
-
     The forward wave does not depend on the target, so it is not regrown:
     the search reveals the levels of the generating set's shared forward
     tree one at a time, growing the tree by a whole level only when no
-    earlier search needed that level.  Revealing level k meets the backward
-    elements at forward depth k, in forward discovery order; a backward
-    level meets the forward elements of the levels revealed so far.  The
-    result, `explored` included, is that of a search with a private forward
-    wave.
+    earlier search needed that level (`_SearchTree.grow`, which skips only
+    letters whose child the tree provably holds already).  Nor is the
+    backward wave grown: the tree grown from T by the moves X -> X a^-1 is
+    T f^-1 over the forward elements f, in their order and with their
+    letters (X -> T X^-1 turns X -> a X into X -> X a^-1 and is a
+    bijection, so both trees find the same children held).  The search
+    derives each backward level from the one above, one backward move per
+    element (`_ForwardTree.derive`), and reads both half-words off the
+    forward tree's parent positions.  Revealing level k
+    meets the backward elements at forward depth k, in forward discovery
+    order; a backward level meets the forward elements of the levels
+    revealed so far.  The result, `explored` included, is that of a search
+    with a private forward wave and a backward wave grown from T.
 
     The cap bounds the elements of both waves together, their two starting
-    elements included, revealed forward levels counted whole; a level past
-    it ends the search as "budget_exhausted" with `explored` equal to the
-    cap, never as non-membership, and is not kept in the shared tree.
-    Non-membership is only claimed when a whole side closed, so the cap
-    must be at least 2.
+    elements included, each level counted whole; a level past it ends the
+    search as "budget_exhausted" with `explored` equal to the cap, never as
+    non-membership, and a forward level past it is not kept in the shared
+    tree.  Non-membership is only claimed when a whole side closed, so the
+    cap must be at least 2.
 
     Budgeted: genus above FACTORIZE_GENUS_CAP raises BudgetExceededError
     before any letter is compiled.
@@ -715,40 +756,42 @@ def factorize(
             raise GenusMismatchError("generators must share the target's genus")
     labels = _labels(labels, len(gens))
 
-    fwd, bwd_plans = _moves(tuple(gens), genus.g)
+    fwd, backward = _moves(tuple(gens), genus.g)
     position, ends = fwd.position, fwd.ends
-    goal = _pack(target.cols, genus.g)
-    bwd = _SearchTree(goal, bwd_plans)
-    meets = [goal] if position.get(goal) == 0 else []
+    # the backward wave through the levels derived so far: keys[p] = T f^-1
+    # for the forward element f at position p
+    keys = [_pack(target.cols, genus.g)]
+    # each meet as (forward position, backward position)
+    meets = [(0, 0)] if position.get(keys[0]) == 0 else []
     depth = 0  # forward levels revealed to this search
     forward = True
     while not meets:
-        explored = ends[depth] + len(bwd.index)
+        explored = ends[depth] + len(keys)
         if forward:
             if depth and ends[depth] == ends[depth - 1]:
                 # the last level revealed was empty: the forward side closed
+                # (a backward level is as large as the forward one, so the
+                # backward side closes no earlier)
                 return FactorizationResult("not_member", None, None, explored)
             if not fwd.reveal(depth + 1, cap - explored):
                 return FactorizationResult("budget_exhausted", None, None, cap)
             depth += 1
             lo, hi = ends[depth - 1], ends[depth]
-            hits = sorted(
-                (p, key) for key in bwd.index if lo <= (p := position.get(key, -1)) < hi
+            meets = sorted(
+                (p, q) for q, key in enumerate(keys) if lo <= (p := position.get(key, -1)) < hi
             )
-            meets = [key for _, key in hits]
         else:
-            if not bwd.frontier:
-                return FactorizationResult("not_member", None, None, explored)
-            if not bwd.grow(cap - explored):
+            # backward level `depth` takes the positions len(keys) .. hi - 1,
+            # and hi also ends the forward levels revealed so far
+            lo = len(keys)
+            if hi - lo > cap - explored:
                 return FactorizationResult("budget_exhausted", None, None, cap)
-            # hi ends the forward levels revealed so far
-            meets = [key for key in bwd.frontier if position.get(key, hi) < hi]
+            fwd.derive(keys, backward, hi)
+            meets = [(p, q) for q in range(lo, hi) if (p := position.get(keys[q], hi)) < hi]
         forward = not forward
-    word = min((fwd.word(c) + bwd.word(c) for c in meets), key=len)
+    word = min((fwd.word_at(p) + fwd.word_at(q) for p, q in meets), key=len)
     _check(_replay(genus, gens, word) == target, "factorization word failed to replay")
-    return FactorizationResult(
-        "found", word, _spell(labels, word), ends[depth] + len(bwd.index)
-    )
+    return FactorizationResult("found", word, _spell(labels, word), ends[depth] + len(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from crosscap.groupops import (
     _labels,
     _moves,
     _pack,
+    _packed_move,
     _replay,
     _spell,
 )
@@ -373,19 +374,33 @@ def closure_oracle(generators, genus, cap=DEFAULT_NODE_CAP):
     return list(tree.index.items()), diameter, complete
 
 
+def backward_tree(target, generators) -> _SearchTree:
+    """A private backward tree rooted at `target`, for `grow_unpruned`: its
+    moves X -> X a^-1 are compiled here from the generator matrices, letter
+    k for generator k and -k for its inverse unless that is the generator
+    itself, in the alphabet's order (positive letters first)."""
+    gens = list(generators)
+    moves = {k: _packed_move(m.inverse(), False) for k, m in enumerate(gens, start=1)}
+    moves.update(
+        {-k: _packed_move(m, False) for k, m in enumerate(gens, start=1) if m.inverse() != m}
+    )
+    return _SearchTree(_pack(target.cols, target.genus.g), {0: tuple(moves.items())})
+
+
 def factorize_oracle(target, generators, labels=None, cap=DEFAULT_NODE_CAP):
     """Slow oracle for `factorize`: the bidirectional search with a private
-    forward tree, regrown from the identity on every call by
+    forward tree, regrown from the identity on every call, and a private
+    backward tree grown from the target (`backward_tree`), both by
     `grow_unpruned`.  Levels alternate strictly, the forward one first, and
     every meet of a level is collected; a level that takes both trees past
     the cap ends the search with `explored` equal to the cap."""
     gens = list(generators)
     genus = target.genus
     labels = _labels(labels, len(gens))
-    shared, bwd_plans = _moves(tuple(gens), genus.g)
+    shared, _ = _moves(tuple(gens), genus.g)
     goal = _pack(target.cols, genus.g)
     fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), shared.plans)
-    bwd = _SearchTree(goal, bwd_plans)
+    bwd = backward_tree(target, gens)
     meets = [goal] if goal in fwd.index else []
     forward = True
     while not meets:

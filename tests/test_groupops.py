@@ -46,10 +46,12 @@ from crosscap.groupops import (
 from crosscap.words import act, induced_matrix, parse_word
 
 from helpers import (
+    backward_tree,
     brute_orthogonal_cols,
     closure_oracle,
     factorize_oracle,
     falsified,
+    grow_unpruned,
     random_invertible_cols,
     replay_certificates,
     rewire,
@@ -490,8 +492,23 @@ def _products(g, count):
 
 def _whole_levels(tree):
     """Whether the shared forward tree holds whole levels only: every key it
-    indexes is counted by its last level end."""
-    return len(tree.index) == len(tree.position) == tree.ends[-1]
+    indexes, and every letter and parent it records, is counted by its last
+    level end.  The records are asserted too: the element at each position
+    is its letter's forward move of the element at its parent's position,
+    which lies in the level above."""
+    held = len(tree.index)
+    if not held == len(tree.position) == len(tree.letters) == len(tree.parents) == tree.ends[-1]:
+        return False
+    keys = list(tree.position)
+    assert [tree.position[key] for key in keys] == list(range(held))
+    ends = tree.ends
+    for k in range(1, len(ends)):
+        for p in range(ends[k - 1], ends[k]):
+            parent = tree.parents[p]
+            assert (ends[k - 2] if k > 1 else 0) <= parent < ends[k - 1]
+            assert tree.moves[tree.letters[p]](keys[parent]) == keys[p]
+            assert tree.index[keys[p]] == tree.letters[p]
+    return True
 
 
 _CAP_CASES = {
@@ -504,6 +521,15 @@ _CAP_CASES = {
             Genus(6),
         )),
     ),
+    # members at depth 4 and 5, the genus-5 diameter: an even word meets on
+    # a backward step, an odd one on a forward step
+    **{
+        f"g5-depth-{d}": lambda d=d: (
+            *_standard(5),
+            next(r.matrix for r in subgroup_closure(_standard(5)[0]).records() if len(r.word) == d),
+        )
+        for d in (4, 5)
+    },
     # a non-member over the non-involutive set, whose alphabet holds a
     # formal inverse
     "g3-non-involutive": lambda: (
@@ -589,6 +615,21 @@ class TestSharedForwardTree:
         rewire(tree, moves)
         assert len(tree.ends) > 2 and _whole_levels(tree)
         assert len(tree.frontier) == tree.ends[-1] - tree.ends[-2]
+        held = len(tree.ends)
+
+        # and an undo step that raises, as the next level is recorded: the
+        # plans keep their moves, so only the step that finds each parent
+        # calls the failing one
+        def undo_failing(x):
+            raise RuntimeError("interrupted while recording")
+
+        tree.moves = {**moves, 1: undo_failing}
+        with pytest.raises(RuntimeError, match="interrupted while recording") as raised:
+            factorize(target, mats, labels)
+        assert any(entry.name == "_record_level" for entry in raised.traceback)
+        tree.moves = moves
+        assert len(tree.ends) == held and _whole_levels(tree)
+        assert len(tree.frontier) == tree.ends[-1] - tree.ends[-2]
         assert factorize(target, mats, labels) == factorize_oracle(target, mats, labels)
 
     def test_two_threads_on_one_fresh_set(self):
@@ -618,7 +659,15 @@ class TestSharedForwardTree:
             sys.setswitchinterval(switch)
         for results in got:
             assert [results[k] for k in range(len(targets))] == want
-        assert _whole_levels(_moves(tuple(mats), 8)[0])
+        tree = _moves(tuple(mats), 8)[0]
+        assert _whole_levels(tree)
+        # the records two threads left are those one thread leaves
+        held = (list(tree.position), tree.letters, tree.parents, tree.ends)
+        _moves.cache_clear()
+        fresh = _moves(tuple(mats), 8)[0]
+        for k in range(1, len(tree.ends)):
+            assert fresh.reveal(k, groupops.DEFAULT_NODE_CAP)
+        assert (list(fresh.position), fresh.letters, fresh.parents, fresh.ends) == held
 
     def test_empty_set_at_genus_3_then_5(self):
         # the empty set is one tuple at every genus, but its tree is rooted
@@ -632,6 +681,73 @@ class TestSharedForwardTree:
             assert (other.status, other.explored) == ("not_member", 2)
             for target in (H1Matrix.identity(genus), transvection(vec(g, "x1+x3"))):
                 assert factorize(target, []) == factorize_oracle(target, [])
+
+
+_WAVE_SETS = {
+    # genus and generating set
+    **{f"standard-{g}": (lambda g=g: (g, _standard(g)[0])) for g in range(2, 8)},
+    "non-involutive": lambda: (3, non_involutive_set()),
+    "non-involutive-reversed": lambda: (3, non_involutive_set()[::-1]),
+    "duplicate-and-identity": lambda: (
+        5, [*_standard(5)[0], _standard(5)[0][2], H1Matrix.identity(Genus(5))]
+    ),
+    "empty": lambda: (3, []),
+}
+
+
+def _wave_targets(gens, g):
+    """Members of the group the set generates (the identity, the last
+    element of its closure and a seeded sample) and up to two non-members,
+    drawn from seeded random invertible matrices and a transvection about
+    x1+x2; every set here has some."""
+    genus = Genus(g)
+    members = [rec.matrix for rec in subgroup_closure(gens, genus=genus).records()]
+    rng = random.Random(f"wave:{g}:{len(gens)}")
+    keys = {_pack(m.cols, g) for m in members}
+    others = [H1Matrix(genus, random_invertible_cols(rng, g)) for _ in range(20)]
+    others.append(transvection(vec(g, "x1+x2")))
+    outside = [m for m in others if _pack(m.cols, g) not in keys]
+    assert outside
+    return [members[0], members[-1], *rng.sample(members, min(3, len(members))), *outside[-2:]]
+
+
+class TestDerivedBackwardWave:
+    """`factorize` reads its backward wave off the shared forward tree: the
+    key at forward position p is T f^-1 for the forward element f there.
+    Against a backward tree grown privately from T by `grow_unpruned`, with
+    moves the oracle compiles itself, the derived levels must hold the same
+    keys in the same order with the same letters."""
+
+    @pytest.mark.parametrize("name", sorted(_WAVE_SETS))
+    def test_levels_match_private_backward_tree(self, name):
+        g, gens = _WAVE_SETS[name]()
+        _moves.cache_clear()
+        tree, backward = _moves(tuple(gens), g)
+        cap = groupops.DEFAULT_NODE_CAP
+        depth = 0
+        while depth == 0 or tree.ends[depth] > tree.ends[depth - 1]:
+            assert tree.reveal(depth + 1, cap)
+            depth += 1
+        for target in _wave_targets(gens, g):
+            keys = [_pack(target.cols, g)]
+            bwd = backward_tree(target, gens)
+            for k in range(1, depth + 1):
+                tree.derive(keys, backward, tree.ends[k])
+                assert grow_unpruned(bwd, cap)
+                assert len(bwd.frontier) == tree.ends[k] - tree.ends[k - 1]
+                assert list(bwd.index) == keys
+                assert list(bwd.index.values()) == tree.letters[: len(keys)]
+            assert not bwd.frontier
+
+    @pytest.mark.parametrize("g", range(2, 5))
+    def test_every_element_matches_oracle(self, g):
+        # genus 5 is `TestFactorize.test_replay_and_shortest_on_whole_group`
+        mats, labels = _standard(g)
+        _moves.cache_clear()
+        for record in subgroup_closure(mats, genus=Genus(g)).records():
+            got = factorize(record.matrix, mats, labels)
+            assert got.found and len(got.word) == len(record.word)
+            assert got == factorize_oracle(record.matrix, mats, labels)
 
 
 class TestGrowWholeLevels:
@@ -825,30 +941,30 @@ class TestPrunedGrowth:
         # each plan lists its letters in listed order and leaves out the undo
         # letter and letters listed before its own that commute with it, by
         # the columns of the letters' matrices; no letter listed after its
-        # own is left out but the undo letter
+        # own is left out but the undo letter; the backward moves, which
+        # have no plans, list the same letters
         g = gens[0].genus.g if gens else 3
         forward, backward = _moves(tuple(gens), g)
         cols = _letter_cols(gens)
-        listed = list(forward.moves)
-        assert [t for t, _ in backward[0]] == listed
-        for plans in (forward.plans, backward):
-            moves = dict(plans[0])
-            assert set(plans) == {0, *listed}
-            for s in listed:
-                plan = plans[s]
-                assert all(move is moves[t] for t, move in plan)
-                kept = [t for t, _ in plan]
-                assert kept == [t for t in listed if t in kept]
-                undo = -s if -s in moves else s
-                assert undo not in kept
-                for t in listed:
-                    if t in kept or t == undo:
-                        continue
-                    assert listed.index(t) < listed.index(s)
-                    assert _commute(cols[s], cols[t])
-                for t in listed[: listed.index(s)]:
-                    if t != undo and _commute(cols[s], cols[t]):
-                        assert t not in kept
+        plans, moves = forward.plans, forward.moves
+        listed = list(moves)
+        assert list(backward) == listed == [t for t, _ in plans[0]]
+        assert set(plans) == {0, *listed}
+        for s in listed:
+            plan = plans[s]
+            assert all(move is moves[t] for t, move in plan)
+            kept = [t for t, _ in plan]
+            assert kept == [t for t in listed if t in kept]
+            undo = -s if -s in moves else s
+            assert undo not in kept
+            for t in listed:
+                if t in kept or t == undo:
+                    continue
+                assert listed.index(t) < listed.index(s)
+                assert _commute(cols[s], cols[t])
+            for t in listed[: listed.index(s)]:
+                if t != undo and _commute(cols[s], cols[t]):
+                    assert t not in kept
 
 
 class TestMoves:
