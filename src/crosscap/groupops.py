@@ -10,7 +10,8 @@ Four kinds of work live here:
 * bidirectional meet-in-the-middle factorization of a matrix over a labeled
   generating set, whose forward wave is one breadth-first tree per set,
   shared by every search over it, and whose backward wave each search
-  derives from that tree, one move per element, with no tree of its own;
+  derives from that tree, one move per element, with no tree of its own,
+  probing each key as it is made and stopping at the first meet;
 * the constructive normal-form reductions: any class of form value 2 is
   driven to x1+x3, and any isotropic pair to [x1+x2, x3+x4] or to an
   explicitly flagged full-support configuration.
@@ -74,9 +75,9 @@ ENUMERATION_GENUS_CAP = 8
 # a compiled letter is at most g terms of O(g) shifts, so compiling costs
 # O(g^2) per letter, plus an n^2 commutation table over the n generators
 # (two products of column tuples per pair) for the forward plans; the cap
-# bounds the breadth-first search itself, one backward move per element of
-# the forward levels a search reaches, whose levels grow with the group
-# (40320 elements at genus 7, 2580480 at genus 8) until a sifting
+# bounds the breadth-first search itself, at most one backward move per
+# element of the forward levels a search reaches, whose levels grow with the
+# group (40320 elements at genus 7, 2580480 at genus 8) until a sifting
 # factorization replaces it
 FACTORIZE_GENUS_CAP = 16
 
@@ -307,12 +308,24 @@ class _ForwardTree(_SearchTree):
             p = self.parents[p]
         return tuple(out)
 
-    def derive(self, keys: list[int], backward: dict, end: int) -> None:
-        """Extend the backward wave `keys` from T = keys[0] through position
-        end - 1, whose parents it holds: keys[p] = T f^-1 for the element f
-        at p, the backward move of p's letter applied to p's parent's key."""
-        letters, parents = self.letters, self.parents
-        keys += [backward[letters[p]](keys[parents[p]]) for p in range(len(keys), end)]
+    def derive(self, keys: list[int], backward: dict, end: int) -> tuple[int, int] | None:
+        """Extend the backward wave `keys` from T = keys[0] towards position
+        end - 1, whose parents it holds: keys[q] = T f^-1 for the element f
+        at q, the backward move of q's letter applied to q's parent's key.
+        Each new key is probed in `position` as it is appended, and the
+        first one held below `end`, at position p, stops the derivation:
+        returns (p, q), with `keys` ending at q.  Returns None when `keys`
+        reached `end` with no such key; a call on a stopped wave resumes it
+        at q + 1."""
+        letters, parents, held = self.letters, self.parents, self.position.get
+        append = keys.append
+        for q in range(len(keys), end):
+            key = backward[letters[q]](keys[parents[q]])
+            append(key)
+            p = held(key, end)
+            if p < end:
+                return p, q
+        return None
 
 
 @lru_cache(maxsize=4)
@@ -728,11 +741,15 @@ def factorize(
     bijection, so both trees find the same children held).  The search
     derives each backward level from the one above, one backward move per
     element (`_ForwardTree.derive`), and reads both half-words off the
-    forward tree's parent positions.  Revealing level k
-    meets the backward elements at forward depth k, in forward discovery
-    order; a backward level meets the forward elements of the levels
-    revealed so far.  The result, `explored` included, is that of a search
-    with a private forward wave and a backward wave grown from T.
+    forward tree's parent positions.  Once no word of length at most n
+    exists, a meet of the next step has length n + 1, so each step probes
+    one pair of levels: revealing forward level k probes backward level
+    k - 1 and keeps the meet first in forward discovery order; backward
+    level k, derived against the forward levels revealed so far, can meet
+    forward level k only, and its derivation stops at its first meet in
+    frontier order, the one kept.  The result, `explored` included (a level
+    counts whole, derived or not), is that of a search with a private
+    forward wave and a backward wave grown from T.
 
     The cap bounds the elements of both waves together, their two starting
     elements included, each level counted whole; a level past it ends the
@@ -758,15 +775,16 @@ def factorize(
 
     fwd, backward = _moves(tuple(gens), genus.g)
     position, ends = fwd.position, fwd.ends
-    # the backward wave through the levels derived so far: keys[p] = T f^-1
-    # for the forward element f at position p
+    # the backward wave: keys[q] = T f^-1 for the forward element f at
+    # position q; its last level derived is the positions lo .. hi - 1
     keys = [_pack(target.cols, genus.g)]
-    # each meet as (forward position, backward position)
-    meets = [(0, 0)] if position.get(keys[0]) == 0 else []
+    lo, hi = 0, 1
+    # the meet as (forward position, backward position)
+    meet = (0, 0) if position.get(keys[0]) == 0 else None
     depth = 0  # forward levels revealed to this search
     forward = True
-    while not meets:
-        explored = ends[depth] + len(keys)
+    while meet is None:
+        explored = ends[depth] + hi
         if forward:
             if depth and ends[depth] == ends[depth - 1]:
                 # the last level revealed was empty: the forward side closed
@@ -776,22 +794,33 @@ def factorize(
             if not fwd.reveal(depth + 1, cap - explored):
                 return FactorizationResult("budget_exhausted", None, None, cap)
             depth += 1
-            lo, hi = ends[depth - 1], ends[depth]
-            meets = sorted(
-                (p, q) for q, key in enumerate(keys) if lo <= (p := position.get(key, -1)) < hi
+            # only the last backward level, depth - 1, can meet forward level
+            # depth: a key of level j < depth - 1 held there would give a word
+            # of length depth + j <= 2(depth - 1), which the backward step
+            # that derived level depth - 1 ruled out, and none of level
+            # depth - 1 is held in a shallower forward level; so every meet
+            # has the same length and the first in forward order is kept
+            end = ends[depth]
+            meet = min(
+                ((p, q) for q in range(lo, hi) if (p := position.get(keys[q], end)) < end),
+                default=None,
             )
         else:
-            # backward level `depth` takes the positions len(keys) .. hi - 1,
-            # and hi also ends the forward levels revealed so far
-            lo = len(keys)
+            # backward level `depth` takes the positions hi .. ends[depth] - 1,
+            # and its meets are with forward level `depth` alone (a shallower
+            # one would give a word of length at most 2 depth - 1, which the
+            # forward step ruled out), all of length 2 depth; the first in
+            # frontier order is kept, so the derivation stops there
+            lo, hi = hi, ends[depth]
             if hi - lo > cap - explored:
                 return FactorizationResult("budget_exhausted", None, None, cap)
-            fwd.derive(keys, backward, hi)
-            meets = [(p, q) for q in range(lo, hi) if (p := position.get(keys[q], hi)) < hi]
+            meet = fwd.derive(keys, backward, hi)
         forward = not forward
-    word = min((fwd.word_at(p) + fwd.word_at(q) for p, q in meets), key=len)
+    p, q = meet
+    word = fwd.word_at(p) + fwd.word_at(q)
     _check(_replay(genus, gens, word) == target, "factorization word failed to replay")
-    return FactorizationResult("found", word, _spell(labels, word), ends[depth] + len(keys))
+    # a level counts whole in `explored`, though the derivation stopped at q
+    return FactorizationResult("found", word, _spell(labels, word), ends[depth] + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,16 @@ FACTORIZE_G9 = (
 CAPPED_FACTORIZE_G9 = ("factorize", "-g", "9", FACTORIZE_G9, "--cap", "200")
 # the smallest cap factorize accepts: the two starting elements fill it
 SMALLEST_CAP_FACTORIZE = ("factorize", "-g", "9", "t_{d_1}", "--cap", "2")
+# a shortest word of length 8 at genus 8 whose last backward level meets
+# forward level 4 at keys 2264, 2616 and 2635 of its 2666; capped one below
+# that whole level
+FACTORIZE_G8_MEETS = (
+    "t_{a_4} t_{a_6} t_{c_4} t_{a_1} t_{a_3} t_{c_1} t_{d_2} t_{a_4} t_{a_6} t_{c_4} "
+    "t_{d_3} t_{a_5} t_{a_7} t_{c_5} t_{d_2} t_{a_3} t_{a_5} t_{c_3}"
+)
+CAPPED_FACTORIZE_G8_MEETS = ("factorize", "-g", "8", FACTORIZE_G8_MEETS, "--cap", "6493")
 # pinned commands that end in another exit code than 0
-PINNED_EXIT = {CAPPED_FACTORIZE_G9: 3, SMALLEST_CAP_FACTORIZE: 3}
+PINNED_EXIT = {CAPPED_FACTORIZE_G9: 3, SMALLEST_CAP_FACTORIZE: 3, CAPPED_FACTORIZE_G8_MEETS: 3}
 
 
 class TestCliContract:
@@ -528,6 +536,17 @@ class TestCliContract:
                 # from each normal form, one below the budget edge
                 ("verify-lemma", "4.4", "-g", "17"),
                 "bcfb13b0cc3915571b50708c2b4f3cd50c77dbb211b998704e6951f32e447948",
+            ),
+            (
+                # found, length 8, explored 6494: the first of three meets on
+                # the last backward step, in frontier order
+                ("factorize", "-g", "8", FACTORIZE_G8_MEETS),
+                "eec823612bb0def2798ef8cd71cd0e73b34f4fe6c412a080527700a57f4d7d3e",
+            ),
+            (
+                # budget_exhausted with explored 6493
+                CAPPED_FACTORIZE_G8_MEETS,
+                "a0ba392fa8e4e77cdaf7a5f1f21dea878e4aa6c1b0d88e7185a3c8a87bdc019d",
             ),
         ],
     )
@@ -693,7 +712,7 @@ class TestOutcomeContract:
 
     @pytest.mark.usefixtures("fresh_forests")
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_corrupted_step_word_fails_edge_check(self, capsys, monkeypatch, fmt):
+    def test_corrupted_step_word_fails_move_check(self, capsys, monkeypatch, fmt):
         _break_s46(monkeypatch)
         got, out, err = run(capsys, "verify-lemma", "4.4", "-g", "6", "--format", fmt)
         assert (got, out) == (4, "")

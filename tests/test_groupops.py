@@ -711,12 +711,59 @@ def _wave_targets(gens, g):
     return [members[0], members[-1], *rng.sample(members, min(3, len(members))), *outside[-2:]]
 
 
+def _derive_level(tree, keys, backward, end):
+    """Derive the backward wave `keys` through position end - 1, resuming
+    `derive` after each stop, and return the meets it reported.  Each stop
+    must leave `keys` ending at the key it reports, held below `end`."""
+    meets = []
+    while (meet := tree.derive(keys, backward, end)) is not None:
+        p, q = meet
+        assert len(keys) == q + 1 and tree.position[keys[q]] == p < end
+        meets.append(meet)
+    assert len(keys) == end
+    return meets
+
+
+# members whose shortest words have even length 2k, so the search ends on
+# backward step k, where several keys of the level meet forward level k;
+# the first meet in frontier order is neither the first nor the last key of
+# the level, nor the meet with the smallest forward position
+_SEVERAL_MEETS = {
+    "g5-length-4": (5, "t_{a_1} t_{a_3} t_{c_1} t_{d_1} t_{d_3} t_{d_2}"),
+    "g6-length-6": (
+        6,
+        "t_{a_2} t_{a_4} t_{c_2} t_{d_1} t_{a_3} t_{a_5} t_{c_3} t_{d_2} t_{d_4} t_{d_3}",
+    ),
+    # the word the CI byte-pin step factorizes at genus 8
+    "g8-length-8": (
+        8,
+        "t_{a_4} t_{a_6} t_{c_4} t_{a_1} t_{a_3} t_{c_1} t_{d_2} t_{a_4} t_{a_6} t_{c_4} "
+        "t_{d_3} t_{a_5} t_{a_7} t_{c_5} t_{d_2} t_{a_3} t_{a_5} t_{c_3}",
+    ),
+}
+
+
+def _private_waves(target, gens, depth):
+    """A private forward tree from the identity and a private backward tree
+    from `target`, each grown `depth` levels by `grow_unpruned`."""
+    genus = target.genus
+    shared, _ = _moves(tuple(gens), genus.g)
+    fwd = _SearchTree(_pack(H1Matrix.identity(genus).cols, genus.g), shared.plans)
+    bwd = backward_tree(target, gens)
+    for _ in range(depth):
+        assert grow_unpruned(fwd, groupops.DEFAULT_NODE_CAP)
+        assert grow_unpruned(bwd, groupops.DEFAULT_NODE_CAP)
+    return fwd, bwd
+
+
 class TestDerivedBackwardWave:
     """`factorize` reads its backward wave off the shared forward tree: the
     key at forward position p is T f^-1 for the forward element f there.
     Against a backward tree grown privately from T by `grow_unpruned`, with
     moves the oracle compiles itself, the derived levels must hold the same
-    keys in the same order with the same letters."""
+    keys in the same order with the same letters.  `derive` stops at the
+    first key held below its end; the search keeps that meet, the first of
+    its level in frontier order, and counts the level whole."""
 
     @pytest.mark.parametrize("name", sorted(_WAVE_SETS))
     def test_levels_match_private_backward_tree(self, name):
@@ -732,12 +779,62 @@ class TestDerivedBackwardWave:
             keys = [_pack(target.cols, g)]
             bwd = backward_tree(target, gens)
             for k in range(1, depth + 1):
-                tree.derive(keys, backward, tree.ends[k])
+                start, end = tree.ends[k - 1], tree.ends[k]
+                meets = _derive_level(tree, keys, backward, end)
                 assert grow_unpruned(bwd, cap)
-                assert len(bwd.frontier) == tree.ends[k] - tree.ends[k - 1]
+                assert len(bwd.frontier) == end - start
                 assert list(bwd.index) == keys
-                assert list(bwd.index.values()) == tree.letters[: len(keys)]
+                assert list(bwd.index.values()) == tree.letters[:end]
+                # the stops are the level's keys held below its end, in order
+                assert meets == [
+                    (tree.position[key], q)
+                    for q, key in enumerate(bwd.frontier, start=start)
+                    if tree.position.get(key, end) < end
+                ]
             assert not bwd.frontier
+
+    @pytest.mark.parametrize("case", sorted(_SEVERAL_MEETS))
+    def test_stopped_derivation_is_a_prefix_and_resumes(self, case):
+        g, text = _SEVERAL_MEETS[case]
+        mats, _ = _standard(g)
+        target = induced_matrix(parse_word(text, Genus(g)))
+        k = len(factorize(target, mats).word) // 2
+        tree, backward = _moves(tuple(mats), g)
+        _, bwd = _private_waves(target, mats, k)
+        full = list(bwd.index)
+        start, end = tree.ends[k - 1], tree.ends[k]
+        keys = [full[0]]
+        for j in range(1, k):
+            assert tree.derive(keys, backward, tree.ends[j]) is None
+        p, q = tree.derive(keys, backward, end)
+        # stopped at the first key of level k held below its end, inside it
+        assert start < q < end - 1 and keys == full[: q + 1]
+        assert all(tree.position.get(key, end) >= end for key in keys[start:q])
+        assert tree.position[keys[q]] == p < end
+        # resuming runs through the rest of the level
+        _derive_level(tree, keys, backward, end)
+        assert keys == full
+
+    @pytest.mark.parametrize("case", sorted(_SEVERAL_MEETS))
+    def test_first_of_several_backward_meets(self, case):
+        g, text = _SEVERAL_MEETS[case]
+        mats, labels = _standard(g)
+        target = induced_matrix(parse_word(text, Genus(g)))
+        got = factorize(target, mats, labels)
+        assert got == factorize_oracle(target, mats, labels)
+        k = len(got.word) // 2
+        assert got.found and len(got.word) == 2 * k
+        fwd, bwd = _private_waves(target, mats, k)
+        meets = [key for key in bwd.frontier if key in fwd.index]
+        assert len(meets) >= 2
+        first = bwd.frontier.index(meets[0])
+        assert 0 < first < len(bwd.frontier) - 1
+        forward_order = [key for key in fwd.frontier if key in bwd.index]
+        assert forward_order[0] != meets[0]
+        # the meet first in frontier order, and the whole level explored
+        assert got.word == fwd.word(meets[0]) + bwd.word(meets[0])
+        assert got.word != fwd.word(meets[-1]) + bwd.word(meets[-1])
+        assert got.explored == len(fwd.index) + len(bwd.index)
 
     @pytest.mark.parametrize("g", range(2, 5))
     def test_every_element_matches_oracle(self, g):
