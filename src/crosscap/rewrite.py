@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .f2core import (
     FalsificationError,
@@ -426,8 +427,7 @@ def canonical_targets(genus: Genus) -> tuple[RSequence, ...]:
 
 
 # reduce_rseq builds and caches a breadth-first forest on all 2^g sequences, at
-# genus 18 0.7-0.8 s and 39 MB in a fresh process (2 cores, Python 3.11.7); the
-# 4.4 check builds none, but searches sets of 2^g sequences under this budget
+# genus 18 0.7-0.8 s and 39 MB in a fresh process (2 cores, Python 3.11.7)
 RSEQ_GENUS_CAP = 18
 
 
@@ -638,40 +638,37 @@ class ComponentsReport:
         }
 
 
-def _showing(g: int, inst: RuleInstance, side: int) -> int:
-    """The sequences whose window shows `side`, one of the move's sides, as a
-    set of 2^g bits where bit u stands for sequence u: the bits side + t for
-    t below the window's lowest bit, repeated at every multiple of the
-    window's top bit, built by doubling."""
-    low = inst.window_bits & -inst.window_bits
-    period = 1 << inst.window_bits.bit_length()
-    shown = ((1 << low) - 1) << side
-    while period < 1 << g:
-        shown |= shown << period
-        period <<= 1
-    return shown
-
-
 def classify_rseq_components(genus: Genus) -> ComponentsReport:
     """Components of the sequence graph, by smallest member, each with its
     normal form and the form's value and support parity.  Each live move is
     checked once, and a failure is a defect (InternalCheckError): q(lhs) =
     q(rhs), so it keeps q, which is additive over disjoint supports; its axes
     lie in its window (`_check_window_local`); and its word folds lhs onto
-    rhs, which by window locality replays every edge of the move both ways
-    (the inverse word's axes are the word's reversed).  The normal forms with
-    a live move (all but 0 and w) differ in q, so no move joins two of them,
-    and q and support parity (q mod 2) are constant on each component.  Then
-    one breadth-first search over sets of sequences runs from each normal
-    form; the smallest sequence none reaches raises FalsificationError, as
-    `reduce_rseq` would for it.  Budgeted like `reduce_rseq`."""
+    rhs, which by window locality replays every edge of the move both ways.
+    Some live move swaps x_i + m and x_{i+2} + m for every i and middle class
+    m (0 or x_{i+1}), so the moves act as the transpositions (i, i+2) and a
+    component is a union of types (a, b), a of the O odd and b of the E even
+    positions circled.  A side s of a move, its window holding wo odd and we
+    even positions, fits (a, b) when s_a <= a, s_b <= b, wo - s_a <= O - a
+    and we - s_b <= E - b, and links it to (a, b) - s + t, t the other side.
+    The normal forms with a live move (all but 0 and w) differ in q, so no
+    move joins two of them, and q and support parity (q mod 2) are constant
+    on each component.  One breadth-first search over types runs from each
+    normal form; the least sequence of the types none reaches (a type's
+    least has its lowest a odd and b even positions circled) is falsified."""
     g = genus.g
-    _require_genus_budget("sequence reduction", g, RSEQ_GENUS_CAP)
     odd = _odd_mask(g)
-    # per live move, the sequences showing its smaller side, which move up by
-    # the gap between the sides, and those showing its larger side, which move down
-    steps = []
-    shown = 0
+    even = odd ^ (1 << g) - 1
+    total_odd, total_even = (g + 1) // 2, g // 2
+
+    def kind(bits: int) -> tuple[int, int]:
+        return (bits & odd).bit_count(), (bits & even).bit_count()
+
+    def least(a: int, b: int) -> int:
+        return _odd_mask(2 * a) | _odd_mask(2 * b) << 1
+
+    sides = set()  # (type of a side, type of its window, type of the other side)
+    swaps = set()  # (window, smaller side, larger side)
     for inst in _live_moves(genus):
         where = f"{inst.rule.rule_id} at {inst.anchor}"
         what = f"live move {where} changes the form value"
@@ -679,39 +676,42 @@ def classify_rseq_components(genus: Genus) -> ComponentsReport:
         _check_window_local(inst.word, inst.window_bits, where)
         replays = _fold(inst.word.axes, [inst.lhs_bits]) == [inst.rhs_bits]
         _check(replays, "path certificate failed to replay")
-        lo, hi = sorted((inst.lhs_bits, inst.rhs_bits))
-        lo_set, hi_set = _showing(g, inst, lo), _showing(g, inst, hi)
-        steps.append((lo_set, hi_set, hi - lo))
-        shown |= lo_set | hi_set
+        lhs, window, rhs = kind(inst.lhs_bits), kind(inst.window_bits), kind(inst.rhs_bits)
+        sides |= {(lhs, window, rhs), (rhs, window, lhs)}
+        swaps.add((inst.window_bits, *sorted((inst.lhs_bits, inst.rhs_bits))))
+    for i in range(1, g - 1):
+        held = all((7 << i - 1, 1 << i - 1 | m, 1 << i + 1 | m) in swaps for m in (0, 1 << i))
+        _check(held, f"no live move swaps positions {i} and {i + 2}")
+
+    def links(a: int, b: int):
+        for (sa, sb), (wa, wb), (ta, tb) in sides:
+            if sa <= a and sb <= b and wa - sa <= total_odd - a and wb - sb <= total_even - b:
+                yield a - sa + ta, b - sb + tb
+
     normal = [target.bits for target in canonical_targets(genus)]
-    moving = [root for root in normal if shown >> root & 1]
+    moving = [root for root in normal if any(links(*kind(root)))]
     values = {_q_mask(root, odd) for root in moving}
     _check(len(values) == len(moving), "normal forms with live moves share a form value")
     found = []
-    reached = 0
+    unreached = {(a, b) for a in range(total_odd + 1) for b in range(total_even + 1)}
     for root in normal:
-        component = frontier = 1 << root
-        while frontier:
-            new = 0
-            for lo_set, hi_set, gap in steps:
-                new |= (frontier & lo_set) << gap | (frontier & hi_set) >> gap
-            frontier = new & ~component
-            component |= frontier
-        found.append(((component & -component).bit_length() - 1, root, component))
-        reached |= component
-    unreached = ~reached & ((1 << (1 << g)) - 1)
+        component = [kind(root)]
+        for a, b in component:  # visits the types it appends, level by level
+            component += set(links(a, b)).difference(component)
+        unreached.difference_update(component)
+        size = sum(comb(total_odd, a) * comb(total_even, b) for a, b in component)
+        found.append((min(least(*t) for t in component), root, size))
     if unreached:
-        missing = (unreached & -unreached).bit_length() - 1
-        raise _missing_normal_form(RSequence(genus, missing))
+        raise _missing_normal_form(RSequence(genus, min(least(*t) for t in unreached)))
     summaries = tuple(
         ComponentSummary(
-            component.bit_count(),
+            size,
             RSequence(genus, smallest).ascii(),
             (RSequence(genus, root).ascii(),),
             _q_mask(root, odd),
             root.bit_count() & 1,
         )
-        for smallest, root, component in sorted(found)
+        for smallest, root, size in sorted(found)
     )
     return ComponentsReport(genus=g, components=summaries)
 

@@ -17,7 +17,7 @@ import jsonschema
 import crosscap
 from crosscap import rewrite
 from crosscap.cli import LEMMA_CLAIMS, main
-from crosscap.f2core import Genus, H1Matrix, H1Vector
+from crosscap.f2core import Genus, H1Matrix, H1Vector, _check, _odd_mask
 from crosscap.gmform import _q_mask, basis_value, q_table
 from crosscap.groupops import (
     DEFAULT_NODE_CAP,
@@ -165,6 +165,73 @@ def sequence_graph(g: int):
                 adj[bits].append((target, idx, "fwd"))
                 adj[target].append((bits, idx, "rev"))
     return live, adj
+
+
+def _showing(g: int, inst, side: int) -> int:
+    """The sequences whose window shows `side`, one of the move's sides, as a
+    set of 2^g bits where bit u stands for sequence u: the bits side + t for
+    t below the window's lowest bit, repeated at every multiple of the
+    window's top bit, built by doubling."""
+    low = inst.window_bits & -inst.window_bits
+    period = 1 << inst.window_bits.bit_length()
+    shown = ((1 << low) - 1) << side
+    while period < 1 << g:
+        shown |= shown << period
+        period <<= 1
+    return shown
+
+
+def set_search_components(genus: Genus) -> rewrite.ComponentsReport:
+    """Oracle for `classify_rseq_components`: the same move checks, then one
+    breadth-first search over sets of sequences from each normal form, a set
+    being one int of 2^g bits.  Reads the live moves and normal forms through
+    the `rewrite` module, so a patched list reaches it too."""
+    g = genus.g
+    odd = _odd_mask(g)
+    steps = []
+    shown = 0
+    for inst in rewrite._live_moves(genus):
+        where = f"{inst.rule.rule_id} at {inst.anchor}"
+        what = f"live move {where} changes the form value"
+        _check(_q_mask(inst.lhs_bits, odd) == _q_mask(inst.rhs_bits, odd), what)
+        _check_window_local(inst.word, inst.window_bits, where)
+        replays = rewrite._fold(inst.word.axes, [inst.lhs_bits]) == [inst.rhs_bits]
+        _check(replays, "path certificate failed to replay")
+        lo, hi = sorted((inst.lhs_bits, inst.rhs_bits))
+        lo_set, hi_set = _showing(g, inst, lo), _showing(g, inst, hi)
+        steps.append((lo_set, hi_set, hi - lo))
+        shown |= lo_set | hi_set
+    normal = [target.bits for target in rewrite.canonical_targets(genus)]
+    moving = [root for root in normal if shown >> root & 1]
+    values = {_q_mask(root, odd) for root in moving}
+    _check(len(values) == len(moving), "normal forms with live moves share a form value")
+    found = []
+    reached = 0
+    for root in normal:
+        component = frontier = 1 << root
+        while frontier:
+            new = 0
+            for lo_set, hi_set, gap in steps:
+                new |= (frontier & lo_set) << gap | (frontier & hi_set) >> gap
+            frontier = new & ~component
+            component |= frontier
+        found.append(((component & -component).bit_length() - 1, root, component))
+        reached |= component
+    unreached = ~reached & ((1 << (1 << g)) - 1)
+    if unreached:
+        missing = (unreached & -unreached).bit_length() - 1
+        raise rewrite._missing_normal_form(rewrite.RSequence(genus, missing))
+    summaries = tuple(
+        rewrite.ComponentSummary(
+            component.bit_count(),
+            rewrite.RSequence(genus, smallest).ascii(),
+            (rewrite.RSequence(genus, root).ascii(),),
+            _q_mask(root, odd),
+            root.bit_count() & 1,
+        )
+        for smallest, root, component in sorted(found)
+    )
+    return rewrite.ComponentsReport(genus=g, components=summaries)
 
 
 def window_positions(inst) -> tuple[int, ...]:

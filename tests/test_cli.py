@@ -211,10 +211,6 @@ BUDGET_REFUSALS = [
         "sequence reduction is budgeted for genus <= 18, got 19",
     ),
     (
-        ("verify-lemma", "4.4", "-g", "19"),
-        "sequence reduction is budgeted for genus <= 18, got 19",
-    ),
-    (
         ("verify-lemma", "4.8", "-g", "7", "--cap", "100"),
         "closure hit the node cap; raise --cap",
     ),
@@ -532,8 +528,7 @@ class TestCliContract:
                 "f44ae10538a24e701519ba877a7fbafffa7bf7755b632b575c400913de7a3e50",
             ),
             (
-                # the odd genus, where w shares q = 1 with x1: the set search
-                # from each normal form, one below the budget edge
+                # the odd genus, where w shares q = 1 with x1
                 ("verify-lemma", "4.4", "-g", "17"),
                 "bcfb13b0cc3915571b50708c2b4f3cd50c77dbb211b998704e6951f32e447948",
             ),
@@ -547,6 +542,11 @@ class TestCliContract:
                 # budget_exhausted with explored 6493
                 CAPPED_FACTORIZE_G8_MEETS,
                 "a0ba392fa8e4e77cdaf7a5f1f21dea878e4aa6c1b0d88e7185a3c8a87bdc019d",
+            ),
+            (
+                # all 2^64 sequences, counted by support type
+                ("verify-lemma", "4.4", "-g", "64"),
+                "4efeec567400b9fb3a0afd67aad69d4716138e06a1f8440b6cc75e037f7f0f0e",
             ),
         ],
     )

@@ -31,7 +31,6 @@ from crosscap.rewrite import (
     _live_moves,
     _reduction_forest,
     _shift_certificate,
-    _showing,
     alpha_terminals,
     builtin_rule_tables,
     canonical_targets,
@@ -48,6 +47,7 @@ from crosscap.rewrite import (
 from crosscap.words import MCGWord, induced_matrix, parse_word
 
 from helpers import (
+    _showing,
     add_normal_form,
     break_instance,
     break_slot_word,
@@ -55,6 +55,7 @@ from helpers import (
     leaves_window,
     run_python,
     sequence_graph,
+    set_search_components,
     shift_rule_verdicts,
     shift_steps,
     window_positions,
@@ -245,19 +246,7 @@ class TestNormalForms:
         report = classify_rseq_components(Genus(g))
         assert sum(c.size for c in report.components) == 1 << g
 
-    def test_components_budget(self, monkeypatch):
-        # the component search runs under the reduction forest's budget
-        def refuse(rule, genus):
-            raise AssertionError("the budget must refuse before any move is built")
-
-        monkeypatch.setattr(rewrite, "rule_instances", refuse)
-        before = _reduction_forest.cache_info().currsize
-        message = "^sequence reduction is budgeted for genus <= 18, got 19$"
-        with pytest.raises(BudgetExceededError, match=message):
-            classify_rseq_components(Genus(RSEQ_GENUS_CAP + 1))
-        assert _reduction_forest.cache_info().currsize == before
-
-    @pytest.mark.parametrize("g", range(1, RSEQ_GENUS_CAP + 1))
+    @pytest.mark.parametrize("g", range(1, 65))
     def test_component_sizes_closed_form(self, g):
         # count the masks by q = l_odd - l_even (mod 4): a of the ceil(g/2)
         # odd positions and b of the floor(g/2) even ones circled; 0 (q = 0)
@@ -335,8 +324,9 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_showing_matches_plain_sets(self, g):
-        # the doubled selection set of each side of each live move is the
-        # set {u : u & window == side}, bit u standing for sequence u
+        # the set search oracle's doubled selection set of each side of each
+        # live move is the set {u : u & window == side}, bit u standing for
+        # sequence u
         for inst in _live_moves(Genus(g)):
             for side in (inst.lhs_bits, inst.rhs_bits):
                 plain = 0
@@ -645,6 +635,7 @@ class TestShiftWalk:
 _REPLAY_FAILED = "path certificate failed to replay"
 _MOVE_CHANGES_Q = "live move S3.1 at 2 changes the form value"
 _SHARED_Q = "normal forms with live moves share a form value"
+_NO_SWAP_2_4 = "no live move swaps positions 2 and 4"
 
 
 def _add_move_changing_q(moves):
@@ -672,10 +663,20 @@ def _some_path_fails(genus) -> bool:
     return False
 
 
+def _outcome(classify, genus):
+    """A component report's JSON, or the class and message of the check or
+    falsification that stopped it."""
+    try:
+        return classify(genus).to_json()
+    except (FalsificationError, InternalCheckError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestForestCheck:
     """`classify_rseq_components` checks each live move once and searches
-    the sets of sequences each normal form reaches; `reduce_rseq`, which
-    walks the forest and replays a sequence's whole path, is its oracle."""
+    the support types each normal form reaches.  Its oracles are
+    `reduce_rseq`, which walks the forest and replays a sequence's whole
+    path, and the set search over all 2^g sequences it replaced."""
 
     @pytest.fixture(autouse=True)
     def fresh_forests(self):
@@ -707,6 +708,47 @@ class TestForestCheck:
         report = classify_rseq_components(genus)
         got = [(c.size, c.representative, c.canonical_members) for c in report.components]
         assert got == expected
+
+    @pytest.mark.parametrize("g", range(1, 17))
+    def test_matches_set_search(self, g):
+        genus = Genus(g)
+        assert classify_rseq_components(genus).to_json() == set_search_components(genus).to_json()
+
+    @pytest.mark.parametrize("g", [8, 11])
+    def test_dropped_swap4_moves_match_set_search(self, monkeypatch, g):
+        # each live swap4 move left out in turn, then each pair of swap4
+        # rules: the types join or split the components exactly as the sets
+        # do, or both report the same unreached sequence.  A single move is
+        # never missed; three pairs of rules (S4.1 and S4.4, S4.2 and S4.3,
+        # S4.5 and S4.6) leave a component without a normal form
+        genus = Genus(g)
+        moves = _live_moves(genus)
+        swap4 = [inst for inst in moves if inst.rule.family == "swap4"]
+        rules = sorted({inst.rule.rule_id for inst in swap4})
+        drops = [[inst] for inst in swap4]
+        drops += [[i for i in swap4 if i.rule.rule_id in pair] for pair in combinations(rules, 2)]
+        falsified = []
+        for dropped in drops:
+            kept = [inst for inst in moves if inst not in dropped]
+            with monkeypatch.context() as m:
+                m.setattr(rewrite, "_live_moves", lambda genus: kept)
+                got = _outcome(classify_rseq_components, genus)
+                assert got == _outcome(set_search_components, genus)
+            if isinstance(got, tuple):
+                falsified.append(sorted({inst.rule.rule_id for inst in dropped}))
+        assert len(swap4) == {8: 15, 11: 24}[g]
+        assert falsified == [["S4.1", "S4.4"], ["S4.2", "S4.3"], ["S4.5", "S4.6"]]
+
+    def test_dropped_swap3_move_fails_transposition_check(self, monkeypatch):
+        # without S3.3 (anchors 2 and 4 at genus 6) no move swaps x2 + x3 and
+        # x4 + x3, so the support types need not lie in one component each;
+        # the set search, which does not need them to, still passes
+        genus = Genus(6)
+        kept = [inst for inst in _live_moves(genus) if inst.rule.rule_id != "S3.3"]
+        monkeypatch.setattr(rewrite, "_live_moves", lambda genus: kept)
+        set_search_components(genus)
+        with pytest.raises(InternalCheckError, match=f"^{_NO_SWAP_2_4}$"):
+            classify_rseq_components(genus)
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_roots_follow_parents(self, g):
@@ -759,10 +801,6 @@ class TestForestCheck:
                 reduce_rseq(RSequence(genus, bits))
         assert str(search.value) == str(path.value)
         assert str(search.value) == "sequence PMPMPM lies in a component without a normal form"
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            classify_rseq_components(Genus(RSEQ_GENUS_CAP + 1))
 
     def test_folds_each_certificate_once(self, monkeypatch):
         # every live move's certificate is folded, each once, where a fold
@@ -827,8 +865,8 @@ class TestChunkTables:
 
 
 class TestTreesAreComponents:
-    """A broken separation check is a defect in crosscap: `verify-lemma 4.4`
-    exits 4 with the check's line, also under `python -O`."""
+    """A broken check of the component report is a defect in crosscap:
+    `verify-lemma 4.4` exits 4 with the check's line, also under `python -O`."""
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
     @pytest.mark.parametrize(
@@ -853,8 +891,16 @@ class TestTreesAreComponents:
                 5,
                 _SHARED_Q,
             ),
+            # S3.3 left out of the live moves
+            (
+                "moves = rewrite._live_moves(rewrite.Genus(6))\n"
+                "kept = [i for i in moves if i.rule.rule_id != 'S3.3']\n"
+                "rewrite._live_moves = lambda genus: kept\n",
+                6,
+                _NO_SWAP_2_4,
+            ),
         ],
-        ids=["move-changes-q", "normal-forms-share-q"],
+        ids=["move-changes-q", "normal-forms-share-q", "no-transposition"],
     )
     def test_exit_4(self, flags, corrupt, g, message):
         code = (
